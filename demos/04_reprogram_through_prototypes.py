@@ -4,7 +4,8 @@
 A trainable probe mixes the frozen vocabulary down to a small prototype
 bank; incoming tokens are fused with the bank through attention and leave
 with exactly one token per prototype, whatever their input length. The
-same instance serves any number of modalities, sharing every weight.
+same instance serves any number of modalities, sharing every weight except
+one token-count adapter per input length, all created up front.
 """
 
 import numpy as np
@@ -21,14 +22,15 @@ from physkit import (
 store = ParamStore()
 vocab = init_vocab(store, vocab_size=1024, dim=64, seed=0)
 probe = init_probe(store, vocab_size=1024, n_prototypes=64, rng=np.random.default_rng(1))
+lengths = (15, 32, 128)  # every input length this instance will serve
 rep = init_reprogrammer(store, "reprog", dim=64, heads=4, n_prototypes=64,
-                        rng=np.random.default_rng(2), seed=0)
+                        rng=np.random.default_rng(2), lengths=lengths, seed=0)
 
 bank = derive_prototypes(vocab, probe)
 print("prototype bank:", bank.shape, "probed from", vocab.param.shape, "frozen rows")
 
 rng = np.random.default_rng(3)
-for length in (15, 32, 128):
+for length in lengths:
     out = reprogram(rng.standard_normal((2, length, 64)), bank, rep)
     print(f"  {length:3d} input tokens -> {out.shape[1]} output tokens")
 

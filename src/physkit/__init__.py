@@ -87,6 +87,7 @@ from .pipeline import (
     TrainLog,
     batch_from_clips,
     build_pipeline,
+    load_pipeline,
     mse_loss,
     predict,
     train,

@@ -3,8 +3,10 @@
 Subcommands: synth, dds, train, eval, gradcheck, hr, stats. Every command
 is deterministic given (config, seed): outputs carry no timestamps and all
 randomness descends from one root seed split by fixed labels. Config
-precedence is flags > config file > defaults. Exit codes: 0 success,
-1 contract/parse/IO error, 2 threshold failure (gradcheck/eval).
+precedence is flags > config file > defaults. `eval --ckpt` takes the model
+from the checkpoint, whose header carries the config it was trained with; a
+config file that sets a model key to another value is refused. Exit codes:
+0 success, 1 contract/parse/IO error, 2 threshold failure (gradcheck/eval).
 """
 
 from __future__ import annotations
@@ -15,16 +17,15 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import numcore as nc
 from .aggregator import FeaturePyramid, aggregate, init_aggregator
 from .cues import SceneMeta, compress, fuse_cues, init_compressor, init_fusion, signal_stats
 from .errors import ContractError, ParseError, PhyskitError
-from .pipeline import ModelConfig, TrainConfig, build_pipeline, mse_loss, predict, train
-from .reprogram import derive_prototypes, init_probe, init_reprogrammer, init_vocab
+from .pipeline import ModelConfig, TrainConfig, build_pipeline, load_pipeline, mse_loss, predict, train
+from .reprogram import derive_prototypes, init_probe, init_reprogrammer, init_vocab, reprogram
 from .signals import (
     ClipRecord,
+    _rng,
     estimate_hr,
     gen_clip,
     load_waveform,
@@ -36,49 +37,52 @@ from .signals import (
 from .stationarize import init_smoother, smooth, stationarity_report
 from .wavelet import get_basis
 
+# config key -> (ModelConfig field, type); their defaults are ModelConfig's
+_MODEL_KEYS = {
+    "dim": ("dim", int), "heads": ("heads", int), "vocab": ("vocab_size", int),
+    "protos": ("n_prototypes", int), "prompt_len": ("prompt_len", int),
+    "l_target": ("target_len", int), "chunk": ("chunk_len", int),
+    "patch_len": ("patch_len", int), "patch_stride": ("patch_stride", int),
+    "alpha": ("alpha", float), "basis": ("wavelet", str), "level": ("level", int),
+    "lm_layers": ("lm_layers", int),
+}
+
 DEFAULTS: dict[str, object] = {
     "seed": 0,
-    "alpha": 0.8,
     "beta": None,  # blend override; None leaves the learnable weight at 0.5
-    "level": 3,
-    "basis": "haar",
-    "l_target": 32,
-    "prompt_len": 16,
-    "protos": 64,
-    "vocab": 1024,
-    "dim": 64,
-    "heads": 4,
-    "patch_len": 16,
-    "patch_stride": 8,
     "snr": 10.0,
     "n_clips": 64,
     "fs": 30.0,
-    "chunk": 128,
     "steps": 200,
     "lr": 1e-4,
     "wd": 5e-5,
     "batch": 4,
     "max_lag": 8,
-    "lm_layers": 2,
+    **{key: getattr(ModelConfig(), field) for key, (field, _) in _MODEL_KEYS.items()},
 }
 
 GRADCHECK_TOL = 1e-4
 
 
+def _config_file(args: argparse.Namespace) -> dict[str, object]:
+    """The keys that the --config file sets, if one is given."""
+    path = getattr(args, "config", None)
+    if not path:
+        return {}
+    try:
+        loaded = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"config file is not valid JSON: {exc}") from exc
+    unknown = set(loaded) - set(DEFAULTS)
+    if unknown:
+        raise ContractError(f"unknown config keys: {sorted(unknown)}")
+    return loaded
+
+
 def _resolve_config(args: argparse.Namespace) -> dict[str, object]:
     """Merge defaults <- config file <- explicit flags."""
-    cfg = dict(DEFAULTS)
-    loaded: dict[str, object] = {}
-    path = getattr(args, "config", None)
-    if path:
-        try:
-            loaded = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"config file is not valid JSON: {exc}") from exc
-        unknown = set(loaded) - set(DEFAULTS)
-        if unknown:
-            raise ContractError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(loaded)
+    loaded = _config_file(args)
+    cfg = {**DEFAULTS, **loaded}
     for key in DEFAULTS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -93,29 +97,8 @@ def _resolve_config(args: argparse.Namespace) -> dict[str, object]:
     return cfg
 
 
-def _rng(seed: int, label: str) -> np.random.Generator:
-    digest = 0
-    for ch in label.encode("utf-8"):
-        digest = (digest * 131 + ch) & 0xFFFFFFFF
-    return np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, digest]))
-
-
 def _model_config(cfg: dict) -> ModelConfig:
-    return ModelConfig(
-        dim=int(cfg["dim"]),
-        heads=int(cfg["heads"]),
-        vocab_size=int(cfg["vocab"]),
-        n_prototypes=int(cfg["protos"]),
-        prompt_len=int(cfg["prompt_len"]),
-        target_len=int(cfg["l_target"]),
-        chunk_len=int(cfg["chunk"]),
-        patch_len=int(cfg["patch_len"]),
-        patch_stride=int(cfg["patch_stride"]),
-        alpha=float(cfg["alpha"]),
-        wavelet=str(cfg["basis"]),
-        level=int(cfg["level"]),
-        lm_layers=int(cfg["lm_layers"]),
-    )
+    return ModelConfig(**{field: cast(cfg[key]) for key, (field, cast) in _MODEL_KEYS.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +185,6 @@ def cmd_train(args, cfg) -> int:
         batch_size=int(cfg["batch"]),
         steps=int(cfg["steps"]),
         seed=int(cfg["seed"]),
-        chunk_len=int(cfg["chunk"]),
     )
     eval_clips = _load_clips(args.eval_data) if args.eval_data else clips
     model, log = train(clips, tcfg, model=model, eval_clips=eval_clips)
@@ -240,10 +222,16 @@ def cmd_eval(args, cfg) -> int:
     if args.pred and args.gt:
         rep = metrics(_hr_list_from(args.pred), _hr_list_from(args.gt))
     elif args.ckpt and args.data:
+        model = load_pipeline(args.ckpt)
+        loaded = _config_file(args)
+        conflicts = [
+            f"{key}={loaded[key]!r} (checkpoint: {getattr(model.cfg, field)!r})"
+            for key, (field, cast) in _MODEL_KEYS.items()
+            if key in loaded and cast(loaded[key]) != getattr(model.cfg, field)
+        ]
+        if conflicts:
+            raise ContractError("config file disagrees with the checkpoint: " + ", ".join(conflicts))
         clips = _load_clips(args.data)
-        model = build_pipeline(_model_config(cfg), seed=int(cfg["seed"]))
-        predict(model, clips[:1])  # materialize lazy adapters before loading
-        model.store.load_into(args.ckpt)
         preds = predict(model, clips)
         est = [estimate_hr(p, c.fs).bpm for p, c in zip(preds, clips)]
         rep = metrics(est, [c.hr_bpm for c in clips])
@@ -291,16 +279,13 @@ def _gradcheck_modules(seed: int) -> dict[str, float]:
     store = nc.ParamStore()
     vocab = init_vocab(store, vocab_size=64, dim=8, seed=seed)
     probe = init_probe(store, 64, 8, _rng(seed, "gc-probe"))
-    rep = init_reprogrammer(store, "reprog", 8, 2, 8, _rng(seed, "gc-rep"), seed=seed)
+    rep = init_reprogrammer(store, "reprog", 8, 2, 8, _rng(seed, "gc-rep"), lengths=(5,), seed=seed)
     x_tok = nc.Tensor(rng.standard_normal((1, 5, 8)))
 
     def f_rep():
-        from .reprogram import reprogram
-
         out = reprogram(x_tok, derive_prototypes(vocab, probe), rep)
         return nc.mean_all(nc.mul(out, out))
 
-    f_rep()
     results["tpg"] = nc.grad_check(
         f_rep, store, eps=1e-5, entries=nc.sample_param_entries(store, 60, _rng(seed, "gc-rep-e"))
     )
@@ -338,7 +323,6 @@ def _gradcheck_modules(seed: int) -> dict[str, float]:
     def f_pipe():
         return mse_loss(model.forward(pyr, x_enc, scenes), target)
 
-    f_pipe()
     results["pipeline"] = nc.grad_check(
         f_pipe, store=model.store, eps=1e-5,
         entries=nc.sample_param_entries(model.store, 50, _rng(seed, "gc-pipe-e")),
@@ -438,9 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="dataset manifest for --ckpt mode")
     p.add_argument("--out", help="write the metrics record here")
     p.add_argument("--max-mae", dest="max_mae", type=float, help="exit 2 above this MAE")
-    p.add_argument("--l-target", dest="l_target", type=int)
-    p.add_argument("--prompt-len", dest="prompt_len", type=int)
-    p.add_argument("--protos", type=int)
 
     p = sub.add_parser("gradcheck", help="finite-difference audit of every module")
     _add_common(p)

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import numcore as nc
 from .errors import ContractError, ShapeError
+from .stationarize import normalized_autocorr
 
 CUE_KINDS = ("task", "vision", "stats")
 
@@ -41,14 +42,6 @@ class StatSummary:
     top_lags: tuple[int, ...]  # strongest autocorrelation lags, descending
 
 
-def _autocorr(x: np.ndarray, max_lag: int) -> np.ndarray:
-    centered = x - x.mean()
-    denom = float(centered @ centered)
-    if denom == 0.0:
-        return np.zeros(max_lag)
-    return np.array([float(centered[:-k] @ centered[k:]) / denom for k in range(1, max_lag + 1)])
-
-
 def signal_stats(x, n_lags: int = 5) -> StatSummary:
     """Order statistics, trend, and the strongest autocorrelation lags.
 
@@ -62,7 +55,7 @@ def signal_stats(x, n_lags: int = 5) -> StatSummary:
     trend = float(np.sum(np.diff(x)))
     direction = int(np.sign(trend))
     max_lag = x.size // 2
-    r = _autocorr(x, max_lag)
+    r = normalized_autocorr(x, max_lag)
     # sort by (-|r|, lag): descending magnitude, smaller lag wins ties
     order = sorted(range(max_lag), key=lambda i: (-abs(r[i]), i))
     top = tuple(i + 1 for i in order[: min(n_lags, max_lag)])

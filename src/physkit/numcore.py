@@ -8,13 +8,14 @@ trailing-dimension cases so that every backward rule stays auditable.
 
 from __future__ import annotations
 
+import json
 import math
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import erf
 
-from .errors import ContractError, NumericError, ShapeError
+from .errors import ContractError, NumericError, ParseError, ShapeError
 
 Array = np.ndarray
 
@@ -34,14 +35,13 @@ def _as_f64(x) -> Array:
 class TapeNode:
     """One recorded operation; backward state lives in the grad_fn closure."""
 
-    __slots__ = ("op", "parents", "grad_fn", "param", "tape")
+    __slots__ = ("op", "parents", "grad_fn", "param")
 
-    def __init__(self, op, parents=(), grad_fn=None, param=None, tape=None):
+    def __init__(self, op, parents=(), grad_fn=None, param=None):
         self.op = op
         self.parents = parents
         self.grad_fn = grad_fn
         self.param = param
-        self.tape = tape
 
 
 class Tape:
@@ -144,7 +144,7 @@ def _emit(out: Array, op: str, inputs: Sequence[Tensor], grad_fn) -> Tensor:
     parents = tuple(t.node for t in inputs)
     if all(p is None for p in parents):
         return Tensor(out)
-    node = TapeNode(op, parents, grad_fn, tape=tape)
+    node = TapeNode(op, parents, grad_fn)
     tape._nodes.append(node)
     return Tensor(out, node)
 
@@ -419,7 +419,7 @@ class Parameter:
         tape = _active_tape()
         if tape is None:
             return Tensor(self.value)
-        node = TapeNode("param:" + self.name, (), None, param=self, tape=tape)
+        node = TapeNode("param:" + self.name, (), None, param=self)
         tape._nodes.append(node)
         return Tensor(self.value, node)
 
@@ -429,10 +429,13 @@ class Parameter:
 
 
 class ParamStore:
-    """Insertion-ordered collection of uniquely named parameters."""
+    """Insertion-ordered collection of uniquely named parameters, and the
+    config of the model that owns them (empty for a bare store)."""
 
-    def __init__(self):
+    def __init__(self, config: dict | None = None):
         self._params: dict[str, Parameter] = {}
+        # JSON round trip: compares equal to the config read back from a file
+        self.config: dict = json.loads(json.dumps(config or {}))
 
     def add(self, name: str, value, trainable: bool = True) -> Parameter:
         if not name or any(c.isspace() for c in name):
@@ -461,23 +464,17 @@ class ParamStore:
     def trainable(self) -> list[Parameter]:
         return [p for p in self._params.values() if p.trainable]
 
-    def zero_grads(self) -> None:
-        for p in self._params.values():
-            p.grad = np.zeros_like(p.value)
-
-    def n_values(self, trainable_only: bool = False) -> int:
-        return sum(
-            p.value.size
-            for p in self._params.values()
-            if p.trainable or not trainable_only
-        )
+    def n_values(self) -> int:
+        return sum(p.value.size for p in self._params.values())
 
     # -- flat text serialization -------------------------------------------
 
-    MAGIC = "physkit-paramstore 1"
+    MAGIC = "physkit-paramstore 2"
 
     def save(self, path) -> None:
-        lines = [self.MAGIC]
+        """Line 1 is MAGIC, line 2 the config as JSON with sorted keys, then
+        one line per parameter: name, trainable flag, ndim, dims, values."""
+        lines = [self.MAGIC, json.dumps(self.config, sort_keys=True)]
         for p in self._params.values():
             dims = " ".join(str(d) for d in p.value.shape)
             vals = " ".join(repr(float(v)) for v in p.value.reshape(-1))
@@ -488,14 +485,21 @@ class ParamStore:
 
     @classmethod
     def load(cls, path) -> "ParamStore":
-        store = cls()
-        for name, trainable, value in cls._parse(path):
+        config, records = cls._parse(path)
+        store = cls(config)
+        for name, trainable, value in records:
             store.add(name, value, trainable)
         return store
 
     def load_into(self, path) -> None:
-        """Overwrite matching parameters in place; shapes must agree."""
-        records = self._parse(path)
+        """Overwrite every parameter in place. The checkpoint must carry this
+        store's config, and its names and shapes must match."""
+        config, records = self._parse(path)
+        live = self.config
+        differing = sorted(k for k in config.keys() | live.keys() if config.get(k) != live.get(k))
+        if differing:
+            pairs = ", ".join(f"{k} is {config.get(k)!r} there, {live.get(k)!r} here" for k in differing)
+            raise ContractError(f"checkpoint was saved under a different model config: {pairs}")
         for name, _trainable, value in records:
             if name not in self._params:
                 raise ContractError(f"checkpoint has unknown parameter {name!r}")
@@ -511,16 +515,28 @@ class ParamStore:
         if missing:
             raise ContractError(f"checkpoint is missing parameters: {missing[:5]}")
 
-    @staticmethod
-    def _parse(path) -> list[tuple[str, bool, Array]]:
-        from .errors import ParseError
+    @classmethod
+    def read_config(cls, path) -> dict:
+        """The config in a checkpoint's header; the values are not read."""
+        with open(path) as fh:
+            magic, header = fh.readline().rstrip("\n"), fh.readline()
+        if magic != cls.MAGIC:
+            raise ParseError(f"missing {cls.MAGIC!r} header", line=1)
+        try:
+            config = json.loads(header)
+        except json.JSONDecodeError:
+            config = None
+        if not isinstance(config, dict):
+            raise ParseError("header config is not a JSON object", line=2)
+        return config
 
-        records = []
+    @classmethod
+    def _parse(cls, path) -> tuple[dict, list[tuple[str, bool, Array]]]:
+        config = cls.read_config(path)
         with open(path) as fh:
             lines = fh.read().splitlines()
-        if not lines or lines[0] != ParamStore.MAGIC:
-            raise ParseError("missing paramstore header", line=1)
-        for lineno, line in enumerate(lines[1:], start=2):
+        records = []
+        for lineno, line in enumerate(lines[2:], start=3):
             if not line.strip():
                 continue
             fields = line.split()
@@ -531,7 +547,7 @@ class ParamStore:
                 records.append((name, flag == "1", vals.reshape(dims)))
             except (ValueError, IndexError) as exc:
                 raise ParseError(f"bad parameter record: {exc}", line=lineno) from exc
-        return records
+        return config, records
 
 
 # ---------------------------------------------------------------------------
@@ -542,17 +558,23 @@ class ParamStore:
 def backward(loss: Tensor, store: ParamStore) -> ParamStore:
     """Populate grad buffers with d(loss)/d(param) for trainable parameters.
 
-    Grads of every trainable parameter in the store are reset first, so the
-    buffers always hold exactly this loss's gradient.
+    The sweep walks the active tape, so backward runs inside the same
+    ``with Tape()`` block that recorded the loss. Grads of every trainable
+    parameter in the store are reset first, so the buffers always hold
+    exactly this loss's gradient.
     """
     if loss.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
+    tape = _active_tape()
+    if tape is None:
+        raise ContractError("backward must run inside the `with Tape()` that recorded the loss")
     for p in store.trainable():
         p.grad = np.zeros_like(p.value)
     node = loss.node
     if node is None:
         return store
-    tape = node.tape
+    if node not in tape._nodes:
+        raise ContractError("the loss was not recorded on the active tape")
     touched = {n.param for n in tape._nodes if n.param is not None}
     for p in touched:
         if p.trainable and p.name not in store._params:

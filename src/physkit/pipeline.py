@@ -11,7 +11,7 @@ waveform is flat and the initial loss equals the target's mean power.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .cues import (
     signal_stats,
     tokenize,
 )
-from .errors import ContractError, PhyskitError, ShapeError
+from .errors import ContractError, ParseError, PhyskitError, ShapeError
 from .reprogram import (
     PrototypeProbe,
     ReprogrammerParams,
@@ -49,7 +49,7 @@ from .reprogram import (
     init_vocab,
     reprogram,
 )
-from .signals import MetricsReport, SyntheticClip, estimate_hr, metrics
+from .signals import MetricsReport, SyntheticClip, _rng, estimate_hr, metrics
 from .stationarize import SmootherParams, init_smoother, smooth_batch
 from .wavelet import get_basis
 
@@ -97,19 +97,10 @@ class TrainConfig:
     batch_size: int = 4
     steps: int = 200
     seed: int = 0
-    chunk_len: int = 128
 
     def __post_init__(self):
-        for name in ("lr", "weight_decay", "batch_size", "steps", "chunk_len"):
-            if getattr(self, name) < 0 or (name in ("batch_size", "steps", "chunk_len") and getattr(self, name) < 1):
-                raise ContractError(f"train config field {name} must be positive")
-
-
-def _rng(seed: int, label: str) -> np.random.Generator:
-    digest = 0
-    for ch in label.encode("utf-8"):
-        digest = (digest * 131 + ch) & 0xFFFFFFFF
-    return np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, digest]))
+        if min(self.lr, self.weight_decay) < 0 or min(self.batch_size, self.steps) < 1:
+            raise ContractError(f"need lr, weight_decay >= 0 and batch_size, steps >= 1: {self}")
 
 
 @dataclass
@@ -133,10 +124,6 @@ class Pipeline:
     @property
     def param_count(self) -> int:
         return self.store.n_values()
-
-    @property
-    def trainable_count(self) -> int:
-        return self.store.n_values(trainable_only=True)
 
     # -- forward ------------------------------------------------------------
 
@@ -215,11 +202,12 @@ class _stage:
 def build_pipeline(cfg: ModelConfig | None = None, seed: int = 0) -> Pipeline:
     """Register every sub-module's parameters in one store, deterministically."""
     cfg = cfg if cfg is not None else ModelConfig()
-    store = nc.ParamStore()
+    store = nc.ParamStore(config=asdict(cfg))
     vocab = init_vocab(store, cfg.vocab_size, cfg.dim, seed=seed)
     probe = init_probe(store, cfg.vocab_size, cfg.n_prototypes, _rng(seed, "probe"))
     reprogrammer = init_reprogrammer(
-        store, "reprog", cfg.dim, cfg.heads, cfg.n_prototypes, _rng(seed, "reprog"), seed=seed
+        store, "reprog", cfg.dim, cfg.heads, cfg.n_prototypes, _rng(seed, "reprog"),
+        lengths=(cfg.n_signal_tokens, cfg.target_len), seed=seed,
     )
     aggregator_params = init_aggregator(
         store,
@@ -272,6 +260,22 @@ def build_pipeline(cfg: ModelConfig | None = None, seed: int = 0) -> Pipeline:
         head=head,
         head_skip=head_skip,
     )
+
+
+def load_pipeline(path) -> Pipeline:
+    """Rebuild the model a checkpoint was saved from, with its values.
+
+    The model config comes from the checkpoint's header; no seed is needed
+    because every value, the frozen vocabulary included, is in the file.
+    """
+    config = nc.ParamStore.read_config(path)
+    try:
+        cfg = ModelConfig(**{**config, "level_shapes": tuple(map(tuple, config["level_shapes"]))})
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"header is not a model config: {exc}", line=2) from exc
+    model = build_pipeline(cfg)
+    model.store.load_into(path)
+    return model
 
 
 def mse_loss(pred, target) -> nc.Tensor:
@@ -327,11 +331,7 @@ def train(
     """
     if not clips:
         raise ContractError("training needs a non-empty dataset")
-    model = model if model is not None else build_pipeline(ModelConfig(chunk_len=cfg.chunk_len), seed=cfg.seed)
-    if model.cfg.chunk_len != cfg.chunk_len:
-        raise ShapeError(
-            f"model chunk length {model.cfg.chunk_len} != train config {cfg.chunk_len}"
-        )
+    model = model if model is not None else build_pipeline(seed=cfg.seed)
     batch_rng = _rng(cfg.seed, "train-batches")
     log = TrainLog(param_count=model.param_count)
     for step in range(1, cfg.steps + 1):

@@ -9,16 +9,19 @@ adapter, cross-attention, and a feed-forward block. Output token count
 always equals the prototype count, whatever the input length.
 
 One instance is meant to serve several modalities; everything is shared
-except the token-count adapters, which are lazily created per input length
-(a fixed linear map over the token axis cannot accept two different
-lengths). Adapter initialization depends only on (seed, length), never on
-call order, so checkpoints and reruns stay reproducible.
+except the token-count adapters (a fixed linear map over the token axis
+cannot accept two different lengths). `init_reprogrammer` takes every token
+length the instance will serve and creates one adapter per distinct length,
+so all parameters exist before the first forward pass. Adapter
+initialization depends only on (seed, length), never on the order the
+lengths are given in, so checkpoints and reruns stay reproducible.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -112,20 +115,8 @@ class ReprogrammerParams:
     ffn: FeedForwardParams
     n_prototypes: int
     dim: int
-    adapters: dict[int, nc.Parameter] = field(default_factory=dict)
-    _store: nc.ParamStore | None = None
-    _prefix: str = "reprog"
-    _seed: int = 0
-
-    def adapter(self, length: int) -> nc.Parameter:
-        """Linear map over the token axis from `length` to the prototype count."""
-        if length not in self.adapters:
-            rng = np.random.default_rng(np.random.SeedSequence([self._seed, 0xADA, length]))
-            self.adapters[length] = self._store.add(
-                f"{self._prefix}.adapt.len{length}",
-                rng.standard_normal((length, self.n_prototypes)) / math.sqrt(length),
-            )
-        return self.adapters[length]
+    # token length -> linear map over the token axis to the prototype count
+    adapters: dict[int, nc.Parameter]
 
 
 def init_reprogrammer(
@@ -135,18 +126,24 @@ def init_reprogrammer(
     heads: int,
     n_prototypes: int,
     rng: np.random.Generator,
+    lengths: Iterable[int],
     seed: int = 0,
 ) -> ReprogrammerParams:
-    return ReprogrammerParams(
+    params = ReprogrammerParams(
         self_attn=init_attention(store, f"{prefix}.self", dim, heads, rng),
         cross_attn=init_attention(store, f"{prefix}.cross", dim, heads, rng),
         ffn=init_feed_forward(store, f"{prefix}.ffn", dim, rng),
         n_prototypes=n_prototypes,
         dim=dim,
-        _store=store,
-        _prefix=prefix,
-        _seed=seed,
+        adapters={},
     )
+    for length in sorted(set(lengths)):
+        adapter_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xADA, length]))
+        params.adapters[length] = store.add(
+            f"{prefix}.adapt.len{length}",
+            adapter_rng.standard_normal((length, n_prototypes)) / math.sqrt(length),
+        )
+    return params
 
 
 def reprogram(x, prototypes, p: ReprogrammerParams) -> nc.Tensor:
@@ -165,8 +162,12 @@ def reprogram(x, prototypes, p: ReprogrammerParams) -> nc.Tensor:
         raise ShapeError(
             f"prototype bank must be ({p.n_prototypes}, {p.dim}), got {prototypes.shape}"
         )
+    adapter = p.adapters.get(x.shape[1])
+    if adapter is None:
+        raise ShapeError(
+            f"no adapter for {x.shape[1]} input tokens; built for lengths {sorted(p.adapters)}"
+        )
     x_self = self_attention(x, p.self_attn)
-    adapter = p.adapter(x.shape[1])
     adapted = nc.transpose(
         nc.matmul(nc.transpose(x_self, (0, 2, 1)), adapter.use()), (0, 2, 1)
     )

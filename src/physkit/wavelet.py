@@ -47,14 +47,6 @@ class WaveletBasis:
         if not math.isclose(float(lo @ lo), 1.0, abs_tol=1e-12):
             raise ContractError(f"low-pass taps for {self.name!r} are not unit-norm")
 
-    @property
-    def rec_lo(self) -> np.ndarray:
-        return self.lo
-
-    @property
-    def rec_hi(self) -> np.ndarray:
-        return self.hi
-
 
 HAAR = WaveletBasis("haar", np.array([1.0, 1.0]) / _SQRT2, np.array([1.0, -1.0]) / _SQRT2)
 
@@ -102,8 +94,8 @@ def _synthesize_step(approx: np.ndarray, detail: np.ndarray, basis: WaveletBasis
     n = 2 * approx.size
     half = np.arange(approx.size)
     x = np.zeros(n)
-    for k in range(basis.rec_lo.size):
-        np.add.at(x, (2 * half + k) % n, basis.rec_lo[k] * approx + basis.rec_hi[k] * detail)
+    for k in range(basis.lo.size):
+        np.add.at(x, (2 * half + k) % n, basis.lo[k] * approx + basis.hi[k] * detail)
     return x
 
 

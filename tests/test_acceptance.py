@@ -100,7 +100,7 @@ def test_criterion_4_structural_identities():
         store = nc.ParamStore()
         vocab = init_vocab(store, 64, 8, seed=0)
         probe = init_probe(store, 64, 8, rng)
-        rep = init_reprogrammer(store, "rep", 8, 2, 8, rng)
+        rep = init_reprogrammer(store, "rep", 8, 2, 8, rng, lengths=(4,))
         with nc.Tape():
             out = reprogram(rng.standard_normal((1, 4, 8)), derive_prototypes(vocab, probe), rep)
             nc.backward(nc.mean_all(nc.mul(out, out)), store)
@@ -148,7 +148,7 @@ def test_criterion_6_toy_end_to_end_training():
             gen_clip(float(rng.uniform(45, 150)), fs=30.0, n_samples=128, snr_db=math.inf, seed=20_000 + i)
             for i in range(16)
         ]
-        cfg = TrainConfig(lr=1e-4, weight_decay=5e-5, batch_size=4, steps=200, seed=0, chunk_len=128)
+        cfg = TrainConfig(lr=1e-4, weight_decay=5e-5, batch_size=4, steps=200, seed=0)
         _, log = train(train_clips, cfg, eval_clips=held_out)
         assert log.final_running_loss <= 0.5 * log.initial_running_loss, (
             log.initial_running_loss,

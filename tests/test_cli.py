@@ -176,6 +176,29 @@ def test_train_and_eval_roundtrip(tmp_path, capsys):
     assert "mae_bpm=" in capsys.readouterr().out
 
 
+def test_eval_takes_the_model_from_the_checkpoint(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--n-clips", "6", "--seed", "8"]) == 0
+    manifest = str(data / "manifest.jsonl")
+    run = tmp_path / "run"
+    argv = ["train", "--data", manifest, "--out", str(run), "--steps", "3"]
+    assert main(argv + ["--alpha", "0.3", "--level", "2", "--protos", "32"]) == 0
+    trained = capsys.readouterr().out.splitlines()[-3:]
+    assert trained[0].startswith("mae_bpm=")
+    ckpt = str(run / "checkpoint.txt")
+    assert main(["eval", "--ckpt", ckpt, "--data", manifest]) == 0
+    assert capsys.readouterr().out.splitlines() == trained
+
+    agrees, conflicts = tmp_path / "agrees.json", tmp_path / "conflicts.json"
+    agrees.write_text(json.dumps({"alpha": 0.3, "protos": 32, "seed": 5}))
+    conflicts.write_text(json.dumps({"alpha": 0.3, "level": 3}))
+    assert main(["eval", "--ckpt", ckpt, "--data", manifest, "--config", str(agrees)]) == 0
+    assert capsys.readouterr().out.splitlines() == trained
+    assert main(["eval", "--ckpt", ckpt, "--data", manifest, "--config", str(conflicts)]) == 1
+    err = capsys.readouterr().err
+    assert "level=3" in err and "alpha" not in err
+
+
 def test_train_is_byte_deterministic(tmp_path):
     data = tmp_path / "data"
     assert main(["synth", "--out", str(data), "--n-clips", "5", "--seed", "10"]) == 0

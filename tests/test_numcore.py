@@ -85,6 +85,18 @@ def test_backward_requires_scalar_loss():
             nc.backward(t, store)
 
 
+def test_backward_needs_the_tape_that_recorded_the_loss():
+    store = nc.ParamStore()
+    p = store.add("p", [1.0, 2.0])
+    with nc.Tape():
+        loss = nc.sum_all(p.use())
+    with pytest.raises(ContractError, match="inside the `with Tape"):
+        nc.backward(loss, store)
+    with nc.Tape():
+        with pytest.raises(ContractError, match="not recorded on the active tape"):
+            nc.backward(loss, store)
+
+
 def test_composite_graph_matches_finite_differences():
     rng = np.random.default_rng(2)
     store = nc.ParamStore()
@@ -239,13 +251,15 @@ def test_paramstore_rejects_duplicates_and_bad_names():
 
 def test_paramstore_save_load_roundtrip_exact(tmp_path):
     rng = np.random.default_rng(5)
-    store = nc.ParamStore()
+    store = nc.ParamStore(config={"width": 3, "shapes": ((1, 2),)})
     store.add("w.one", rng.standard_normal((3, 2)))
     store.add("frozen", rng.standard_normal(4), trainable=False)
     store.add("scalar", 0.12345678901234567)
     path = tmp_path / "params.txt"
     store.save(path)
     loaded = nc.ParamStore.load(path)
+    assert loaded.config == store.config == {"width": 3, "shapes": [[1, 2]]}
+    assert nc.ParamStore.read_config(path) == store.config
     assert loaded.names() == store.names()
     for name in store.names():
         assert np.array_equal(loaded[name].value, store[name].value)
@@ -266,7 +280,27 @@ def test_paramstore_load_into_checks_shapes(tmp_path):
 
 def test_paramstore_parse_error_names_line(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text(nc.ParamStore.MAGIC + "\nw 1 1 2 0.0\n")
+    path.write_text(nc.ParamStore.MAGIC + "\n{}\nw 1 1 2 0.0\n")
     with pytest.raises(ParseError) as err:
         nc.ParamStore.load(path)
-    assert "line 2" in str(err.value)
+    assert "line 3" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("physkit-paramstore 1\nw 1 1 2 0.0 0.0\n", 1),  # the headerless format
+        ("w 1 1 2 0.0 0.0\n", 1),
+        (nc.ParamStore.MAGIC + "\nw 1 1 2 0.0 0.0\n", 2),
+        (nc.ParamStore.MAGIC + "\n[1]\nw 1 1 2 0.0 0.0\n", 2),
+        ("", 1),
+    ],
+)
+def test_paramstore_refuses_a_file_without_config_header(tmp_path, text, line):
+    path = tmp_path / "params.txt"
+    path.write_text(text)
+    store = nc.ParamStore()
+    store.add("w", np.zeros(2))
+    for read in (store.load_into, nc.ParamStore.load, nc.ParamStore.read_config):
+        with pytest.raises(ParseError, match=f"line {line}"):
+            read(path)

@@ -1,15 +1,20 @@
+import gc
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from physkit import numcore as nc
 from physkit.aggregator import FeaturePyramid
 from physkit.cues import SceneMeta
-from physkit.errors import ContractError, ShapeError
+from physkit.errors import ContractError, ParseError, ShapeError
 from physkit.pipeline import (
     ModelConfig,
     TrainConfig,
     batch_from_clips,
     build_pipeline,
+    load_pipeline,
     mse_loss,
     predict,
     train,
@@ -103,7 +108,6 @@ def test_full_pipeline_gradient_check_at_tiny_dims():
     def f():
         return mse_loss(model.forward(pyr, x_enc, scenes), target)
 
-    f()  # materialize lazy adapters before sampling entries
     entries = nc.sample_param_entries(model.store, 50, np.random.default_rng(4))
     assert len(entries) >= 50
     assert nc.grad_check(f, model.store, eps=1e-5, entries=entries) < 1e-4
@@ -136,14 +140,69 @@ def test_forward_rejects_mismatched_batches():
 def test_train_zero_learning_rate_is_a_noop_on_values():
     clips = _clips(4, base_seed=11)
     model = build_pipeline(seed=0)
-    pyr, x_enc, scenes = batch_from_clips(clips)
-    model.forward(pyr, x_enc, scenes)  # materialize the lazy adapters
     before = {p.name: p.value.copy() for p in model.store}
     cfg = TrainConfig(lr=0.0, steps=3, seed=0)
     model, _ = train(clips, cfg, model=model)
     assert model.store.names() == list(before)
     for p in model.store:
         assert np.array_equal(p.value, before[p.name]), p.name
+
+
+def test_every_parameter_exists_once_built():
+    model = build_pipeline(seed=0)
+    names = model.store.names()
+    assert "reprog.adapt.len15" in names and "reprog.adapt.len32" in names
+    clips = _clips(4, base_seed=15)
+    model.forward(*batch_from_clips(clips))
+    predict(model, clips)
+    train(clips, TrainConfig(steps=2), model=model)
+    assert model.store.names() == names
+
+
+def test_finished_tapes_are_freed_without_a_collection(monkeypatch):
+    tapes = []
+
+    class RecordedTape(nc.Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(weakref.ref(self))
+
+    monkeypatch.setattr(nc, "Tape", RecordedTape)
+    # a collection, even one triggered by re-enabling gc, would hide a cycle
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        train(_clips(4, base_seed=16), TrainConfig(steps=3), model=build_pipeline(seed=0))
+        alive = [ref() is not None for ref in tapes]
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert alive == [False, False, False]
+
+
+def test_checkpoint_rebuilds_its_model(tmp_path):
+    cfg = replace(TINY, alpha=0.3, level=2)
+    model = build_pipeline(cfg, seed=7)
+    model.head.value = np.random.default_rng(9).standard_normal(model.head.shape)
+    path = tmp_path / "ckpt.txt"
+    model.store.save(path)
+    loaded = load_pipeline(path)
+    assert loaded.cfg == cfg
+    pyr, x_enc, scenes = _tiny_inputs(batch=2, seed=8)
+    assert np.array_equal(loaded.forward(pyr, x_enc, scenes).data, model.forward(pyr, x_enc, scenes).data)
+
+
+def test_checkpoint_refuses_another_model_config(tmp_path):
+    path = tmp_path / "ckpt.txt"
+    build_pipeline(replace(TINY, alpha=0.3), seed=0).store.save(path)
+    with pytest.raises(ContractError, match="alpha is 0.3 there, 0.8 here") as err:
+        build_pipeline(TINY, seed=0).store.load_into(path)
+    assert "level" not in str(err.value)
+    # the earlier format: a bare magic line, no config
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(["physkit-paramstore 1"] + lines[2:]) + "\n")
+    with pytest.raises(ParseError):
+        load_pipeline(path)
 
 
 def test_train_same_seed_gives_identical_loss_curves():

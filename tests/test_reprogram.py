@@ -13,12 +13,12 @@ from physkit.reprogram import (
 )
 
 
-def _setup(dim=8, heads=2, vocab=64, protos=8, seed=0):
+def _setup(dim=8, heads=2, vocab=64, protos=8, seed=0, lengths=(4, 5)):
     store = nc.ParamStore()
     rng = np.random.default_rng(seed)
     vocab_emb = init_vocab(store, vocab_size=vocab, dim=dim, seed=seed)
     probe = init_probe(store, vocab, protos, rng)
-    rep = init_reprogrammer(store, "reprog", dim, heads, protos, rng, seed=seed)
+    rep = init_reprogrammer(store, "reprog", dim, heads, protos, rng, lengths=lengths, seed=seed)
     return store, vocab_emb, probe, rep
 
 
@@ -64,34 +64,36 @@ def test_zero_input_collapses_to_ffn_of_prototypes():
 
 @pytest.mark.parametrize("length", [16, 32, 128])
 def test_output_token_count_is_prototype_count(length):
-    store, vocab, probe, rep = _setup(seed=3)
+    store, vocab, probe, rep = _setup(seed=3, lengths=(length,))
     protos = derive_prototypes(vocab, probe)
     x = np.random.default_rng(length).standard_normal((2, length, 8))
     assert reprogram(x, protos, rep).shape == (2, 8, 8)
 
 
 def test_modalities_share_every_parameter():
-    # two inputs of the same length touch the identical parameter objects
-    store, vocab, probe, rep = _setup(seed=4)
+    # adapters exist once built; inputs of one length reuse the same objects
+    store, vocab, probe, rep = _setup(seed=4, lengths=(6, 6, 3))
+    assert sorted(rep.adapters) == [3, 6]
+    assert rep.adapters[6] is store["reprog.adapt.len6"]
     protos = derive_prototypes(vocab, probe)
     rng = np.random.default_rng(5)
-    before = set(store.names())
+    before = store.names()
     reprogram(rng.standard_normal((1, 6, 8)), protos, rep)
-    created = set(store.names()) - before
-    assert created == {"reprog.adapt.len6"}
     reprogram(rng.standard_normal((1, 6, 8)), protos, rep)
-    assert set(store.names()) == before | created
-    assert rep.adapter(6) is store["reprog.adapt.len6"]
+    assert store.names() == before
 
 
 def test_adapter_init_is_independent_of_call_order():
-    _, _, _, rep_a = _setup(seed=6)
-    _, _, _, rep_b = _setup(seed=6)
-    a_first = rep_a.adapter(4).value.copy()
-    rep_a.adapter(9)
-    rep_b.adapter(9)
-    b_second = rep_b.adapter(4).value.copy()
-    assert np.array_equal(a_first, b_second)
+    _, _, _, rep_a = _setup(seed=6, lengths=(4, 9))
+    _, _, _, rep_b = _setup(seed=6, lengths=(9, 4))
+    assert np.array_equal(rep_a.adapters[4].value, rep_b.adapters[4].value)
+    assert np.array_equal(rep_a.adapters[9].value, rep_b.adapters[9].value)
+
+
+def test_unknown_token_length_is_named():
+    store, vocab, probe, rep = _setup(seed=15, lengths=(4,))
+    with pytest.raises(ShapeError, match="7 input tokens"):
+        reprogram(np.zeros((1, 7, 8)), derive_prototypes(vocab, probe), rep)
 
 
 def test_frozen_vocab_gets_zero_grad_while_probe_trains():
@@ -107,7 +109,7 @@ def test_frozen_vocab_gets_zero_grad_while_probe_trains():
 
 
 def test_gradient_check_over_probe_adapter_attention_ffn():
-    store, vocab, probe, rep = _setup(dim=4, heads=1, vocab=32, protos=4, seed=9)
+    store, vocab, probe, rep = _setup(dim=4, heads=1, vocab=32, protos=4, seed=9, lengths=(3,))
     x = nc.Tensor(np.random.default_rng(10).standard_normal((1, 3, 4)))
 
     def f():
@@ -115,7 +117,6 @@ def test_gradient_check_over_probe_adapter_attention_ffn():
         out = reprogram(x, protos, rep)
         return nc.mean_all(nc.mul(out, out))
 
-    f()  # materialize the lazy adapter before sampling entries
     entries = nc.sample_param_entries(store, 60, np.random.default_rng(11))
     assert nc.grad_check(f, store, eps=1e-5, entries=entries) < 1e-4
 
