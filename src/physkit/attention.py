@@ -100,14 +100,18 @@ def cross_attention(q_in, kv_in, p: AttentionParams) -> nc.Tensor:
     if q_in.shape[0] != kv_in.shape[0]:
         raise ShapeError(f"batch sizes differ: {q_in.shape} vs {kv_in.shape}")
 
-    q = _split_heads(nc.matmul(q_in, p.w_q.use()), p.heads, p.head_dim)
-    k = _split_heads(nc.matmul(kv_in, p.w_k.use()), p.heads, p.head_dim)
+    weights = _softmax_weights(q_in, kv_in, p)
     v = _split_heads(nc.matmul(kv_in, p.w_v.use()), p.heads, p.head_dim)
-
-    scores = nc.scale(nc.matmul(q, nc.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(p.head_dim))
-    weights = nc.softmax_rows(scores)
     mixed = _merge_heads(nc.matmul(weights, v), p.dim)
     return nc.matmul(mixed, p.w_o.use())
+
+
+def _softmax_weights(q_in: nc.Tensor, kv_in: nc.Tensor, p: AttentionParams) -> nc.Tensor:
+    """softmax(QK^T / sqrt(d)) per head, shaped (batch, heads, Lq, Lk)."""
+    q = _split_heads(nc.matmul(q_in, p.w_q.use()), p.heads, p.head_dim)
+    k = _split_heads(nc.matmul(kv_in, p.w_k.use()), p.heads, p.head_dim)
+    scores = nc.scale(nc.matmul(q, nc.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(p.head_dim))
+    return nc.softmax_rows(scores)
 
 
 def self_attention(x, p: AttentionParams) -> nc.Tensor:
@@ -116,11 +120,7 @@ def self_attention(x, p: AttentionParams) -> nc.Tensor:
 
 def attention_weights(q_in, kv_in, p: AttentionParams) -> np.ndarray:
     """Row-stochastic attention map (batch, heads, Lq, Lk); diagnostic only."""
-    q_in, kv_in = nc.as_tensor(q_in), nc.as_tensor(kv_in)
-    q = _split_heads(nc.matmul(q_in, p.w_q.use()), p.heads, p.head_dim)
-    k = _split_heads(nc.matmul(kv_in, p.w_k.use()), p.heads, p.head_dim)
-    scores = nc.scale(nc.matmul(q, nc.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(p.head_dim))
-    return nc.softmax_rows(scores).data
+    return _softmax_weights(nc.as_tensor(q_in), nc.as_tensor(kv_in), p).data
 
 
 def feed_forward(x, p: FeedForwardParams) -> nc.Tensor:

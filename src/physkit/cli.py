@@ -73,10 +73,27 @@ def _config_file(args: argparse.Namespace) -> dict[str, object]:
         loaded = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise ParseError(f"config file must hold a JSON object, got {loaded!r}")
     unknown = set(loaded) - set(DEFAULTS)
     if unknown:
         raise ContractError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in loaded.items():
+        if not _fits(value, DEFAULTS[key]):
+            raise ParseError(f"config key {key!r} has the wrong type: {value!r}")
     return loaded
+
+
+def _fits(value, default) -> bool:
+    """Whether a config value has its default's type. A float key, and a key
+    whose default is null (beta), takes any number; only the latter takes null."""
+    if value is None:
+        return default is None
+    if isinstance(value, bool):
+        return isinstance(default, bool)
+    if default is None or isinstance(default, float):
+        return isinstance(value, (int, float))
+    return type(value) is type(default)
 
 
 def _resolve_config(args: argparse.Namespace) -> dict[str, object]:

@@ -141,7 +141,7 @@ class Pipeline:
         prototypes = derive_prototypes(self.vocab, self.probe)
 
         with _stage("signal tokens"):
-            smoothed, _ = smooth_batch(x_enc, self.smoother)
+            smoothed = smooth_batch(x_enc, self.smoother)
             patches = nc.patches_1d(smoothed, cfg.patch_len, cfg.patch_stride)
             sig_tokens = nc.matmul(patches, self.patch_embed.use())
             t_signal = reprogram(sig_tokens, prototypes, self.reprogrammer)

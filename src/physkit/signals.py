@@ -21,6 +21,7 @@ from scipy.signal import welch
 
 from .cues import SceneMeta
 from .errors import ContractError, EstimationError, NumericError, ParseError
+from .stationarize import ema_smooth
 
 HR_BAND_BPM = (45.0, 150.0)
 HR_BAND_HZ = (HR_BAND_BPM[0] / 60.0, HR_BAND_BPM[1] / 60.0)
@@ -70,11 +71,7 @@ def _scaled_noise(rng: np.random.Generator, n: int, power: float, color: float |
     """White or exponentially colored noise rescaled to the exact power."""
     w = rng.standard_normal(n)
     if color is not None:
-        z = np.empty_like(w)
-        z[0] = w[0]
-        for i in range(1, n):
-            z[i] = color * w[i] + (1.0 - color) * z[i - 1]
-        w = z
+        w = ema_smooth(w, color)
     realized = float(np.mean(w * w))
     if realized == 0.0:
         return w

@@ -6,6 +6,10 @@ smoothed the same way before inverse transformation. The two paths are
 blended by a learnable weight kept in (0, 1) through a sigmoid, so the
 constraint survives unconstrained gradient updates.
 
+The smoother, the standardization and the wavelet transform act on the last
+axis of an array of shape (..., time), so a batch of rows is smoothed in
+one pass with no loop over rows or samples.
+
 The exponential smoother applied to standardized uncorrelated noise is
 weakly stationary: zero mean, variance alpha/(2 - alpha), and autocovariance
 (1 - alpha)^|lag| times the variance. ``stationarity_report`` measures those
@@ -17,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.signal import lfilter
 
 from . import numcore as nc
 from .errors import ContractError
@@ -34,25 +39,31 @@ def standardize(x, eps: float = DEFAULT_EPS) -> tuple[np.ndarray, float, float]:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size < 2:
         raise ContractError(f"standardize needs a 1-d sequence of length >= 2, got shape {x.shape}")
-    return _standardize_any(x, eps)
+    out, mu, sigma = _standardize_any(x, eps)
+    return out, float(mu[0]), float(sigma[0])
 
 
-def _standardize_any(x: np.ndarray, eps: float) -> tuple[np.ndarray, float, float]:
-    mu = float(x.mean())
-    sigma = float(np.sqrt(np.mean((x - mu) ** 2)))
+def _standardize_any(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Standardize along the last axis; mean and std keep that axis as 1."""
+    mu = x.mean(axis=-1, keepdims=True)
+    sigma = np.sqrt(np.mean((x - mu) ** 2, axis=-1, keepdims=True))
     return (x - mu) / (sigma + eps), mu, sigma
 
 
 def ema_smooth(x, alpha: float) -> np.ndarray:
-    """First-order exponential smoothing; the initial state is the first sample."""
+    """First-order exponential smoothing along the last axis of (..., time).
+
+    z[..., 0] = x[..., 0] and z[..., i] = alpha x[..., i] + (1 - alpha) z[..., i-1].
+    """
     if not 0.0 < alpha <= 1.0:
         raise ContractError(f"smoothing factor must be in (0, 1], got {alpha}")
     x = np.asarray(x, dtype=np.float64)
-    z = np.empty_like(x)
-    z[0] = x[0]
     decay = 1.0 - alpha
-    for i in range(1, x.size):
-        z[i] = alpha * x[i] + decay * z[i - 1]
+    z = np.empty_like(x)
+    z[..., 0] = x[..., 0]
+    # the filter starts at the second sample from the state decay * x[..., 0],
+    # so every step is the recurrence's own two products and one sum
+    z[..., 1:] = lfilter([alpha], [1.0, -decay], x[..., 1:], axis=-1, zi=decay * x[..., :1])[0]
     return z
 
 
@@ -117,75 +128,60 @@ class SmootherTrace:
 
 
 def _pad_to_multiple(x: np.ndarray, block: int) -> np.ndarray:
-    rem = x.size % block
+    rem = x.shape[-1] % block
     if rem == 0:
         return x
-    return np.concatenate([x, np.full(block - rem, x[-1])])
+    return np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, block - rem)], mode="edge")
 
 
 def _frequency_path(x: np.ndarray, p: SmootherParams) -> np.ndarray:
-    n = x.size
+    n = x.shape[-1]
     padded = _pad_to_multiple(x, 1 << p.level)
     dec = dwt(padded, p.basis, p.level)
     dec.ac = ema_smooth(_standardize_any(dec.ac, p.eps)[0], p.alpha)
     dec.dc = [ema_smooth(_standardize_any(band, p.eps)[0], p.alpha) for band in dec.dc]
-    return idwt(dec, p.basis)[:n]
+    return idwt(dec, p.basis)[..., :n]
 
 
 def smooth(x, p: SmootherParams) -> tuple[nc.Tensor, SmootherTrace]:
     """Run both domains on one sequence and blend them.
 
     The returned tensor is differentiable with respect to the blend weight
-    when a tape is recording and no override is pinned.
+    when a tape is recording and no override is pinned. The result equals
+    row 0 of ``smooth_batch`` on ``x[None]``.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ContractError(f"smooth needs a non-empty 1-d sequence, got shape {x.shape}")
-    if x.size < (1 << p.level):
-        raise ContractError(f"need at least 2**{p.level} samples, got {x.size}")
-    z_t, z_f, trace_bits = _domain_paths(x, p)
-    z = _blend(z_t[None, :], z_f[None, :], p)
-    z_1d = nc.reshape(z, (x.size,))
+    z_t, z_f, (x_std, mu, sigma) = _domain_paths(x[None], p)
+    z = nc.reshape(_blend(z_t, z_f, p), (x.size,))
     trace = SmootherTrace(
-        mu=trace_bits[0],
-        sigma=trace_bits[1],
-        x_std=trace_bits[2],
-        z_time=z_t,
-        z_fre=z_f,
-        z=z_1d.data.copy(),
+        mu=float(mu[0, 0]),
+        sigma=float(sigma[0, 0]),
+        x_std=x_std[0],
+        z_time=z_t[0],
+        z_fre=z_f[0],
+        z=z.data.copy(),
         blend=p.blend,
     )
-    return z_1d, trace
+    return z, trace
 
 
-def smooth_batch(x_rows, p: SmootherParams) -> tuple[nc.Tensor, list[SmootherTrace]]:
-    """Vectorized front-end for (batch, time) inputs sharing one blend weight."""
+def smooth_batch(x_rows, p: SmootherParams) -> nc.Tensor:
+    """Smooth every row of a (batch, time) array at once, with one blend weight."""
     x_rows = np.asarray(x_rows, dtype=np.float64)
     if x_rows.ndim != 2:
         raise ContractError(f"smooth_batch expects (batch, time), got shape {x_rows.shape}")
-    times, freqs, bits = [], [], []
-    for row in x_rows:
-        if row.size < (1 << p.level):
-            raise ContractError(f"need at least 2**{p.level} samples, got {row.size}")
-        z_t, z_f, tb = _domain_paths(row, p)
-        times.append(z_t)
-        freqs.append(z_f)
-        bits.append(tb)
-    z_time = np.stack(times)
-    z_fre = np.stack(freqs)
-    z = _blend(z_time, z_fre, p)
-    traces = [
-        SmootherTrace(mu=b[0], sigma=b[1], x_std=b[2], z_time=t, z_fre=f, z=row, blend=p.blend)
-        for b, t, f, row in zip(bits, z_time, z_fre, z.data.copy())
-    ]
-    return z, traces
+    z_t, z_f, _ = _domain_paths(x_rows, p)
+    return _blend(z_t, z_f, p)
 
 
 def _domain_paths(x: np.ndarray, p: SmootherParams):
+    """Time and frequency paths of (batch, time) rows, and the standardization."""
+    if x.shape[-1] < (1 << p.level):
+        raise ContractError(f"need at least 2**{p.level} samples, got {x.shape[-1]}")
     x_std, mu, sigma = _standardize_any(x, p.eps)
-    z_time = ema_smooth(x_std, p.alpha)
-    z_fre = _frequency_path(x, p)
-    return z_time, z_fre, (mu, sigma, x_std)
+    return ema_smooth(x_std, p.alpha), _frequency_path(x, p), (x_std, mu, sigma)
 
 
 def _blend(z_time: np.ndarray, z_fre: np.ndarray, p: SmootherParams) -> nc.Tensor:

@@ -1,5 +1,9 @@
 """Multi-level 1-D discrete wavelet transform with periodic extension.
 
+The transform acts on the last axis of an array of shape (..., time), so a
+batch of rows is decomposed in one pass; every leading index is an
+independent sequence.
+
 Only orthonormal filter banks ship (Haar and the 4-tap Daubechies pair),
 so the analysis operator is orthogonal and the synthesis pass is literally
 its transpose. That buys exact perfect reconstruction and energy
@@ -69,7 +73,8 @@ class Decomposition:
 
     With periodic extension and an input length divisible by 2**level,
     detail band j (1-based) has length n/2**j and the approximation band
-    has length n/2**level.
+    has length n/2**level, all along the last axis; the leading axes are
+    those of the input.
     """
 
     ac: np.ndarray
@@ -79,36 +84,48 @@ class Decomposition:
 
 
 def _analyze_step(x: np.ndarray, basis: WaveletBasis) -> tuple[np.ndarray, np.ndarray]:
-    n = x.size
-    half = np.arange(n // 2)
-    approx = np.zeros(n // 2)
-    detail = np.zeros(n // 2)
-    for k in range(basis.lo.size):
-        seg = x[(2 * half + k) % n]
+    # band[..., h] = sum_k tap[k] * x[..., (2h + k) mod n], read as strided
+    # slices of x extended periodically by taps - 2 samples
+    taps, half = basis.lo.size, x.shape[-1] // 2
+    ext = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, taps - 2)], mode="wrap")
+    approx = np.zeros(x.shape[:-1] + (half,))
+    detail = np.zeros_like(approx)
+    for k in range(taps):
+        seg = ext[..., k : k + 2 * half : 2]
         approx += basis.lo[k] * seg
         detail += basis.hi[k] * seg
     return approx, detail
 
 
 def _synthesize_step(approx: np.ndarray, detail: np.ndarray, basis: WaveletBasis) -> np.ndarray:
-    n = 2 * approx.size
-    half = np.arange(approx.size)
-    x = np.zeros(n)
-    for k in range(basis.lo.size):
-        np.add.at(x, (2 * half + k) % n, basis.lo[k] * approx + basis.hi[k] * detail)
+    # transpose of the analysis step: strided writes into n + taps - 2
+    # samples, then the periodic tail folded back onto the head
+    taps, n = basis.lo.size, 2 * approx.shape[-1]
+    buf = np.zeros(approx.shape[:-1] + (n + taps - 2,))
+    for k in range(taps):
+        buf[..., k : k + n : 2] += basis.lo[k] * approx + basis.hi[k] * detail
+    x = buf[..., :n]
+    for start in range(n, buf.shape[-1], n):
+        tail = buf[..., start : start + n]
+        x[..., : tail.shape[-1]] += tail
     return x
 
 
+def _check_length(n: int, level: int) -> None:
+    if n == 0 or n % (1 << level) != 0:
+        raise ContractError(f"length {n} is not a positive multiple of 2**{level}")
+
+
 def dwt(x, basis: WaveletBasis, level: int) -> Decomposition:
-    """Cascaded filter-and-downsample with periodic boundary extension."""
+    """Cascaded filter-and-downsample along the last axis of a (..., time)
+    array, with periodic boundary extension."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ShapeError(f"dwt expects a 1-d sequence, got shape {x.shape}")
+    if x.ndim < 1:
+        raise ShapeError(f"dwt expects a (..., time) array, got shape {x.shape}")
     if level < 1:
         raise ContractError(f"decomposition level must be >= 1, got {level}")
-    n = x.size
-    if n % (1 << level) != 0:
-        raise ContractError(f"length {n} is not divisible by 2**{level}")
+    n = x.shape[-1]
+    _check_length(n, level)
     approx = x
     details: list[np.ndarray] = []
     for _ in range(level):
@@ -118,15 +135,17 @@ def dwt(x, basis: WaveletBasis, level: int) -> Decomposition:
 
 
 def idwt(dec: Decomposition, basis: WaveletBasis) -> np.ndarray:
-    """Inverse cascade; exact inverse of dwt for the shipped bases."""
+    """Inverse cascade back to (..., time); exact inverse of dwt for the
+    shipped bases."""
     n, level = dec.length, dec.level
+    _check_length(n, level)
     if len(dec.dc) != level:
         raise ShapeError(f"expected {level} detail bands, got {len(dec.dc)}")
-    if dec.ac.size != n >> level:
-        raise ShapeError(f"approximation band has length {dec.ac.size}, expected {n >> level}")
+    if dec.ac.shape[-1] != n >> level:
+        raise ShapeError(f"approximation band has length {dec.ac.shape[-1]}, expected {n >> level}")
     for j, band in enumerate(dec.dc, start=1):
-        if band.size != n >> j:
-            raise ShapeError(f"detail band {j} has length {band.size}, expected {n >> j}")
+        if band.shape[-1] != n >> j:
+            raise ShapeError(f"detail band {j} has length {band.shape[-1]}, expected {n >> j}")
     approx = dec.ac
     for band in reversed(dec.dc):
         approx = _synthesize_step(approx, band, basis)

@@ -84,6 +84,33 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert "alhpa" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        ({"alpha": "abc"}, ["'alpha'", "'abc'"]),
+        ({"alpha": None}, ["'alpha'", "None"]),
+        ({"level": 2.0}, ["'level'", "2.0"]),
+        ({"max_lag": True}, ["'max_lag'", "True"]),
+        ({"beta": "0.5"}, ["'beta'", "'0.5'"]),
+        ({"basis": 4}, ["'basis'", "4"]),
+        (5, ["JSON object", "5"]),
+        ({"alpha": 1, "beta": None, "level": 2}, None),  # an int fits a float key; beta takes null
+    ],
+)
+def test_config_values_must_have_their_default_type(tmp_path, capsys, config, named):
+    path, _ = _noise_file(tmp_path, n=256, seed=5)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["dds", "--in", str(path), "--config", str(cfg)])
+    err = capsys.readouterr().err
+    if named is None:
+        assert code == 0 and err == ""
+        return
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert all(text in err for text in named)
+
+
 def test_seed_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("PHYSKIT_SEED", "13")
     assert main(["synth", "--out", str(tmp_path / "env"), "--n-clips", "3"]) == 0

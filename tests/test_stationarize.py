@@ -13,7 +13,7 @@ from physkit.stationarize import (
     standardize,
     stationarity_report,
 )
-from physkit.wavelet import DB4
+from physkit.wavelet import DB4, HAAR
 
 
 def _smoother(store=None, **kw):
@@ -62,6 +62,27 @@ def test_ema_impulse_unrolled_by_hand():
 def test_ema_constant_fixed_point():
     z = ema_smooth(np.full(16, 3.7), alpha=0.35)
     assert np.allclose(z, 3.7, atol=1e-12)
+
+
+def _ema_loop(x, alpha):
+    """The recurrence written out sample by sample, one row at a time."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    z = np.empty_like(x)
+    for row, out in zip(x, z):
+        out[0] = row[0]
+        for i in range(1, row.size):
+            out[i] = alpha * row[i] + (1.0 - alpha) * out[i - 1]
+    return z
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.35, 0.8, 1.0])
+@pytest.mark.parametrize("shape", [(257,), (3, 257)])
+def test_ema_matches_the_explicit_recurrence(alpha, shape):
+    x = np.random.default_rng(10).standard_normal(shape) * 3.0 + 1.0
+    z = ema_smooth(x, alpha)
+    assert z.shape == x.shape
+    assert np.array_equal(z[..., 0], x[..., 0])
+    assert np.max(np.abs(z - _ema_loop(x, alpha).reshape(shape))) < 1e-12
 
 
 def test_ema_rejects_bad_alpha():
@@ -194,11 +215,24 @@ def test_smoother_params_validate():
 
 def test_smooth_batch_matches_per_row_calls():
     rng = np.random.default_rng(9)
-    rows = rng.standard_normal((3, 64))
-    p = _smoother(blend_override=0.25)
-    z, traces = smooth_batch(rows, p)
-    assert z.data.shape == (3, 64)
-    for row, tr in zip(rows, traces):
-        z1, tr1 = smooth(row, p)
-        assert np.array_equal(z1.data, tr.z)
-        assert np.array_equal(tr1.z_time, tr.z_time)
+    for basis in (HAAR, DB4):
+        for n in (64, 100):  # 100 is not a multiple of 2**level
+            rows = rng.standard_normal((3, n)) * np.array([[0.5], [2.0], [7.0]])
+            p = _smoother(basis=basis, blend_override=0.25)
+            z = smooth_batch(rows, p)
+            assert z.data.shape == (3, n)
+            z_time = smooth_batch(rows, _smoother(basis=basis, blend_override=0.0))
+            for row, z_row, t_row in zip(rows, z.data, z_time.data):
+                z1, tr1 = smooth(row, p)
+                assert np.array_equal(z1.data, z_row)
+                assert np.array_equal(tr1.z_time, t_row)
+
+
+def test_smooth_is_row_zero_of_smooth_batch():
+    x = np.random.default_rng(11).standard_normal(100)
+    p = _smoother(basis=DB4)
+    p.blend_raw.value = np.asarray(-0.6)
+    z, tr = smooth(x, p)
+    assert np.array_equal(z.data, smooth_batch(x[None], p).data[0])
+    assert np.array_equal(tr.z, z.data)
+    assert isinstance(tr.mu, float) and isinstance(tr.sigma, float)

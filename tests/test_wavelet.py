@@ -81,9 +81,27 @@ def test_haar_lowpass_only_gives_block_means():
     assert np.max(np.abs(back - oracle)) < 1e-12
 
 
+@pytest.mark.parametrize("basis", [HAAR, DB4])
+@pytest.mark.parametrize("n, level", [(8, 3), (2, 1), (1000, 3)])
+def test_batched_transform_equals_per_row_transforms(basis, n, level):
+    # n = 2**level is the smallest input: its last db4 step reads a
+    # 2-sample band whose 4 taps wrap around it twice
+    rows = np.random.default_rng(n + level).standard_normal((4, n))
+    dec = dwt(rows, basis, level)
+    singles = [dwt(row, basis, level) for row in rows]
+    assert np.array_equal(dec.ac, np.stack([d.ac for d in singles]))
+    for j in range(level):
+        assert np.array_equal(dec.dc[j], np.stack([d.dc[j] for d in singles]))
+    back = idwt(dec, basis)
+    assert np.array_equal(back, np.stack([idwt(d, basis) for d in singles]))
+    assert np.max(np.abs(back - rows)) < 1e-10
+
+
 def test_dwt_rejects_bad_lengths_and_levels():
     with pytest.raises(ContractError):
         dwt(np.zeros(12), HAAR, level=3)  # 12 not divisible by 8
+    with pytest.raises(ContractError):
+        dwt(np.zeros(0), DB4, level=1)
     with pytest.raises(ContractError):
         dwt(np.zeros(8), HAAR, level=0)
 
