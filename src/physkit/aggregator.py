@@ -60,7 +60,6 @@ class AggregatorParams:
     chunk_len: int
     target_len: int
     dim: int
-    compress_time: bool = True
 
 
 def init_aggregator(
@@ -72,7 +71,6 @@ def init_aggregator(
     dim: int,
     heads: int,
     rng: np.random.Generator,
-    compress_time: bool = True,
 ) -> AggregatorParams:
     if len(level_shapes) < 2:
         raise ContractError(f"need at least 2 pyramid levels, got {len(level_shapes)}")
@@ -102,34 +100,20 @@ def init_aggregator(
         chunk_len=chunk_len,
         target_len=target_len,
         dim=dim,
-        compress_time=compress_time,
     )
 
 
-def _level_index(shape: tuple[int, int], p: AggregatorParams) -> int:
-    matches = [i for i, s in enumerate(p.level_shapes) if s == shape]
-    if not matches:
-        raise ShapeError(f"no registered level has spatial shape {shape}; known: {p.level_shapes}")
-    if len(matches) > 1:
-        raise ShapeError(f"spatial shape {shape} is ambiguous; pass the level index explicitly")
-    return matches[0]
-
-
-def project_level(f, p: AggregatorParams, level: int | None = None) -> nc.Tensor:
+def project_level(f, p: AggregatorParams, level: int) -> nc.Tensor:
     """Flatten a level spatially, map to the model width, compress time."""
     f = np.asarray(f, dtype=np.float64)
     if f.ndim != 4:
         raise ShapeError(f"level tensor must be (batch, time, h, w), got {f.shape}")
     b, t, h, w = f.shape
-    if level is None:
-        level = _level_index((h, w), p)
-    elif p.level_shapes[level] != (h, w):
+    if p.level_shapes[level] != (h, w):
         raise ShapeError(f"level {level} expects spatial {p.level_shapes[level]}, got {(h, w)}")
     if t != p.chunk_len:
         raise ShapeError(f"level has {t} frames, aggregator registered {p.chunk_len}")
     tokens = nc.matmul(nc.Tensor(f.reshape(b, t, h * w)), p.spatial[level].use())
-    if not p.compress_time:
-        return tokens
     compressed = nc.matmul(nc.transpose(tokens, (0, 2, 1)), p.temporal.use())
     return nc.transpose(compressed, (0, 2, 1))
 

@@ -51,14 +51,13 @@ def init_attention(
     dim: int,
     heads: int,
     rng: np.random.Generator,
-    out_gain: float = 1.0,
 ) -> AttentionParams:
     s = 1.0 / math.sqrt(dim)
     return AttentionParams(
         w_q=store.add(f"{prefix}.w_q", rng.standard_normal((dim, dim)) * s),
         w_k=store.add(f"{prefix}.w_k", rng.standard_normal((dim, dim)) * s),
         w_v=store.add(f"{prefix}.w_v", rng.standard_normal((dim, dim)) * s),
-        w_o=store.add(f"{prefix}.w_o", rng.standard_normal((dim, dim)) * s * out_gain),
+        w_o=store.add(f"{prefix}.w_o", rng.standard_normal((dim, dim)) * s),
         heads=heads,
         dim=dim,
     )
@@ -116,11 +115,6 @@ def _softmax_weights(q_in: nc.Tensor, kv_in: nc.Tensor, p: AttentionParams) -> n
 
 def self_attention(x, p: AttentionParams) -> nc.Tensor:
     return cross_attention(x, x, p)
-
-
-def attention_weights(q_in, kv_in, p: AttentionParams) -> np.ndarray:
-    """Row-stochastic attention map (batch, heads, Lq, Lk); diagnostic only."""
-    return _softmax_weights(nc.as_tensor(q_in), nc.as_tensor(kv_in), p).data
 
 
 def feed_forward(x, p: FeedForwardParams) -> nc.Tensor:

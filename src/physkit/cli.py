@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -98,19 +97,11 @@ def _fits(value, default) -> bool:
 
 def _resolve_config(args: argparse.Namespace) -> dict[str, object]:
     """Merge defaults <- config file <- explicit flags."""
-    loaded = _config_file(args)
-    cfg = {**DEFAULTS, **loaded}
+    cfg = {**DEFAULTS, **_config_file(args)}
     for key in DEFAULTS:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
-    if getattr(args, "seed", None) is None and "seed" not in loaded:
-        env = os.environ.get("PHYSKIT_SEED")
-        if env is not None:
-            try:
-                cfg["seed"] = int(env)
-            except ValueError as exc:
-                raise ContractError(f"PHYSKIT_SEED must be an integer, got {env!r}") from exc
     return cfg
 
 
@@ -390,7 +381,7 @@ def cmd_stats(args, cfg) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--seed", type=int, help="root seed (env PHYSKIT_SEED is the fallback)")
+    p.add_argument("--seed", type=int, help="root seed")
 
 
 def build_parser() -> argparse.ArgumentParser:

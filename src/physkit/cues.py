@@ -42,12 +42,12 @@ class StatSummary:
     top_lags: tuple[int, ...]  # strongest autocorrelation lags, descending
 
 
-def signal_stats(x, n_lags: int = 5) -> StatSummary:
-    """Order statistics, trend, and the strongest autocorrelation lags.
+def signal_stats(x) -> StatSummary:
+    """Order statistics, trend, and the 5 strongest autocorrelation lags.
 
     Lags are searched over [1, T/2], ranked by autocorrelation magnitude,
-    ties broken toward the smaller lag. Fewer than n_lags lags are returned
-    when T/2 < n_lags.
+    ties broken toward the smaller lag. Fewer than 5 lags are returned
+    when T/2 < 5.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size < 4:
@@ -58,7 +58,7 @@ def signal_stats(x, n_lags: int = 5) -> StatSummary:
     r = normalized_autocorr(x, max_lag)
     # sort by (-|r|, lag): descending magnitude, smaller lag wins ties
     order = sorted(range(max_lag), key=lambda i: (-abs(r[i]), i))
-    top = tuple(i + 1 for i in order[: min(n_lags, max_lag)])
+    top = tuple(i + 1 for i in order[:5])
     return StatSummary(
         minimum=float(x.min()),
         maximum=float(x.max()),
@@ -224,14 +224,13 @@ class FusionWeights:
     stats: nc.Parameter
 
 
-def init_fusion(
-    store: nc.ParamStore, prefix: str, prompt_len: int, dim: int, init: float = 1.0 / 3.0
-) -> FusionWeights:
+def init_fusion(store: nc.ParamStore, prefix: str, prompt_len: int, dim: int) -> FusionWeights:
+    """Every weight starts at 1/3: the fused stream is the streams' mean."""
     shape = (prompt_len, dim)
     return FusionWeights(
-        task=store.add(f"{prefix}.task", np.full(shape, init)),
-        vision=store.add(f"{prefix}.vision", np.full(shape, init)),
-        stats=store.add(f"{prefix}.stats", np.full(shape, init)),
+        task=store.add(f"{prefix}.task", np.full(shape, 1.0 / 3.0)),
+        vision=store.add(f"{prefix}.vision", np.full(shape, 1.0 / 3.0)),
+        stats=store.add(f"{prefix}.stats", np.full(shape, 1.0 / 3.0)),
     )
 
 

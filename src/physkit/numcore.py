@@ -483,14 +483,6 @@ class ParamStore:
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
-    @classmethod
-    def load(cls, path) -> "ParamStore":
-        config, records = cls._parse(path)
-        store = cls(config)
-        for name, trainable, value in records:
-            store.add(name, value, trainable)
-        return store
-
     def load_into(self, path) -> None:
         """Overwrite every parameter in place. The checkpoint must carry this
         store's config, and its names and shapes must match."""
@@ -602,18 +594,11 @@ def backward(loss: Tensor, store: ParamStore) -> ParamStore:
 # ---------------------------------------------------------------------------
 
 
-def adam_step(
-    store: ParamStore,
-    lr: float,
-    wd: float,
-    t: int,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> ParamStore:
+def adam_step(store: ParamStore, lr: float, wd: float, t: int) -> ParamStore:
     """One Adam update with decoupled weight decay; t is 1-based."""
     if t < 1:
         raise ContractError(f"adam step index must be >= 1, got {t}")
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
     for p in store.trainable():

@@ -53,6 +53,16 @@ from .signals import MetricsReport, SyntheticClip, _rng, estimate_hr, metrics
 from .stationarize import SmootherParams, init_smoother, smooth_batch
 from .wavelet import get_basis
 
+# signal patches are embedded with this gain so the pooled features keep
+# a strong linear image of the smoothed pulse for the zero-initialized head
+PATCH_GAIN = 2.0
+# position table scale comparable to token scale, so attention can route
+# position-specifically instead of averaging the blocks together
+POS_SCALE = 1.0
+# gain on the smoothed signal entering the head's skip readout; larger
+# values shrink the weights Adam must reach within its step budget
+SKIP_GAIN = 12.0
+
 
 @dataclass
 class ModelConfig:
@@ -69,17 +79,7 @@ class ModelConfig:
     alpha: float = 0.8
     wavelet: str = "haar"
     level: int = 3
-    eps: float = 1e-5
     lm_layers: int = 2
-    # signal patches are embedded with this gain so the pooled features keep
-    # a strong linear image of the smoothed pulse for the zero-initialized head
-    patch_gain: float = 2.0
-    # position table scale comparable to token scale, so attention can route
-    # position-specifically instead of averaging the blocks together
-    pos_scale: float = 1.0
-    # gain on the smoothed signal entering the head's skip readout; larger
-    # values shrink the weights Adam must reach within its step budget
-    skip_gain: float = 12.0
 
     @property
     def n_signal_tokens(self) -> int:
@@ -161,7 +161,7 @@ class Pipeline:
         # signal; zero-initialized token attention alone cannot recover a
         # phase-accurate waveform within the optimizer's step budget
         token_part = nc.matmul(pooled, self.head.use())
-        skip_part = nc.matmul(nc.scale(smoothed, cfg.skip_gain), self.head_skip.use())
+        skip_part = nc.matmul(nc.scale(smoothed, SKIP_GAIN), self.head_skip.use())
         return nc.add(token_part, skip_part)
 
     def _cue_tokens(self, x_enc: np.ndarray, scenes: list[SceneMeta]) -> nc.Tensor:
@@ -220,7 +220,7 @@ def build_pipeline(cfg: ModelConfig | None = None, seed: int = 0) -> Pipeline:
         _rng(seed, "aggregator"),
     )
     smoother = init_smoother(
-        store, "smoother", alpha=cfg.alpha, level=cfg.level, basis=get_basis(cfg.wavelet), eps=cfg.eps
+        store, "smoother", alpha=cfg.alpha, level=cfg.level, basis=get_basis(cfg.wavelet)
     )
     compressors = {
         kind: init_compressor(store, f"cue.{kind}", cfg.prompt_len, cfg.dim, _rng(seed, f"cue-{kind}"))
@@ -230,11 +230,11 @@ def build_pipeline(cfg: ModelConfig | None = None, seed: int = 0) -> Pipeline:
     patch_embed = store.add(
         "signal.patch_embed",
         _rng(seed, "patch").standard_normal((cfg.patch_len, cfg.dim))
-        * (cfg.patch_gain / math.sqrt(cfg.patch_len)),
+        * (PATCH_GAIN / math.sqrt(cfg.patch_len)),
     )
     positions = store.add(
         "lm.positions",
-        _rng(seed, "positions").standard_normal((cfg.n_tokens, cfg.dim)) * cfg.pos_scale,
+        _rng(seed, "positions").standard_normal((cfg.n_tokens, cfg.dim)) * POS_SCALE,
     )
     lm_attn, lm_ffn = [], []
     for i in range(cfg.lm_layers):

@@ -54,16 +54,12 @@ class VocabEmbedding:
 
 
 def init_vocab(
-    store: nc.ParamStore,
-    vocab_size: int = 1024,
-    dim: int = 64,
-    seed: int = 0,
-    name: str = "vocab.embedding",
+    store: nc.ParamStore, vocab_size: int = 1024, dim: int = 64, seed: int = 0
 ) -> VocabEmbedding:
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x56C4B]))
     table = rng.standard_normal((vocab_size, dim))
     return VocabEmbedding(
-        param=store.add(name, table, trainable=False),
+        param=store.add("vocab.embedding", table, trainable=False),
         vocab_size=vocab_size,
         dim=dim,
     )
@@ -79,18 +75,14 @@ class PrototypeProbe:
 
 
 def init_probe(
-    store: nc.ParamStore,
-    vocab_size: int,
-    n_prototypes: int,
-    rng: np.random.Generator,
-    prefix: str = "probe",
+    store: nc.ParamStore, vocab_size: int, n_prototypes: int, rng: np.random.Generator
 ) -> PrototypeProbe:
     if n_prototypes > vocab_size // 4:
         raise ContractError(
             f"prototype count {n_prototypes} exceeds vocab_size/4 = {vocab_size // 4}"
         )
     weight = store.add(
-        f"{prefix}.weight", rng.standard_normal((n_prototypes, vocab_size)) / math.sqrt(vocab_size)
+        "probe.weight", rng.standard_normal((n_prototypes, vocab_size)) / math.sqrt(vocab_size)
     )
     return PrototypeProbe(weight=weight, n_prototypes=n_prototypes, vocab_size=vocab_size)
 

@@ -28,6 +28,8 @@ HR_BAND_HZ = (HR_BAND_BPM[0] / 60.0, HR_BAND_BPM[1] / 60.0)
 
 _LIGHTING = ("dim", "normal", "bright")
 _SKIN_TONES = tuple(f"type-{i}" for i in range(1, 7))
+# samples of waveform behind each pyramid frame
+_WINDOW = 9
 
 
 def _rng(seed: int, label: str) -> np.random.Generator:
@@ -85,7 +87,6 @@ def gen_clip(
     snr_db: float = 10.0,
     seed: int = 0,
     level_shapes: tuple[tuple[int, int], ...] = ((8, 8), (6, 6), (4, 4)),
-    window: int = 9,
 ) -> SyntheticClip:
     """Deterministically synthesize one clip; snr_db=inf means noiseless."""
     if not HR_BAND_BPM[0] <= hr_bpm <= HR_BAND_BPM[1]:
@@ -113,11 +114,11 @@ def gen_clip(
 
     # sliding windows of the waveform, randomly projected into each level,
     # so every spatial cell is a linear functional of the local pulse
-    pad = np.concatenate([np.full(window - 1, bvp[0]), bvp])
-    windows = np.stack([pad[i : i + window] for i in range(n_samples)])
+    pad = np.concatenate([np.full(_WINDOW - 1, bvp[0]), bvp])
+    windows = np.stack([pad[i : i + _WINDOW] for i in range(n_samples)])
     pyramid = []
     for li, (h, w) in enumerate(level_shapes):
-        proj = _rng(seed, f"level{li}-proj").standard_normal((window, h * w)) / math.sqrt(window)
+        proj = _rng(seed, f"level{li}-proj").standard_normal((_WINDOW, h * w)) / math.sqrt(_WINDOW)
         feat = windows @ proj
         if not noiseless:
             level_power = float(np.mean(feat * feat)) / (10.0 ** (snr_db / 10.0))
@@ -148,7 +149,8 @@ def estimate_hr(waveform, fs: float) -> HrEstimate:
     """Welch-PSD peak inside the physiologic band, reported in bpm.
 
     The mean is removed first; segments are Hann windowed at 50% overlap
-    with 4x zero padding, giving sub-bin peak localization.
+    and zero padded to 4x their length. The peak is the PSD maximum on a
+    grid of fs/nfft Hz (``resolution_hz``), with no interpolation.
     """
     x = np.asarray(waveform, dtype=np.float64)
     if x.ndim != 1:

@@ -99,7 +99,6 @@ def init_smoother(
     alpha: float = 0.8,
     level: int = 3,
     basis: WaveletBasis = HAAR,
-    eps: float = DEFAULT_EPS,
     blend_override: float | None = None,
 ) -> SmootherParams:
     # raw weight 0 puts the sigmoid at 0.5: no prior preference between domains
@@ -108,7 +107,6 @@ def init_smoother(
         alpha=alpha,
         level=level,
         basis=basis,
-        eps=eps,
         blend_raw=blend_raw,
         blend_override=blend_override,
     )

@@ -23,38 +23,30 @@ def _pyramid(seed, batch=2, chunk=16, shapes=SHAPES):
 
 def test_project_zero_input_gives_zero_tokens():
     _, p = _setup()
-    out = project_level(np.zeros((2, 16, 4, 4)), p)
+    out = project_level(np.zeros((2, 16, 4, 4)), p, level=0)
     assert np.array_equal(out.data, np.zeros((2, 8, 8)))
 
 
 def test_project_compresses_time_to_target():
     _, p = _setup(chunk=128, target=32)
-    out = project_level(np.random.default_rng(1).standard_normal((1, 128, 3, 3)), p)
+    out = project_level(np.random.default_rng(1).standard_normal((1, 128, 3, 3)), p, level=1)
     assert out.shape == (1, 32, 8)
-
-
-def test_project_preserves_time_when_compression_off():
-    store = nc.ParamStore()
-    rng = np.random.default_rng(2)
-    p = init_aggregator(store, "va", SHAPES, 16, 8, 8, 2, rng, compress_time=False)
-    out = project_level(np.random.default_rng(3).standard_normal((2, 16, 2, 2)), p)
-    assert out.shape == (2, 16, 8)
 
 
 def test_project_linearity():
     _, p = _setup()
     f = np.random.default_rng(4).standard_normal((1, 16, 3, 3))
-    one = project_level(f, p).data
-    scaled = project_level(2.5 * f, p).data
+    one = project_level(f, p, level=1).data
+    scaled = project_level(2.5 * f, p, level=1).data
     assert np.max(np.abs(scaled - 2.5 * one)) < 1e-12
 
 
 def test_project_rejects_unregistered_shape():
     _, p = _setup()
-    with pytest.raises(ShapeError):
-        project_level(np.zeros((1, 16, 5, 5)), p)
-    with pytest.raises(ShapeError):
-        project_level(np.zeros((1, 12, 4, 4)), p)  # wrong frame count
+    with pytest.raises(ShapeError, match=r"level 0 expects spatial \(4, 4\), got \(5, 5\)"):
+        project_level(np.zeros((1, 16, 5, 5)), p, level=0)
+    with pytest.raises(ShapeError, match="12 frames"):
+        project_level(np.zeros((1, 12, 4, 4)), p, level=0)
 
 
 def test_zero_outer_gate_is_identity_on_deep_level():

@@ -5,7 +5,7 @@ import pytest
 
 from physkit import numcore as nc
 from physkit.attention import (
-    attention_weights,
+    _softmax_weights,
     cross_attention,
     feed_forward,
     init_attention,
@@ -62,7 +62,8 @@ def test_matches_straight_line_oracle():
 def test_attention_weight_rows_are_stochastic():
     store, p = _params(dim=8, heads=2, seed=7)
     rng = np.random.default_rng(8)
-    w = attention_weights(rng.standard_normal((2, 5, 8)), rng.standard_normal((2, 9, 8)), p)
+    q_in, kv_in = (nc.Tensor(rng.standard_normal((2, n, 8))) for n in (5, 9))
+    w = _softmax_weights(q_in, kv_in, p).data
     assert w.shape == (2, 2, 5, 9)
     assert np.max(np.abs(w.sum(axis=-1) - 1.0)) < 1e-12
     assert np.all(w >= 0)

@@ -1,10 +1,12 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from physkit.cli import main
+from physkit.cli import _MODEL_KEYS, main
+from physkit.pipeline import ModelConfig
 from physkit.signals import load_waveform, save_waveform
 from physkit.stationarize import standardize
 
@@ -111,15 +113,9 @@ def test_config_values_must_have_their_default_type(tmp_path, capsys, config, na
     assert all(text in err for text in named)
 
 
-def test_seed_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("PHYSKIT_SEED", "13")
-    assert main(["synth", "--out", str(tmp_path / "env"), "--n-clips", "3"]) == 0
-    monkeypatch.delenv("PHYSKIT_SEED")
-    assert main(["synth", "--out", str(tmp_path / "flag"), "--n-clips", "3", "--seed", "13"]) == 0
-    assert (
-        (tmp_path / "env" / "manifest.jsonl").read_bytes()
-        == (tmp_path / "flag" / "manifest.jsonl").read_bytes()
-    )
+def test_every_model_setting_is_a_config_key():
+    fields = {field for field, _ in _MODEL_KEYS.values()}
+    assert fields | {"level_shapes"} == set(asdict(ModelConfig()))
 
 
 def test_gradcheck_passes_on_fresh_init(capsys):

@@ -206,8 +206,10 @@ def test_fuse_uniform_weights_average_streams():
 
 def test_fuse_masking_keeps_single_stream():
     store = nc.ParamStore()
-    w = init_fusion(store, "fuse", 4, 8, init=0.0)
+    w = init_fusion(store, "fuse", 4, 8)
     w.task.value = np.full((4, 8), 0.7)
+    w.vision.value = np.zeros((4, 8))
+    w.stats.value = np.zeros((4, 8))
     rng = np.random.default_rng(9)
     a, b, c = (rng.standard_normal((1, 4, 8)) for _ in range(3))
     out = fuse_cues(a, b, c, w).data

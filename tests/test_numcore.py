@@ -257,13 +257,15 @@ def test_paramstore_save_load_roundtrip_exact(tmp_path):
     store.add("scalar", 0.12345678901234567)
     path = tmp_path / "params.txt"
     store.save(path)
-    loaded = nc.ParamStore.load(path)
-    assert loaded.config == store.config == {"width": 3, "shapes": [[1, 2]]}
-    assert nc.ParamStore.read_config(path) == store.config
-    assert loaded.names() == store.names()
+    assert nc.ParamStore.read_config(path) == store.config == {"width": 3, "shapes": [[1, 2]]}
+    # the trainable flag is the second field of each record
+    assert [line.split()[1] for line in path.read_text().splitlines()[2:]] == ["1", "0", "1"]
+    loaded = nc.ParamStore(config=store.config)
+    for p in store:
+        loaded.add(p.name, np.zeros(p.shape), p.trainable)
+    loaded.load_into(path)
     for name in store.names():
         assert np.array_equal(loaded[name].value, store[name].value)
-        assert loaded[name].trainable == store[name].trainable
 
 
 def test_paramstore_load_into_checks_shapes(tmp_path):
@@ -281,8 +283,10 @@ def test_paramstore_load_into_checks_shapes(tmp_path):
 def test_paramstore_parse_error_names_line(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text(nc.ParamStore.MAGIC + "\n{}\nw 1 1 2 0.0\n")
+    store = nc.ParamStore()
+    store.add("w", np.zeros(2))
     with pytest.raises(ParseError) as err:
-        nc.ParamStore.load(path)
+        store.load_into(path)
     assert "line 3" in str(err.value)
 
 
@@ -301,6 +305,6 @@ def test_paramstore_refuses_a_file_without_config_header(tmp_path, text, line):
     path.write_text(text)
     store = nc.ParamStore()
     store.add("w", np.zeros(2))
-    for read in (store.load_into, nc.ParamStore.load, nc.ParamStore.read_config):
+    for read in (store.load_into, nc.ParamStore.read_config):
         with pytest.raises(ParseError, match=f"line {line}"):
             read(path)

@@ -1,4 +1,5 @@
 import gc
+import json
 import weakref
 from dataclasses import replace
 
@@ -203,6 +204,30 @@ def test_checkpoint_refuses_another_model_config(tmp_path):
     path.write_text("\n".join(["physkit-paramstore 1"] + lines[2:]) + "\n")
     with pytest.raises(ParseError):
         load_pipeline(path)
+
+
+def test_checkpoint_with_an_older_header_is_refused(tmp_path):
+    # checkpoints saved while the model gains were config keys carry them in the header
+    path = tmp_path / "ckpt.txt"
+    build_pipeline(TINY, seed=0).store.save(path)
+    lines = path.read_text().splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), "patch_gain": 2.0}, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="line 2: header is not a model config.*patch_gain"):
+        load_pipeline(path)
+    with pytest.raises(ContractError, match="patch_gain is 2.0 there, None here"):
+        build_pipeline(TINY, seed=0).store.load_into(path)
+
+
+def test_stage_prefixes_a_visual_token_error_once():
+    model = build_pipeline(TINY, seed=0)
+    _, x_enc, scenes = _tiny_inputs()
+    rng = np.random.default_rng(1)
+    shapes = (TINY.level_shapes[0], (4, 4))  # level 1 is registered as (2, 2)
+    pyr = FeaturePyramid([rng.standard_normal((1, TINY.chunk_len, h, w)) for h, w in shapes])
+    with pytest.raises(ShapeError) as err:
+        model.forward(pyr, x_enc, scenes)
+    assert str(err.value) == "[visual tokens] level 1 expects spatial (2, 2), got (4, 4)"
 
 
 def test_train_same_seed_gives_identical_loss_curves():
