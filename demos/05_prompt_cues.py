@@ -12,6 +12,7 @@ element-wise weights.
 import numpy as np
 
 from physkit import (
+    TASK_CAPTION,
     ParamStore,
     compress,
     fuse_cues,
@@ -19,30 +20,31 @@ from physkit import (
     init_compressor,
     init_fusion,
     init_vocab,
-    render_caption,
     signal_stats,
+    stats_caption,
     tokenize,
+    vision_caption,
 )
 
 clip = gen_clip(hr_bpm=64.0, fs=30.0, n_samples=128, snr_db=8.0, seed=11)
 stats = signal_stats(clip.x_enc)
 
 captions = {
-    "task": render_caption("task"),
-    "vision": render_caption("vision", scene=clip.scene),
-    "stats": render_caption("stats", stats=stats),
+    "task": TASK_CAPTION,
+    "vision": vision_caption(clip.scene),
+    "stats": stats_caption(stats),
 }
-for kind, cue in captions.items():
-    print(f"{kind:6s}| {cue.text}")
+for kind, text in captions.items():
+    print(f"{kind:6s}| {text}")
 
 store = ParamStore()
 vocab = init_vocab(store, vocab_size=1024, dim=64, seed=0)
 streams = {}
-for kind, cue in captions.items():
-    ids = tokenize(cue, vocab.vocab_size)
+for seed, (kind, text) in enumerate(captions.items()):
+    ids = tokenize(text, vocab.vocab_size)
     comp = init_compressor(store, f"cue.{kind}", prompt_len=16, dim=64,
-                           rng=np.random.default_rng(hash(kind) % 1000))
-    streams[kind] = compress(vocab.rows(ids.ids)[None], comp)
+                           rng=np.random.default_rng(seed))
+    streams[kind] = compress(vocab.rows(ids)[None], comp)
     print(f"{kind:6s}| {len(ids)} token ids -> {streams[kind].shape[1]} prompt tokens")
 
 weights = init_fusion(store, "fuse", prompt_len=16, dim=64)

@@ -54,18 +54,18 @@ from .reprogram import (
     reprogram,
 )
 from .cues import (
-    CueText,
+    TASK_CAPTION,
     FusionWeights,
     SceneMeta,
     StatSummary,
-    TokenSeq,
     compress,
     fuse_cues,
     init_compressor,
     init_fusion,
-    render_caption,
     signal_stats,
+    stats_caption,
     tokenize,
+    vision_caption,
 )
 from .signals import (
     ClipRecord,

@@ -109,6 +109,9 @@ def project_level(f, p: AggregatorParams, level: int) -> nc.Tensor:
     if f.ndim != 4:
         raise ShapeError(f"level tensor must be (batch, time, h, w), got {f.shape}")
     b, t, h, w = f.shape
+    n = len(p.level_shapes)
+    if not 0 <= level < n:
+        raise ShapeError(f"level {level} is out of range: aggregator registered {n} levels")
     if p.level_shapes[level] != (h, w):
         raise ShapeError(f"level {level} expects spatial {p.level_shapes[level]}, got {(h, w)}")
     if t != p.chunk_len:

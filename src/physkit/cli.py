@@ -45,6 +45,11 @@ _MODEL_KEYS = {
     "alpha": ("alpha", float), "basis": ("wavelet", str), "level": ("level", int),
     "lm_layers": ("lm_layers", int),
 }
+# config key -> (TrainConfig field, type); their defaults are TrainConfig's
+_TRAIN_KEYS = {
+    "lr": ("lr", float), "wd": ("weight_decay", float),
+    "batch": ("batch_size", int), "steps": ("steps", int),
+}
 
 DEFAULTS: dict[str, object] = {
     "seed": 0,
@@ -52,12 +57,9 @@ DEFAULTS: dict[str, object] = {
     "snr": 10.0,
     "n_clips": 64,
     "fs": 30.0,
-    "steps": 200,
-    "lr": 1e-4,
-    "wd": 5e-5,
-    "batch": 4,
     "max_lag": 8,
     **{key: getattr(ModelConfig(), field) for key, (field, _) in _MODEL_KEYS.items()},
+    **{key: getattr(TrainConfig(), field) for key, (field, _) in _TRAIN_KEYS.items()},
 }
 
 GRADCHECK_TOL = 1e-4
@@ -105,8 +107,9 @@ def _resolve_config(args: argparse.Namespace) -> dict[str, object]:
     return cfg
 
 
-def _model_config(cfg: dict) -> ModelConfig:
-    return ModelConfig(**{field: cast(cfg[key]) for key, (field, cast) in _MODEL_KEYS.items()})
+def _fields(keys: dict, cfg: dict) -> dict[str, object]:
+    """The config values a key table names, under their dataclass field names."""
+    return {field: cast(cfg[key]) for key, (field, cast) in keys.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +189,8 @@ def _load_clips(path) -> list:
 
 def cmd_train(args, cfg) -> int:
     clips = _load_clips(args.data)
-    model = build_pipeline(_model_config(cfg), seed=int(cfg["seed"]))
-    tcfg = TrainConfig(
-        lr=float(cfg["lr"]),
-        weight_decay=float(cfg["wd"]),
-        batch_size=int(cfg["batch"]),
-        steps=int(cfg["steps"]),
-        seed=int(cfg["seed"]),
-    )
+    model = build_pipeline(ModelConfig(**_fields(_MODEL_KEYS, cfg)), seed=int(cfg["seed"]))
+    tcfg = TrainConfig(**_fields(_TRAIN_KEYS, cfg), seed=int(cfg["seed"]))
     eval_clips = _load_clips(args.eval_data) if args.eval_data else clips
     model, log = train(clips, tcfg, model=model, eval_clips=eval_clips)
     out_dir = Path(args.out)

@@ -1,6 +1,11 @@
-"""Prompt material for the pulse-regression pipeline: signal statistics,
-deterministic caption templates, a hash tokenizer, per-kind attentive
-compressors, and the learnable weighted fusion of the three cue streams.
+"""Prompt material for the pulse-regression pipeline: the three task cues.
+
+Each cue is a plain-string caption: the task description is the constant
+``TASK_CAPTION``, the scene context comes from ``vision_caption`` and the
+physiological statistics from ``signal_stats`` through ``stats_caption``.
+``tokenize`` hashes a caption into a tuple of vocabulary ids. A per-kind
+attentive compressor squeezes each caption's embeddings to a fixed prompt
+length, and learnable element-wise weights fuse the three streams.
 """
 
 from __future__ import annotations
@@ -74,12 +79,6 @@ def signal_stats(x) -> StatSummary:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CueText:
-    kind: str
-    text: str
-
-
 TASK_CAPTION = (
     "Task: recover the blood volume pulse waveform from facial video features "
     "and report the heart rate. The pulse is quasi periodic between 45 and 150 "
@@ -89,46 +88,29 @@ TASK_CAPTION = (
 _DIRECTION_WORDS = {-1: "falling", 0: "flat", 1: "rising"}
 
 
-def render_caption(
-    kind: str, stats: StatSummary | None = None, scene: SceneMeta | None = None
-) -> CueText:
-    """Fill the fixed template for one cue kind; numbers use 3 decimals."""
-    if kind == "task":
-        return CueText("task", TASK_CAPTION)
-    if kind == "vision":
-        if scene is None:
-            raise ContractError("vision caption needs scene metadata")
-        motion = "moving" if scene.motion else "still"
-        text = (
-            f"Scene: the subject has {scene.skin_tone} skin and is {motion} "
-            f"under {scene.lighting} lighting."
-        )
-        return CueText("vision", text)
-    if kind == "stats":
-        if stats is None:
-            raise ContractError("stats caption needs a statistics summary")
-        lags = " ".join(str(l) for l in stats.top_lags)
-        text = (
-            f"Signal statistics: min {stats.minimum:.3f}, max {stats.maximum:.3f}, "
-            f"median {stats.median:.3f}, trend {stats.trend:.3f}, "
-            f"direction {_DIRECTION_WORDS[stats.direction]}, "
-            f"dominant lags {lags} samples."
-        )
-        return CueText("stats", text)
-    raise ContractError(f"unknown cue kind {kind!r}; expected one of {CUE_KINDS}")
+def vision_caption(scene: SceneMeta) -> str:
+    """The scene-context caption."""
+    motion = "moving" if scene.motion else "still"
+    return (
+        f"Scene: the subject has {scene.skin_tone} skin and is {motion} "
+        f"under {scene.lighting} lighting."
+    )
+
+
+def stats_caption(stats: StatSummary) -> str:
+    """The physiological-statistics caption; numbers use 3 decimals."""
+    lags = " ".join(str(l) for l in stats.top_lags)
+    return (
+        f"Signal statistics: min {stats.minimum:.3f}, max {stats.maximum:.3f}, "
+        f"median {stats.median:.3f}, trend {stats.trend:.3f}, "
+        f"direction {_DIRECTION_WORDS[stats.direction]}, "
+        f"dominant lags {lags} samples."
+    )
 
 
 # ---------------------------------------------------------------------------
 # tokenizer
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TokenSeq:
-    ids: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.ids)
 
 
 _PIECES = re.compile(r"[a-z0-9]+")
@@ -145,14 +127,12 @@ def _fnv1a64(piece: str) -> int:
     return h
 
 
-def tokenize(text, vocab_size: int) -> TokenSeq:
+def tokenize(text: str, vocab_size: int) -> tuple[int, ...]:
     """Lowercase, split on whitespace/punctuation, hash each piece mod V.
 
     The FNV-1a hash keeps ids stable across runs and platforms, unlike the
     interpreter's salted hash().
     """
-    if isinstance(text, CueText):
-        text = text.text
     if not text:
         raise ContractError("cannot tokenize empty text")
     if vocab_size < 1:
@@ -160,7 +140,7 @@ def tokenize(text, vocab_size: int) -> TokenSeq:
     pieces = _PIECES.findall(text.lower())
     if not pieces:
         raise ContractError(f"text has no alphanumeric pieces: {text!r}")
-    return TokenSeq(tuple(_fnv1a64(p) % vocab_size for p in pieces))
+    return tuple(_fnv1a64(p) % vocab_size for p in pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -96,33 +96,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _not_scalar(self)
 
-    def __float__(self) -> float:
-        return self.item()
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = "" if self.node is None else f", op={self.node.op!r}"
         return f"Tensor(shape={self.shape}{tag})"
@@ -210,15 +183,6 @@ def mul(a, b) -> Tensor:
         return _unbroadcast(g * bd, sa), _unbroadcast(g * ad, sb)
 
     return _emit(out, "mul", (a, b), grad_fn)
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-
-    def grad_fn(g):
-        return (-g,)
-
-    return _emit(-a.data, "neg", (a,), grad_fn)
 
 
 def scale(a, c: float) -> Tensor:
@@ -485,7 +449,8 @@ class ParamStore:
 
     def load_into(self, path) -> None:
         """Overwrite every parameter in place. The checkpoint must carry this
-        store's config, and its names and shapes must match."""
+        store's config, and its names and shapes must match; a checkpoint that
+        fails a check leaves every value unchanged."""
         config, records = self._parse(path)
         live = self.config
         differing = sorted(k for k in config.keys() | live.keys() if config.get(k) != live.get(k))
@@ -501,11 +466,12 @@ class ParamStore:
                     f"checkpoint shape {value.shape} != live shape {p.value.shape} "
                     f"for {name!r}"
                 )
-            p.value = value
         seen = {name for name, _, _ in records}
         missing = [n for n in self._params if n not in seen]
         if missing:
             raise ContractError(f"checkpoint is missing parameters: {missing[:5]}")
+        for name, _trainable, value in records:
+            self._params[name].value = value
 
     @classmethod
     def read_config(cls, path) -> dict:

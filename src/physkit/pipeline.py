@@ -27,6 +27,7 @@ from .attention import (
 )
 from .cues import (
     CUE_KINDS,
+    TASK_CAPTION,
     CompressorParams,
     FusionWeights,
     SceneMeta,
@@ -34,9 +35,10 @@ from .cues import (
     fuse_cues,
     init_compressor,
     init_fusion,
-    render_caption,
     signal_stats,
+    stats_caption,
     tokenize,
+    vision_caption,
 )
 from .errors import ContractError, ParseError, PhyskitError, ShapeError
 from .reprogram import (
@@ -121,10 +123,6 @@ class Pipeline:
     head: nc.Parameter
     head_skip: nc.Parameter
 
-    @property
-    def param_count(self) -> int:
-        return self.store.n_values()
-
     # -- forward ------------------------------------------------------------
 
     def forward(self, pyramid: FeaturePyramid, x_enc, scenes: list[SceneMeta]) -> nc.Tensor:
@@ -165,17 +163,14 @@ class Pipeline:
         return nc.add(token_part, skip_part)
 
     def _cue_tokens(self, x_enc: np.ndarray, scenes: list[SceneMeta]) -> nc.Tensor:
+        captions = {
+            "task": [TASK_CAPTION] * len(scenes),
+            "vision": [vision_caption(scene) for scene in scenes],
+            "stats": [stats_caption(signal_stats(row)) for row in x_enc],
+        }
         streams = {}
-        for kind in CUE_KINDS:
-            rows = []
-            for row, scene in zip(x_enc, scenes):
-                if kind == "stats":
-                    caption = render_caption("stats", stats=signal_stats(row))
-                elif kind == "vision":
-                    caption = render_caption("vision", scene=scene)
-                else:
-                    caption = render_caption("task")
-                rows.append(self.vocab.rows(tokenize(caption, self.vocab.vocab_size).ids))
+        for kind, texts in captions.items():
+            rows = [self.vocab.rows(tokenize(text, self.vocab.vocab_size)) for text in texts]
             lengths = {r.shape[0] for r in rows}
             if len(lengths) > 1:
                 raise ContractError(f"{kind} captions disagree on token count: {sorted(lengths)}")
@@ -333,7 +328,7 @@ def train(
         raise ContractError("training needs a non-empty dataset")
     model = model if model is not None else build_pipeline(seed=cfg.seed)
     batch_rng = _rng(cfg.seed, "train-batches")
-    log = TrainLog(param_count=model.param_count)
+    log = TrainLog(param_count=model.store.n_values())
     for step in range(1, cfg.steps + 1):
         idx = batch_rng.integers(0, len(clips), size=cfg.batch_size)
         chosen = [clips[i] for i in idx]

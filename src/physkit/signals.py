@@ -155,6 +155,8 @@ def estimate_hr(waveform, fs: float) -> HrEstimate:
     x = np.asarray(waveform, dtype=np.float64)
     if x.ndim != 1:
         raise ContractError(f"estimate_hr expects a 1-d waveform, got shape {x.shape}")
+    if not (math.isfinite(fs) and fs > 0.0):
+        raise ContractError(f"sample rate must be finite and positive, got {fs}")
     if x.size < 4.0 * fs:
         raise ContractError(f"need at least 4 s of samples ({int(4 * fs)}), got {x.size}")
     if not np.all(np.isfinite(x)):
@@ -218,6 +220,8 @@ def load_waveform(path) -> tuple[np.ndarray, float]:
         fs = float(lines[0][3:])
     except ValueError as exc:
         raise ParseError(f"bad sample rate: {lines[0][3:]!r}", line=1) from exc
+    if not (math.isfinite(fs) and fs > 0.0):
+        raise ParseError(f"sample rate must be finite and positive, got {fs}", line=1)
     samples = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():

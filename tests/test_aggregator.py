@@ -49,6 +49,13 @@ def test_project_rejects_unregistered_shape():
         project_level(np.zeros((1, 12, 4, 4)), p, level=0)
 
 
+@pytest.mark.parametrize("level", [3, -1])
+def test_project_rejects_a_level_out_of_range(level):
+    _, p = _setup()
+    with pytest.raises(ShapeError, match=rf"level {level} is out of range: aggregator registered 3 levels"):
+        project_level(np.zeros((1, 16, 2, 2)), p, level=level)
+
+
 def test_zero_outer_gate_is_identity_on_deep_level():
     _, p = _setup(seed=5)
     pyr = _pyramid(6)

@@ -143,8 +143,9 @@ def test_all_three_ops_gradient_check():
         a = cross_attention(q_in, kv, attn)
         b = self_attention(kv, attn)
         c = feed_forward(a, ffn)
-        return nc.mean_all(nc.mul(nc.add(b, nc.Tensor(np.zeros((2, 4, 4)))), b)) + nc.mean_all(
-            nc.mul(c, c)
+        return nc.add(
+            nc.mean_all(nc.mul(nc.add(b, nc.Tensor(np.zeros((2, 4, 4)))), b)),
+            nc.mean_all(nc.mul(c, c)),
         )
 
     assert nc.grad_check(f, store, eps=1e-5) < 1e-4

@@ -5,8 +5,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from physkit.cli import _MODEL_KEYS, main
-from physkit.pipeline import ModelConfig
+from physkit.cli import _MODEL_KEYS, _TRAIN_KEYS, main
+from physkit.pipeline import ModelConfig, TrainConfig
 from physkit.signals import load_waveform, save_waveform
 from physkit.stationarize import standardize
 
@@ -114,8 +114,12 @@ def test_config_values_must_have_their_default_type(tmp_path, capsys, config, na
 
 
 def test_every_model_setting_is_a_config_key():
-    fields = {field for field, _ in _MODEL_KEYS.values()}
-    assert fields | {"level_shapes"} == set(asdict(ModelConfig()))
+    for keys, config, not_keys in (
+        (_MODEL_KEYS, ModelConfig(), {"level_shapes"}),
+        (_TRAIN_KEYS, TrainConfig(), {"seed"}),  # seed is the shared root seed
+    ):
+        fields = {field for field, _ in keys.values()}
+        assert fields | not_keys == set(asdict(config))
 
 
 def test_gradcheck_passes_on_fresh_init(capsys):
@@ -135,6 +139,18 @@ def test_hr_command_recovers_clean_tone(tmp_path, capsys):
     out = capsys.readouterr().out
     bpm = float(out.split(":")[1].split("bpm")[0])
     assert abs(bpm - 72.0) <= 60.0 * (30.0 / 1024.0)
+
+
+@pytest.mark.parametrize("rate", ["0", "-30", "nan", "inf"])
+def test_bad_sample_rate_is_one_error_line(tmp_path, capsys, rate):
+    path = tmp_path / "wave.csv"
+    path.write_text(f"fs={rate}\n" + "0.5\n" * 512)
+    out = tmp_path / "z.csv"
+    for argv in (["hr", str(path)], ["dds", "--in", str(path), "--out", str(out)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: line 1:")
+    assert not out.exists()
 
 
 def test_eval_identical_manifests_give_zero_mae(tmp_path, capsys):

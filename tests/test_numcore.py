@@ -280,6 +280,29 @@ def test_paramstore_load_into_checks_shapes(tmp_path):
         other.load_into(path)
 
 
+@pytest.mark.parametrize(
+    "live, error",
+    [
+        ({"a": (2,), "b": (3, 3)}, ShapeError),  # the second record has the wrong shape
+        ({"a": (2,)}, ContractError),  # the second record is unknown here
+        ({"a": (2,), "b": (2, 2), "c": (1,)}, ContractError),  # c is missing from the file
+    ],
+)
+def test_paramstore_failed_load_changes_nothing(tmp_path, live, error):
+    saved = nc.ParamStore()
+    saved.add("a", np.ones(2))
+    saved.add("b", np.ones((2, 2)))
+    path = tmp_path / "params.txt"
+    saved.save(path)
+    store = nc.ParamStore()
+    for name, shape in live.items():
+        store.add(name, np.full(shape, 7.0))
+    with pytest.raises(error):
+        store.load_into(path)
+    for name, shape in live.items():
+        assert np.array_equal(store[name].value, np.full(shape, 7.0))
+
+
 def test_paramstore_parse_error_names_line(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text(nc.ParamStore.MAGIC + "\n{}\nw 1 1 2 0.0\n")

@@ -86,6 +86,12 @@ def test_estimate_rejects_short_input():
         estimate_hr(np.zeros(100), 30.0)  # under 4 seconds
 
 
+@pytest.mark.parametrize("fs", [0.0, -30.0, float("nan"), float("inf")])
+def test_estimate_rejects_a_bad_sample_rate(fs):
+    with pytest.raises(ContractError, match="sample rate"):
+        estimate_hr(np.zeros(512), fs)
+
+
 def test_estimate_is_scale_invariant():
     rng = np.random.default_rng(6)
     t = np.arange(512) / 30.0
