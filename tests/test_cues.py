@@ -105,8 +105,15 @@ def test_signal_stats_rejects_short_input():
 # ---------------------------------------------------------------------------
 
 
-def test_captions_are_deterministic():
+def test_task_caption_is_byte_identical_constant():
     assert isinstance(TASK_CAPTION, str) and TASK_CAPTION.startswith("Task: ")
+    import physkit
+
+    assert physkit.TASK_CAPTION is TASK_CAPTION
+    assert tokenize(TASK_CAPTION, 1024) == tokenize(TASK_CAPTION, 1024)
+
+
+def test_captions_are_deterministic():
     s = signal_stats(np.sin(np.arange(64.0)))
     assert stats_caption(s) == stats_caption(s)
     scene = SceneMeta(lighting="dim", motion=True, skin_tone="type-4")
