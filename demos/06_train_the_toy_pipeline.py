@@ -26,7 +26,7 @@ held_out = [
 
 model, log = train(train_clips, TrainConfig(steps=200, seed=0), eval_clips=held_out)
 
-print(f"parameters:            {log.param_count}")
+print(f"parameters:            {model.store.n_values()}")
 print(f"initial running loss:  {log.initial_running_loss:.4f}")
 print(f"final running loss:    {log.final_running_loss:.4f}")
 print(f"held-out HR MAE:       {log.hr_metrics.mae:.2f} bpm")

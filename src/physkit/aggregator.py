@@ -57,9 +57,6 @@ class AggregatorParams:
     gate_inner: nc.Parameter
     gate_outer: nc.Parameter
     level_shapes: tuple[tuple[int, int], ...]
-    chunk_len: int
-    target_len: int
-    dim: int
 
 
 def init_aggregator(
@@ -97,9 +94,6 @@ def init_aggregator(
         gate_inner=gate_inner,
         gate_outer=gate_outer,
         level_shapes=tuple((int(h), int(w)) for h, w in level_shapes),
-        chunk_len=chunk_len,
-        target_len=target_len,
-        dim=dim,
     )
 
 
@@ -114,8 +108,8 @@ def project_level(f, p: AggregatorParams, level: int) -> nc.Tensor:
         raise ShapeError(f"level {level} is out of range: aggregator registered {n} levels")
     if p.level_shapes[level] != (h, w):
         raise ShapeError(f"level {level} expects spatial {p.level_shapes[level]}, got {(h, w)}")
-    if t != p.chunk_len:
-        raise ShapeError(f"level has {t} frames, aggregator registered {p.chunk_len}")
+    if t != p.temporal.shape[0]:
+        raise ShapeError(f"level has {t} frames, aggregator registered {p.temporal.shape[0]}")
     tokens = nc.matmul(nc.Tensor(f.reshape(b, t, h * w)), p.spatial[level].use())
     compressed = nc.matmul(nc.transpose(tokens, (0, 2, 1)), p.temporal.use())
     return nc.transpose(compressed, (0, 2, 1))

@@ -25,11 +25,14 @@ class AttentionParams:
     w_v: nc.Parameter
     w_o: nc.Parameter
     heads: int
-    dim: int
 
     def __post_init__(self):
         if self.dim % self.heads != 0:
             raise ContractError(f"width {self.dim} is not divisible by {self.heads} heads")
+
+    @property
+    def dim(self) -> int:
+        return self.w_q.shape[0]
 
     @property
     def head_dim(self) -> int:
@@ -42,7 +45,6 @@ class FeedForwardParams:
 
     w_in: nc.Parameter
     w_out: nc.Parameter
-    dim: int
 
 
 def init_attention(
@@ -59,7 +61,6 @@ def init_attention(
         w_v=store.add(f"{prefix}.w_v", rng.standard_normal((dim, dim)) * s),
         w_o=store.add(f"{prefix}.w_o", rng.standard_normal((dim, dim)) * s),
         heads=heads,
-        dim=dim,
     )
 
 
@@ -70,7 +71,6 @@ def init_feed_forward(
     return FeedForwardParams(
         w_in=store.add(f"{prefix}.w_in", rng.standard_normal((dim, hidden)) / math.sqrt(dim)),
         w_out=store.add(f"{prefix}.w_out", rng.standard_normal((hidden, dim)) / math.sqrt(hidden)),
-        dim=dim,
     )
 
 
@@ -119,6 +119,6 @@ def self_attention(x, p: AttentionParams) -> nc.Tensor:
 
 def feed_forward(x, p: FeedForwardParams) -> nc.Tensor:
     x = nc.as_tensor(x)
-    if x.shape[-1] != p.dim:
-        raise ShapeError(f"feed_forward expects trailing width {p.dim}, got {x.shape}")
+    if x.shape[-1] != p.w_in.shape[0]:
+        raise ShapeError(f"feed_forward expects trailing width {p.w_in.shape[0]}, got {x.shape}")
     return nc.matmul(nc.gelu(nc.matmul(x, p.w_in.use())), p.w_out.use())

@@ -195,10 +195,10 @@ def cmd_train(args, cfg) -> int:
     model, log = train(clips, tcfg, model=model, eval_clips=eval_clips)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    curve = "\n".join(f"{s} {repr(l)}" for s, l in log.curve())
+    curve = "\n".join(f"{s} {repr(l)}" for s, l in enumerate(log.losses, start=1))
     (out_dir / "loss_curve.txt").write_text(curve + "\n")
     model.store.save(out_dir / "checkpoint.txt")
-    print(f"parameters: {log.param_count}")
+    print(f"parameters: {model.store.n_values()}")
     print(f"initial_running_loss={log.initial_running_loss:.6f}")
     print(f"final_running_loss={log.final_running_loss:.6f}")
     for line in log.hr_metrics.lines():

@@ -158,8 +158,6 @@ class CompressorParams:
     w_q: nc.Parameter
     w_k: nc.Parameter
     w_v: nc.Parameter
-    prompt_len: int
-    dim: int
 
 
 def init_compressor(
@@ -171,22 +169,21 @@ def init_compressor(
         w_q=store.add(f"{prefix}.w_q", rng.standard_normal((dim, dim)) * s),
         w_k=store.add(f"{prefix}.w_k", rng.standard_normal((dim, dim)) * s),
         w_v=store.add(f"{prefix}.w_v", rng.standard_normal((dim, dim)) * s),
-        prompt_len=prompt_len,
-        dim=dim,
     )
 
 
 def compress(tokens, p: CompressorParams) -> nc.Tensor:
     """Reduce (batch, n, dim) caption embeddings to (batch, prompt_len, dim)."""
     tokens = nc.as_tensor(tokens)
-    if tokens.ndim != 3 or tokens.shape[-1] != p.dim:
-        raise ShapeError(f"compress expects (batch, n, {p.dim}), got {tokens.shape}")
+    dim = p.w_k.shape[0]
+    if tokens.ndim != 3 or tokens.shape[-1] != dim:
+        raise ShapeError(f"compress expects (batch, n, {dim}), got {tokens.shape}")
     if tokens.shape[1] < 1:
         raise ContractError("compress needs at least one input token")
     q = nc.matmul(p.queries.use(), p.w_q.use())  # (L, D), broadcast over batch
     k = nc.matmul(tokens, p.w_k.use())
     v = nc.matmul(tokens, p.w_v.use())
-    scores = nc.scale(nc.matmul(q, nc.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(p.dim))
+    scores = nc.scale(nc.matmul(q, nc.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dim))
     return nc.matmul(nc.softmax_rows(scores), v)
 
 

@@ -51,7 +51,7 @@ from .reprogram import (
     init_vocab,
     reprogram,
 )
-from .signals import MetricsReport, SyntheticClip, _rng, estimate_hr, metrics
+from .signals import LEVEL_SHAPES, MetricsReport, SyntheticClip, _rng, estimate_hr, metrics
 from .stationarize import SmootherParams, init_smoother, smooth_batch
 from .wavelet import get_basis
 
@@ -77,11 +77,22 @@ class ModelConfig:
     chunk_len: int = 128
     patch_len: int = 16
     patch_stride: int = 8
-    level_shapes: tuple[tuple[int, int], ...] = ((8, 8), (6, 6), (4, 4))
+    level_shapes: tuple[tuple[int, int], ...] = LEVEL_SHAPES
     alpha: float = 0.8
     wavelet: str = "haar"
     level: int = 3
     lm_layers: int = 2
+
+    def __post_init__(self):
+        for key, value in vars(self).items():
+            least = 0 if key == "lm_layers" else 1
+            if isinstance(value, int) and value < least:
+                raise ContractError(f"model config {key} must be at least {least}, got {value}")
+        if not self.patch_stride <= self.patch_len <= self.chunk_len:
+            raise ContractError(
+                "model config needs patch_stride <= patch_len <= chunk_len, got "
+                f"{self.patch_stride}, {self.patch_len}, {self.chunk_len}"
+            )
 
     @property
     def n_signal_tokens(self) -> int:
@@ -101,8 +112,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.lr, self.weight_decay) < 0 or min(self.batch_size, self.steps) < 1:
-            raise ContractError(f"need lr, weight_decay >= 0 and batch_size, steps >= 1: {self}")
+        for key in ("lr", "weight_decay"):
+            value = getattr(self, key)
+            if not 0 <= value < math.inf:
+                raise ContractError(f"train config {key} must be finite and >= 0, got {value}")
+        if min(self.batch_size, self.steps) < 1:
+            raise ContractError(f"need batch_size, steps >= 1: {self}")
 
 
 @dataclass
@@ -302,15 +317,10 @@ def predict(model: Pipeline, clips: list[SyntheticClip], batch_size: int = 8) ->
 
 @dataclass
 class TrainLog:
-    steps: list[int] = field(default_factory=list)
-    losses: list[float] = field(default_factory=list)
+    losses: list[float] = field(default_factory=list)  # step i + 1 at index i
     initial_running_loss: float = float("nan")
     final_running_loss: float = float("nan")
     hr_metrics: MetricsReport | None = None
-    param_count: int = 0
-
-    def curve(self) -> list[tuple[int, float]]:
-        return list(zip(self.steps, self.losses))
 
 
 def train(
@@ -328,7 +338,7 @@ def train(
         raise ContractError("training needs a non-empty dataset")
     model = model if model is not None else build_pipeline(seed=cfg.seed)
     batch_rng = _rng(cfg.seed, "train-batches")
-    log = TrainLog(param_count=model.store.n_values())
+    log = TrainLog()
     for step in range(1, cfg.steps + 1):
         idx = batch_rng.integers(0, len(clips), size=cfg.batch_size)
         chosen = [clips[i] for i in idx]
@@ -339,7 +349,6 @@ def train(
             loss = mse_loss(pred, nc.Tensor(target))
             nc.backward(loss, model.store)
         nc.adam_step(model.store, lr=cfg.lr, wd=cfg.weight_decay, t=step)
-        log.steps.append(step)
         log.losses.append(float(loss.item()))
     window = max(1, cfg.steps // 10)
     log.initial_running_loss = float(np.mean(log.losses[:window]))

@@ -43,8 +43,10 @@ class VocabEmbedding:
     """Frozen (vocab_size, dim) table; rows are the fixed semantic anchors."""
 
     param: nc.Parameter
-    vocab_size: int
-    dim: int
+
+    @property
+    def vocab_size(self) -> int:
+        return self.param.shape[0]
 
     def rows(self, ids) -> np.ndarray:
         ids = np.asarray(ids, dtype=np.int64)
@@ -58,11 +60,7 @@ def init_vocab(
 ) -> VocabEmbedding:
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x56C4B]))
     table = rng.standard_normal((vocab_size, dim))
-    return VocabEmbedding(
-        param=store.add("vocab.embedding", table, trainable=False),
-        vocab_size=vocab_size,
-        dim=dim,
-    )
+    return VocabEmbedding(param=store.add("vocab.embedding", table, trainable=False))
 
 
 @dataclass
@@ -70,8 +68,6 @@ class PrototypeProbe:
     """Trainable (n_prototypes, vocab_size) mixer; prototypes stay few."""
 
     weight: nc.Parameter
-    n_prototypes: int
-    vocab_size: int
 
 
 def init_probe(
@@ -84,19 +80,11 @@ def init_probe(
     weight = store.add(
         "probe.weight", rng.standard_normal((n_prototypes, vocab_size)) / math.sqrt(vocab_size)
     )
-    return PrototypeProbe(weight=weight, n_prototypes=n_prototypes, vocab_size=vocab_size)
+    return PrototypeProbe(weight=weight)
 
 
 def derive_prototypes(vocab: VocabEmbedding, probe: PrototypeProbe) -> nc.Tensor:
     """Prototype bank = probe @ vocabulary, shaped (n_prototypes, dim)."""
-    if probe.vocab_size != vocab.vocab_size:
-        raise ShapeError(
-            f"probe was built for vocab {probe.vocab_size}, embedding has {vocab.vocab_size}"
-        )
-    if probe.n_prototypes > vocab.vocab_size // 4:
-        raise ContractError(
-            f"prototype count {probe.n_prototypes} exceeds vocab_size/4 = {vocab.vocab_size // 4}"
-        )
     return nc.matmul(probe.weight.use(), vocab.param.use())
 
 
@@ -105,8 +93,6 @@ class ReprogrammerParams:
     self_attn: AttentionParams
     cross_attn: AttentionParams
     ffn: FeedForwardParams
-    n_prototypes: int
-    dim: int
     # token length -> linear map over the token axis to the prototype count
     adapters: dict[int, nc.Parameter]
 
@@ -125,8 +111,6 @@ def init_reprogrammer(
         self_attn=init_attention(store, f"{prefix}.self", dim, heads, rng),
         cross_attn=init_attention(store, f"{prefix}.cross", dim, heads, rng),
         ffn=init_feed_forward(store, f"{prefix}.ffn", dim, rng),
-        n_prototypes=n_prototypes,
-        dim=dim,
         adapters={},
     )
     for length in sorted(set(lengths)):
@@ -148,17 +132,17 @@ def reprogram(x, prototypes, p: ReprogrammerParams) -> nc.Tensor:
     """
     x = nc.as_tensor(x)
     prototypes = nc.as_tensor(prototypes)
-    if x.ndim != 3 or x.shape[-1] != p.dim:
-        raise ShapeError(f"input must be (batch, tokens, {p.dim}), got {x.shape}")
-    if prototypes.shape != (p.n_prototypes, p.dim):
-        raise ShapeError(
-            f"prototype bank must be ({p.n_prototypes}, {p.dim}), got {prototypes.shape}"
-        )
+    dim = p.self_attn.dim
+    if x.ndim != 3 or x.shape[-1] != dim:
+        raise ShapeError(f"input must be (batch, tokens, {dim}), got {x.shape}")
     adapter = p.adapters.get(x.shape[1])
     if adapter is None:
         raise ShapeError(
             f"no adapter for {x.shape[1]} input tokens; built for lengths {sorted(p.adapters)}"
         )
+    bank = (adapter.shape[1], dim)
+    if prototypes.shape != bank:
+        raise ShapeError(f"prototype bank must be {bank}, got {prototypes.shape}")
     x_self = self_attention(x, p.self_attn)
     adapted = nc.transpose(
         nc.matmul(nc.transpose(x_self, (0, 2, 1)), adapter.use()), (0, 2, 1)

@@ -30,6 +30,8 @@ _LIGHTING = ("dim", "normal", "bright")
 _SKIN_TONES = tuple(f"type-{i}" for i in range(1, 7))
 # samples of waveform behind each pyramid frame
 _WINDOW = 9
+# default (height, width) of each feature-pyramid level, shallowest first
+LEVEL_SHAPES = ((8, 8), (6, 6), (4, 4))
 
 
 def _rng(seed: int, label: str) -> np.random.Generator:
@@ -86,9 +88,13 @@ def gen_clip(
     n_samples: int = 128,
     snr_db: float = 10.0,
     seed: int = 0,
-    level_shapes: tuple[tuple[int, int], ...] = ((8, 8), (6, 6), (4, 4)),
+    level_shapes: tuple[tuple[int, int], ...] = LEVEL_SHAPES,
 ) -> SyntheticClip:
     """Deterministically synthesize one clip; snr_db=inf means noiseless."""
+    if not (math.isfinite(fs) and fs > 0.0):
+        raise ContractError(f"sample rate must be finite and positive, got {fs}")
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ContractError(f"snr_db must be a number or inf (noiseless), got {snr_db}")
     if not HR_BAND_BPM[0] <= hr_bpm <= HR_BAND_BPM[1]:
         raise ContractError(f"heart rate {hr_bpm} outside {HR_BAND_BPM} bpm")
     if n_samples < 64:
@@ -230,6 +236,8 @@ def load_waveform(path) -> tuple[np.ndarray, float]:
             samples.append(float(line))
         except ValueError as exc:
             raise ParseError(f"bad sample: {line!r}", line=lineno) from exc
+        if not math.isfinite(samples[-1]):
+            raise ParseError(f"sample is not finite: {line!r}", line=lineno)
     return np.array(samples), fs
 
 
@@ -248,7 +256,7 @@ class ClipRecord:
     lighting: str
     motion: bool
     skin_tone: str
-    level_shapes: list = field(default_factory=lambda: [[8, 8], [6, 6], [4, 4]])
+    level_shapes: list = field(default_factory=lambda: [list(s) for s in LEVEL_SHAPES])
 
     def to_clip(self) -> SyntheticClip:
         return gen_clip(

@@ -121,7 +121,6 @@ class SmootherTrace:
     x_std: np.ndarray
     z_time: np.ndarray
     z_fre: np.ndarray
-    z: np.ndarray
     blend: float
 
 
@@ -159,7 +158,6 @@ def smooth(x, p: SmootherParams) -> tuple[nc.Tensor, SmootherTrace]:
         x_std=x_std[0],
         z_time=z_t[0],
         z_fre=z_f[0],
-        z=z.data.copy(),
         blend=p.blend,
     )
     return z, trace

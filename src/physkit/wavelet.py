@@ -71,16 +71,14 @@ def get_basis(name: str) -> WaveletBasis:
 class Decomposition:
     """Approximation band plus detail bands ordered finest first.
 
-    With periodic extension and an input length divisible by 2**level,
-    detail band j (1-based) has length n/2**j and the approximation band
-    has length n/2**level, all along the last axis; the leading axes are
-    those of the input.
+    One detail band per level. Along the last axis the finest band is half
+    as long as the input and each coarser band half as long again; the
+    approximation band is as long as the coarsest detail band. The leading
+    axes are those of the input.
     """
 
     ac: np.ndarray
     dc: list[np.ndarray] = field(default_factory=list)
-    level: int = 1
-    length: int = 0
 
 
 def _analyze_step(x: np.ndarray, basis: WaveletBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -111,11 +109,6 @@ def _synthesize_step(approx: np.ndarray, detail: np.ndarray, basis: WaveletBasis
     return x
 
 
-def _check_length(n: int, level: int) -> None:
-    if n == 0 or n % (1 << level) != 0:
-        raise ContractError(f"length {n} is not a positive multiple of 2**{level}")
-
-
 def dwt(x, basis: WaveletBasis, level: int) -> Decomposition:
     """Cascaded filter-and-downsample along the last axis of a (..., time)
     array, with periodic boundary extension."""
@@ -125,28 +118,23 @@ def dwt(x, basis: WaveletBasis, level: int) -> Decomposition:
     if level < 1:
         raise ContractError(f"decomposition level must be >= 1, got {level}")
     n = x.shape[-1]
-    _check_length(n, level)
+    if n == 0 or n % (1 << level) != 0:
+        raise ContractError(f"length {n} is not a positive multiple of 2**{level}")
     approx = x
     details: list[np.ndarray] = []
     for _ in range(level):
         approx, d = _analyze_step(approx, basis)
         details.append(d)
-    return Decomposition(ac=approx, dc=details, level=level, length=n)
+    return Decomposition(ac=approx, dc=details)
 
 
 def idwt(dec: Decomposition, basis: WaveletBasis) -> np.ndarray:
     """Inverse cascade back to (..., time); exact inverse of dwt for the
-    shipped bases."""
-    n, level = dec.length, dec.level
-    _check_length(n, level)
-    if len(dec.dc) != level:
-        raise ShapeError(f"expected {level} detail bands, got {len(dec.dc)}")
-    if dec.ac.shape[-1] != n >> level:
-        raise ShapeError(f"approximation band has length {dec.ac.shape[-1]}, expected {n >> level}")
-    for j, band in enumerate(dec.dc, start=1):
-        if band.shape[-1] != n >> j:
-            raise ShapeError(f"detail band {j} has length {band.shape[-1]}, expected {n >> j}")
+    shipped bases. Each detail band, coarsest first, must have the shape of
+    the approximation it is merged into."""
     approx = dec.ac
     for band in reversed(dec.dc):
+        if band.shape != approx.shape:
+            raise ShapeError(f"detail band {band.shape} does not match approximation {approx.shape}")
         approx = _synthesize_step(approx, band, basis)
     return approx

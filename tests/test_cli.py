@@ -30,6 +30,15 @@ def test_synth_rejects_empty_request(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--fs=nan", "--fs=inf", "--snr=nan", "--snr=-inf"])
+def test_synth_refuses_non_finite_settings(tmp_path, capsys, flag):
+    out = tmp_path / "d"
+    assert main(["synth", "--out", str(out), "--n-clips", "2", flag]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert not (out / "manifest.jsonl").exists()
+
+
 def test_dds_alpha_one_beta_zero_is_standardize(tmp_path):
     path, x = _noise_file(tmp_path, n=256, seed=1)
     out = tmp_path / "z.csv"
@@ -153,6 +162,22 @@ def test_bad_sample_rate_is_one_error_line(tmp_path, capsys, rate):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sample", ["nan", "inf", "-inf"])
+def test_non_finite_sample_is_one_error_line(tmp_path, capsys, sample):
+    path = tmp_path / "wave.csv"
+    path.write_text("fs=30\n" + "0.5\n" * 200 + f"{sample}\n")
+    out = tmp_path / "z.csv"
+    for argv in (
+        ["stats", "--in", str(path)],
+        ["dds", "--in", str(path), "--out", str(out)],
+        ["hr", str(path)],
+    ):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: line 202:")
+    assert not out.exists()
+
+
 def test_eval_identical_manifests_give_zero_mae(tmp_path, capsys):
     assert main(["synth", "--out", str(tmp_path / "d"), "--n-clips", "4", "--seed", "6"]) == 0
     capsys.readouterr()
@@ -236,6 +261,27 @@ def test_eval_takes_the_model_from_the_checkpoint(tmp_path, capsys):
     assert main(["eval", "--ckpt", ckpt, "--data", manifest, "--config", str(conflicts)]) == 1
     err = capsys.readouterr().err
     assert "level=3" in err and "alpha" not in err
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--l-target", "0"], "target_len"),
+        (["--protos", "0"], "n_prototypes"),
+        (["--prompt-len", "0"], "prompt_len"),
+        (["--lr", "nan"], "lr"),
+    ],
+)
+def test_train_refuses_a_bad_config_before_training(tmp_path, capsys, flags, named):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--n-clips", "8", "--seed", "3"]) == 0
+    capsys.readouterr()
+    run = tmp_path / "run"
+    argv = ["train", "--data", str(data / "manifest.jsonl"), "--out", str(run), "--steps", "1"]
+    assert main(argv + flags) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and named in err
+    assert not run.exists()
 
 
 def test_train_is_byte_deterministic(tmp_path):

@@ -51,6 +51,14 @@ def test_probe_rejects_too_many_prototypes():
         init_probe(store, 64, 17, np.random.default_rng(0))
 
 
+def test_probe_for_another_vocabulary_is_refused():
+    store = nc.ParamStore()
+    vocab = init_vocab(store, vocab_size=32, dim=8, seed=0)
+    probe = init_probe(store, 64, 8, np.random.default_rng(0))
+    with pytest.raises(ShapeError):
+        derive_prototypes(vocab, probe)
+
+
 def test_zero_input_collapses_to_ffn_of_prototypes():
     store, vocab, probe, rep = _setup(seed=2)
     rep.self_attn.w_o.value[:] = 0.0

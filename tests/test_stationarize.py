@@ -110,8 +110,7 @@ def test_trace_blend_identity_holds_for_learned_weight():
     p.blend_raw.value = np.asarray(0.37)
     z, tr = smooth(x, p)
     b = tr.blend
-    assert np.array_equal(tr.z, (1.0 - b) * tr.z_time + b * tr.z_fre)
-    assert np.array_equal(z.data, tr.z)
+    assert np.array_equal(z.data, (1.0 - b) * tr.z_time + b * tr.z_fre)
 
 
 def test_smoothed_noise_variance_matches_geometric_sum():
@@ -234,5 +233,4 @@ def test_smooth_is_row_zero_of_smooth_batch():
     p.blend_raw.value = np.asarray(-0.6)
     z, tr = smooth(x, p)
     assert np.array_equal(z.data, smooth_batch(x[None], p).data[0])
-    assert np.array_equal(tr.z, z.data)
     assert isinstance(tr.mu, float) and isinstance(tr.sigma, float)

@@ -108,12 +108,16 @@ def test_dwt_rejects_bad_lengths_and_levels():
 
 def test_idwt_rejects_inconsistent_bands():
     dec = dwt(np.arange(16.0), HAAR, level=2)
-    broken = Decomposition(ac=dec.ac, dc=[dec.dc[0]], level=2, length=16)
+    broken = Decomposition(ac=dec.ac, dc=[dec.dc[0]])
     with pytest.raises(ShapeError):
         idwt(broken, HAAR)
-    broken2 = Decomposition(ac=dec.ac[:1], dc=dec.dc, level=2, length=16)
+    broken2 = Decomposition(ac=dec.ac[:1], dc=dec.dc)
     with pytest.raises(ShapeError):
         idwt(broken2, HAAR)
+    # right lengths, but the approximation carries a batch axis the details lack
+    broken3 = Decomposition(ac=np.stack([dec.ac, dec.ac]), dc=dec.dc)
+    with pytest.raises(ShapeError):
+        idwt(broken3, HAAR)
 
 
 def test_get_basis_lookup():
