@@ -82,6 +82,10 @@ class SmootherParams:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ContractError(f"smoothing factor must be in (0, 1], got {self.alpha}")
+        if self.level < 1:
+            raise ContractError(f"decomposition level must be >= 1, got {self.level}")
+        if self.blend_override is not None and not 0.0 <= self.blend_override <= 1.0:
+            raise ContractError(f"blend override must be in [0, 1], got {self.blend_override}")
         if self.eps <= 0:
             raise ContractError(f"eps must be positive, got {self.eps}")
 
@@ -118,7 +122,6 @@ class SmootherTrace:
 
     mu: float
     sigma: float
-    x_std: np.ndarray
     z_time: np.ndarray
     z_fre: np.ndarray
     blend: float
@@ -150,12 +153,11 @@ def smooth(x, p: SmootherParams) -> tuple[nc.Tensor, SmootherTrace]:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ContractError(f"smooth needs a non-empty 1-d sequence, got shape {x.shape}")
-    z_t, z_f, (x_std, mu, sigma) = _domain_paths(x[None], p)
+    z_t, z_f, (mu, sigma) = _domain_paths(x[None], p)
     z = nc.reshape(_blend(z_t, z_f, p), (x.size,))
     trace = SmootherTrace(
         mu=float(mu[0, 0]),
         sigma=float(sigma[0, 0]),
-        x_std=x_std[0],
         z_time=z_t[0],
         z_fre=z_f[0],
         blend=p.blend,
@@ -177,7 +179,7 @@ def _domain_paths(x: np.ndarray, p: SmootherParams):
     if x.shape[-1] < (1 << p.level):
         raise ContractError(f"need at least 2**{p.level} samples, got {x.shape[-1]}")
     x_std, mu, sigma = _standardize_any(x, p.eps)
-    return ema_smooth(x_std, p.alpha), _frequency_path(x, p), (x_std, mu, sigma)
+    return ema_smooth(x_std, p.alpha), _frequency_path(x, p), (mu, sigma)
 
 
 def _blend(z_time: np.ndarray, z_fre: np.ndarray, p: SmootherParams) -> nc.Tensor:

@@ -1,12 +1,11 @@
-import json
-import math
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from physkit.cli import _MODEL_KEYS, _TRAIN_KEYS, main
-from physkit.pipeline import ModelConfig, TrainConfig
+from physkit.cli import main
+from physkit.numcore import ParamStore
+from physkit.pipeline import ModelConfig, TrainConfig, train
 from physkit.signals import load_waveform, save_waveform
 from physkit.stationarize import standardize
 
@@ -71,64 +70,114 @@ def test_dds_parse_error_exit_code(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
-def test_config_precedence_flags_beat_file_beat_defaults(tmp_path, capsys):
+def test_args_file_sets_flags_and_a_later_flag_overrides_it(tmp_path, capsys):
     path, _ = _noise_file(tmp_path, n=1024, seed=3)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"alpha": 0.5}))
+    args_file = tmp_path / "dds.args"
+    args_file.write_text("--alpha=0.5\n")
 
     def theo(argv):
-        main(argv)
+        assert main(argv) == 0
         out = capsys.readouterr().out
         return float([l for l in out.splitlines() if l.startswith("theoretical")][0].split("=")[1])
 
     base = ["dds", "--in", str(path), "--beta", "0"]
-    assert theo(base) == pytest.approx(0.8 / 1.2, abs=1e-6)  # default alpha
-    assert theo(base + ["--config", str(cfg)]) == pytest.approx(0.5 / 1.5, abs=1e-6)
-    assert theo(base + ["--config", str(cfg), "--alpha", "0.9"]) == pytest.approx(0.9 / 1.1, abs=1e-6)
-
-
-def test_config_rejects_unknown_keys(tmp_path, capsys):
-    path, _ = _noise_file(tmp_path, n=256, seed=4)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"alhpa": 0.5}))
-    assert main(["dds", "--in", str(path), "--config", str(cfg)]) == 1
-    assert "alhpa" in capsys.readouterr().err
+    assert theo(base) == pytest.approx(0.8 / 1.2, abs=1e-6)  # ModelConfig's alpha
+    assert theo(base + [f"@{args_file}"]) == pytest.approx(0.5 / 1.5, abs=1e-6)
+    assert theo(base + [f"@{args_file}", "--alpha", "0.9"]) == pytest.approx(0.9 / 1.1, abs=1e-6)
 
 
 @pytest.mark.parametrize(
-    "config, named",
+    "line, named",
     [
-        ({"alpha": "abc"}, ["'alpha'", "'abc'"]),
-        ({"alpha": None}, ["'alpha'", "None"]),
-        ({"level": 2.0}, ["'level'", "2.0"]),
-        ({"max_lag": True}, ["'max_lag'", "True"]),
-        ({"beta": "0.5"}, ["'beta'", "'0.5'"]),
-        ({"basis": 4}, ["'basis'", "4"]),
-        (5, ["JSON object", "5"]),
-        ({"alpha": 1, "beta": None, "level": 2}, None),  # an int fits a float key; beta takes null
+        ("--alhpa=0.5", "unrecognized arguments: --alhpa=0.5"),
+        ("--config=cfg.json", "unrecognized arguments: --config=cfg.json"),
+        ("--alpha=abc", "argument --alpha: invalid float value: 'abc'"),
+        ("--level=2.0", "argument --level: invalid int value: '2.0'"),
+        ("--basis=sym4", "argument --basis: invalid choice: 'sym4'"),
     ],
+    ids=["unknown-flag", "config-flag", "bad-float", "bad-int", "bad-choice"],
 )
-def test_config_values_must_have_their_default_type(tmp_path, capsys, config, named):
-    path, _ = _noise_file(tmp_path, n=256, seed=5)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    code = main(["dds", "--in", str(path), "--config", str(cfg)])
+def test_bad_line_in_args_file_is_a_usage_error(tmp_path, capsys, line, named):
+    path, _ = _noise_file(tmp_path, n=256, seed=4)
+    args_file = tmp_path / "dds.args"
+    args_file.write_text(line + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["dds", "--in", str(path), f"@{args_file}"])
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("level", ["-1", "0"])
+def test_dds_refuses_a_level_below_one(tmp_path, capsys, level):
+    path, _ = _noise_file(tmp_path, n=256, seed=6)
+    out = tmp_path / "z.csv"
+    assert main(["dds", "--in", str(path), "--out", str(out), "--level", level]) == 1
     err = capsys.readouterr().err
-    if named is None:
-        assert code == 0 and err == ""
-        return
-    assert code == 1
-    assert len(err.splitlines()) == 1 and err.startswith("error:")
-    assert all(text in err for text in named)
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and f"got {level}" in err
+    assert not out.exists()
 
 
-def test_every_model_setting_is_a_config_key():
-    for keys, config, not_keys in (
-        (_MODEL_KEYS, ModelConfig(), {"level_shapes"}),
-        (_TRAIN_KEYS, TrainConfig(), {"seed"}),  # seed is the shared root seed
-    ):
-        fields = {field for field, _ in keys.values()}
-        assert fields | not_keys == set(asdict(config))
+@pytest.mark.parametrize("beta", ["nan", "2", "-0.5"])
+def test_dds_refuses_a_blend_outside_unit_interval(tmp_path, capsys, beta):
+    path, _ = _noise_file(tmp_path, n=256, seed=7)
+    out = tmp_path / "z.csv"
+    assert main(["dds", "--in", str(path), "--out", str(out), "--beta", beta]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "blend" in err
+    assert not out.exists()
+
+
+NEW_TRAIN_FLAGS = ["--dim", "--heads", "--vocab", "--chunk", "--patch-len", "--patch-stride", "--lm-layers"]
+
+
+@pytest.mark.parametrize("command", ["synth", "dds", "train", "eval", "gradcheck", "hr", "stats"])
+def test_help_renders_for_every_command(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: physkit {command}")
+    if command == "train":
+        assert all(flag in out for flag in NEW_TRAIN_FLAGS)
+
+
+def test_train_flags_set_every_config_field(tmp_path, capsys, monkeypatch):
+    # field -> (flag, a value other than its default)
+    settings = {
+        "dim": ("--dim", 32), "heads": ("--heads", 2), "vocab_size": ("--vocab", 256),
+        "n_prototypes": ("--protos", 16), "prompt_len": ("--prompt-len", 8),
+        "target_len": ("--l-target", 16), "chunk_len": ("--chunk", 160),
+        "patch_len": ("--patch-len", 8), "patch_stride": ("--patch-stride", 4),
+        "alpha": ("--alpha", 0.5), "wavelet": ("--basis", "db4"), "level": ("--level", 2),
+        "lm_layers": ("--lm-layers", 1),
+        "lr": ("--lr", 1e-3), "weight_decay": ("--wd", 1e-4), "batch_size": ("--batch", 2),
+        "steps": ("--steps", 1), "seed": ("--seed", 7),
+    }
+    model_fields, train_fields = set(asdict(ModelConfig())), set(asdict(TrainConfig()))
+    assert set(settings) == (model_fields - {"level_shapes"}) | train_fields
+    for field, (_, value) in settings.items():
+        default = getattr(ModelConfig() if field in model_fields else TrainConfig(), field)
+        assert value != default, field
+
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--n-clips", "4", "--seed", "2", "--chunk", "160"]) == 0
+    seen = []
+
+    def recording_train(clips, tcfg, **kw):
+        seen.append(tcfg)
+        return train(clips, tcfg, **kw)
+
+    monkeypatch.setattr("physkit.cli.train", recording_train)
+    run = tmp_path / "run"
+    argv = ["train", "--data", str(data / "manifest.jsonl"), "--out", str(run)]
+    argv += [str(part) for flag, value in settings.values() for part in (flag, value)]
+    assert main(argv) == 0
+
+    header = ParamStore.read_config(run / "checkpoint.txt")
+    expected = {f: v for f, (_, v) in settings.items() if f in model_fields}
+    expected["level_shapes"] = [list(shape) for shape in ModelConfig().level_shapes]
+    assert header == expected
+    assert asdict(seen[0]) == {f: v for f, (_, v) in settings.items() if f in train_fields}
 
 
 def test_gradcheck_passes_on_fresh_init(capsys):
@@ -253,14 +302,13 @@ def test_eval_takes_the_model_from_the_checkpoint(tmp_path, capsys):
     assert main(["eval", "--ckpt", ckpt, "--data", manifest]) == 0
     assert capsys.readouterr().out.splitlines() == trained
 
-    agrees, conflicts = tmp_path / "agrees.json", tmp_path / "conflicts.json"
-    agrees.write_text(json.dumps({"alpha": 0.3, "protos": 32, "seed": 5}))
-    conflicts.write_text(json.dumps({"alpha": 0.3, "level": 3}))
-    assert main(["eval", "--ckpt", ckpt, "--data", manifest, "--config", str(agrees)]) == 0
-    assert capsys.readouterr().out.splitlines() == trained
-    assert main(["eval", "--ckpt", ckpt, "--data", manifest, "--config", str(conflicts)]) == 1
-    err = capsys.readouterr().err
-    assert "level=3" in err and "alpha" not in err
+    assert ParamStore.read_config(ckpt)["n_prototypes"] == 32
+
+    # eval has no model flags: the checkpoint is the model's only source
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--ckpt", ckpt, "--data", manifest, "--alpha", "0.3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --alpha 0.3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

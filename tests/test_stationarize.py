@@ -212,6 +212,18 @@ def test_smoother_params_validate():
         SmootherParams(eps=0.0)
 
 
+@pytest.mark.parametrize("level", [0, -1])
+def test_smoother_refuses_a_level_below_one(level):
+    with pytest.raises(ContractError, match=f"level must be >= 1, got {level}"):
+        SmootherParams(level=level)
+
+
+@pytest.mark.parametrize("beta", [-0.1, 1.5, 2.0, float("nan"), float("inf")])
+def test_smoother_refuses_a_blend_override_outside_unit_interval(beta):
+    with pytest.raises(ContractError, match=r"blend override must be in \[0, 1\]"):
+        _smoother(blend_override=beta)
+
+
 def test_smooth_batch_matches_per_row_calls():
     rng = np.random.default_rng(9)
     for basis in (HAAR, DB4):
