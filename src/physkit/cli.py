@@ -5,10 +5,12 @@ one flag whose dest is its ModelConfig or TrainConfig field name and whose
 default is that field's default. Flags may also be read from a file named as
 @FILE, one argument per line (e.g. --alpha=0.5); a later argument overrides
 an earlier one, so `train @base.txt --alpha 0.9` changes one value. Every
-command is deterministic given (flags, seed): outputs carry no timestamps and
-all randomness descends from one root seed split by fixed labels. `eval
---ckpt` takes no model flags: the model comes from the checkpoint, whose
-header carries the config it was trained with, keyed by train's flag dests.
+command is deterministic given its flags: outputs carry no timestamps, and
+synth, train and gradcheck draw all randomness from one root seed (--seed)
+split by fixed labels. No other command takes --seed, except dds, which
+ignores it. `eval --ckpt` takes no model flags: the model comes from the
+checkpoint, whose header carries the config it was trained with, keyed by
+train's flag dests.
 Exit codes: 0 success, 1 contract/parse/IO error, 2 usage error (from
 argparse) or threshold failure (gradcheck/eval).
 """
@@ -299,9 +301,8 @@ def cmd_stats(args) -> int:
 
 
 def _command(sub, name: str, run, help: str) -> argparse.ArgumentParser:
-    """The parser of one subcommand, which runs `run`; each takes the root seed."""
+    """The parser of one subcommand, which runs `run`."""
     p = sub.add_parser(name, help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("--seed", type=int, default=0, help="root seed")
     p.set_defaults(run=run)
     return p
 
@@ -318,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = _command(sub, "synth", cmd_synth, "write a synthetic clip dataset")
+    p.add_argument("--seed", type=int, default=0, help="root seed")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--n-clips", type=int, default=64, help="clips to write")
     p.add_argument("--snr", type=float, default=10.0, help="signal-to-noise ratio in dB")
@@ -332,8 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_smoother_flags(p)
     p.add_argument("--beta", type=float, help="pin the time/frequency blend weight in [0, 1]")
     p.add_argument("--max-lag", type=int, default=8, help="lags to report")
+    p.add_argument("--seed", type=int, default=0, help="ignored: dds draws no random numbers")
 
     p = _command(sub, "train", cmd_train, "train the toy pipeline on a dataset")
+    p.add_argument("--seed", type=int, help="root seed")
     p.add_argument("--data", required=True, help="dataset manifest")
     p.add_argument("--eval-data", help="held-out manifest for metrics")
     p.add_argument("--out", required=True, help="output directory")
@@ -362,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the metrics record here")
     p.add_argument("--max-mae", type=float, help="exit 2 above this MAE")
 
-    _command(sub, "gradcheck", cmd_gradcheck, "finite-difference audit of every module")
+    p = _command(sub, "gradcheck", cmd_gradcheck, "finite-difference audit of every module")
+    p.add_argument("--seed", type=int, default=0, help="root seed")
 
     p = _command(sub, "hr", cmd_hr, "estimate heart rate of waveform files")
     p.add_argument("inputs", nargs="+", help="waveform CSV files")

@@ -51,7 +51,9 @@ from .reprogram import (
     init_vocab,
     reprogram,
 )
-from .signals import LEVEL_SHAPES, MetricsReport, SyntheticClip, _rng, estimate_hr, metrics
+from .signals import (
+    LEVEL_SHAPES, MetricsReport, SyntheticClip, _rng, estimate_hr, metrics, require_hr_length,
+)
 from .stationarize import SmootherParams, init_smoother, smooth_batch
 from .wavelet import get_basis
 
@@ -229,9 +231,7 @@ def build_pipeline(cfg: ModelConfig | None = None, seed: int = 0) -> Pipeline:
         cfg.heads,
         _rng(seed, "aggregator"),
     )
-    smoother = init_smoother(
-        store, "smoother", alpha=cfg.alpha, level=cfg.level, basis=get_basis(cfg.wavelet)
-    )
+    smoother = init_smoother(store, alpha=cfg.alpha, level=cfg.level, basis=get_basis(cfg.wavelet))
     compressors = {
         kind: init_compressor(store, f"cue.{kind}", cfg.prompt_len, cfg.dim, _rng(seed, f"cue-{kind}"))
         for kind in CUE_KINDS
@@ -337,6 +337,9 @@ def train(
     if not clips:
         raise ContractError("training needs a non-empty dataset")
     model = model if model is not None else build_pipeline(seed=cfg.seed)
+    # estimate_hr reads each eval prediction after the last step; refuse short ones before the first
+    for c in eval_clips or ():
+        require_hr_length(model.cfg.chunk_len, c.fs)
     batch_rng = _rng(cfg.seed, "train-batches")
     log = TrainLog()
     for step in range(1, cfg.steps + 1):

@@ -151,6 +151,12 @@ def gen_clip(
     )
 
 
+def require_hr_length(n_samples: int, fs: float) -> None:
+    """``estimate_hr`` reads a spectrum only from at least 4 s of samples."""
+    if n_samples < 4.0 * fs:
+        raise ContractError(f"need at least 4 s of samples ({int(4 * fs)}), got {n_samples}")
+
+
 def estimate_hr(waveform, fs: float) -> HrEstimate:
     """Welch-PSD peak inside the physiologic band, reported in bpm.
 
@@ -163,8 +169,7 @@ def estimate_hr(waveform, fs: float) -> HrEstimate:
         raise ContractError(f"estimate_hr expects a 1-d waveform, got shape {x.shape}")
     if not (math.isfinite(fs) and fs > 0.0):
         raise ContractError(f"sample rate must be finite and positive, got {fs}")
-    if x.size < 4.0 * fs:
-        raise ContractError(f"need at least 4 s of samples ({int(4 * fs)}), got {x.size}")
+    require_hr_length(x.size, fs)
     if not np.all(np.isfinite(x)):
         raise NumericError("waveform contains non-finite samples")
     x = x - x.mean()

@@ -18,7 +18,8 @@ statistics empirically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.signal import lfilter
@@ -30,21 +31,13 @@ from .wavelet import HAAR, WaveletBasis, dwt, idwt
 DEFAULT_EPS = 1e-5
 
 
-def standardize(x, eps: float = DEFAULT_EPS) -> tuple[np.ndarray, float, float]:
-    """Center by the global mean and scale by the global (population) std.
+def standardize(x, eps: float = DEFAULT_EPS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Center by the mean and scale by the (population) std along the last axis.
 
-    Returns (standardized, mean, std). The eps in the denominator rescues
-    constant inputs, which map to all zeros.
+    Returns (standardized, mean, std); mean and std keep that axis as 1. The
+    eps in the denominator rescues constant rows, which map to all zeros.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size < 2:
-        raise ContractError(f"standardize needs a 1-d sequence of length >= 2, got shape {x.shape}")
-    out, mu, sigma = _standardize_any(x, eps)
-    return out, float(mu[0]), float(sigma[0])
-
-
-def _standardize_any(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Standardize along the last axis; mean and std keep that axis as 1."""
     mu = x.mean(axis=-1, keepdims=True)
     sigma = np.sqrt(np.mean((x - mu) ** 2, axis=-1, keepdims=True))
     return (x - mu) / (sigma + eps), mu, sigma
@@ -69,15 +62,16 @@ def ema_smooth(x, alpha: float) -> np.ndarray:
 
 @dataclass
 class SmootherParams:
-    """Configuration plus the learnable time/frequency blend weight."""
+    """Configuration plus the learnable time/frequency blend weight; built by
+    ``init_smoother``."""
 
-    alpha: float = 0.8
-    level: int = 3
-    basis: WaveletBasis = HAAR
-    eps: float = DEFAULT_EPS
-    blend_raw: nc.Parameter | None = None
+    alpha: float
+    level: int
+    basis: WaveletBasis
+    blend_raw: nc.Parameter
     # when set, the blend is pinned to this value and no longer differentiable
-    blend_override: float | None = None
+    blend_override: float | None
+    eps: ClassVar[float] = DEFAULT_EPS
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
@@ -86,8 +80,6 @@ class SmootherParams:
             raise ContractError(f"decomposition level must be >= 1, got {self.level}")
         if self.blend_override is not None and not 0.0 <= self.blend_override <= 1.0:
             raise ContractError(f"blend override must be in [0, 1], got {self.blend_override}")
-        if self.eps <= 0:
-            raise ContractError(f"eps must be positive, got {self.eps}")
 
     @property
     def blend(self) -> float:
@@ -99,14 +91,13 @@ class SmootherParams:
 
 def init_smoother(
     store: nc.ParamStore,
-    prefix: str = "smoother",
     alpha: float = 0.8,
     level: int = 3,
     basis: WaveletBasis = HAAR,
     blend_override: float | None = None,
 ) -> SmootherParams:
     # raw weight 0 puts the sigmoid at 0.5: no prior preference between domains
-    blend_raw = store.add(f"{prefix}.blend_raw", 0.0)
+    blend_raw = store.add("smoother.blend_raw", 0.0)
     return SmootherParams(
         alpha=alpha,
         level=level,
@@ -138,8 +129,8 @@ def _frequency_path(x: np.ndarray, p: SmootherParams) -> np.ndarray:
     n = x.shape[-1]
     padded = _pad_to_multiple(x, 1 << p.level)
     dec = dwt(padded, p.basis, p.level)
-    dec.ac = ema_smooth(_standardize_any(dec.ac, p.eps)[0], p.alpha)
-    dec.dc = [ema_smooth(_standardize_any(band, p.eps)[0], p.alpha) for band in dec.dc]
+    dec.ac = ema_smooth(standardize(dec.ac, p.eps)[0], p.alpha)
+    dec.dc = [ema_smooth(standardize(band, p.eps)[0], p.alpha) for band in dec.dc]
     return idwt(dec, p.basis)[..., :n]
 
 
@@ -178,7 +169,7 @@ def _domain_paths(x: np.ndarray, p: SmootherParams):
     """Time and frequency paths of (batch, time) rows, and the standardization."""
     if x.shape[-1] < (1 << p.level):
         raise ContractError(f"need at least 2**{p.level} samples, got {x.shape[-1]}")
-    x_std, mu, sigma = _standardize_any(x, p.eps)
+    x_std, mu, sigma = standardize(x, p.eps)
     return ema_smooth(x_std, p.alpha), _frequency_path(x, p), (mu, sigma)
 
 
@@ -186,8 +177,6 @@ def _blend(z_time: np.ndarray, z_fre: np.ndarray, p: SmootherParams) -> nc.Tenso
     if p.blend_override is not None:
         b = float(p.blend_override)
         return nc.Tensor((1.0 - b) * z_time + b * z_fre)
-    if p.blend_raw is None:
-        raise ContractError("smoother has neither a blend parameter nor an override")
     b = nc.sigmoid(p.blend_raw.use())
     keep = nc.sub(nc.Tensor(1.0), b)
     return nc.add(nc.mul(nc.Tensor(z_time), keep), nc.mul(nc.Tensor(z_fre), b))
@@ -202,26 +191,23 @@ def _blend(z_time: np.ndarray, z_fre: np.ndarray, p: SmootherParams) -> nc.Tenso
 class StationarityReport:
     mean: float
     variance: float
-    theoretical_variance: float | None
+    theoretical_variance: float
     autocorr: np.ndarray
     autocorr_first_half: np.ndarray
     autocorr_second_half: np.ndarray
     half_window_disagreement: float
     degenerate: bool
-    max_lag: int = field(default=0)
 
     def lines(self) -> list[str]:
-        out = [
+        acf = ",".join(f"{v:.4f}" for v in self.autocorr)
+        return [
             f"mean={self.mean:.6f}",
             f"variance={self.variance:.6f}",
+            f"theoretical_variance={self.theoretical_variance:.6f}",
+            f"autocorr_1..{len(self.autocorr)}={acf}",
+            f"half_window_disagreement={self.half_window_disagreement:.6f}",
+            f"degenerate={'yes' if self.degenerate else 'no'}",
         ]
-        if self.theoretical_variance is not None:
-            out.append(f"theoretical_variance={self.theoretical_variance:.6f}")
-        acf = ",".join(f"{v:.4f}" for v in self.autocorr)
-        out.append(f"autocorr_1..{self.max_lag}={acf}")
-        out.append(f"half_window_disagreement={self.half_window_disagreement:.6f}")
-        out.append(f"degenerate={'yes' if self.degenerate else 'no'}")
-        return out
 
 
 def normalized_autocorr(x: np.ndarray, max_lag: int) -> np.ndarray:
@@ -236,7 +222,7 @@ def normalized_autocorr(x: np.ndarray, max_lag: int) -> np.ndarray:
     )
 
 
-def stationarity_report(z, max_lag: int, alpha: float | None = None) -> StationarityReport:
+def stationarity_report(z, max_lag: int, alpha: float) -> StationarityReport:
     """Empirical weak-stationarity statistics over the full series and two halves."""
     z = np.asarray(z, dtype=np.float64)
     if max_lag < 1:
@@ -251,15 +237,13 @@ def stationarity_report(z, max_lag: int, alpha: float | None = None) -> Stationa
     first = normalized_autocorr(z[:half], max_lag)
     second = normalized_autocorr(z[half:], max_lag)
     disagreement = float(np.max(np.abs(first - second))) if not degenerate else 0.0
-    theoretical = alpha / (2.0 - alpha) if alpha is not None else None
     return StationarityReport(
         mean=mean,
         variance=variance,
-        theoretical_variance=theoretical,
+        theoretical_variance=alpha / (2.0 - alpha),
         autocorr=full,
         autocorr_first_half=first,
         autocorr_second_half=second,
         half_window_disagreement=disagreement,
         degenerate=degenerate,
-        max_lag=max_lag,
     )

@@ -199,6 +199,15 @@ def test_hr_command_recovers_clean_tone(tmp_path, capsys):
     assert abs(bpm - 72.0) <= 60.0 * (30.0 / 1024.0)
 
 
+def test_hr_takes_no_seed(tmp_path, capsys):
+    path = tmp_path / "tone.csv"
+    save_waveform(path, np.sin(2 * np.pi * 1.2 * np.arange(512) / 30.0), fs=30.0)
+    with pytest.raises(SystemExit) as exc:
+        main(["hr", "--seed", "1", str(path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("rate", ["0", "-30", "nan", "inf"])
 def test_bad_sample_rate_is_one_error_line(tmp_path, capsys, rate):
     path = tmp_path / "wave.csv"

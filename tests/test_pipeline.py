@@ -254,6 +254,15 @@ def test_model_config_refuses_bad_sizes(change, named):
     assert ModelConfig(lm_layers=0).lm_layers == 0
 
 
+def test_train_refuses_short_eval_clips_before_the_first_step(monkeypatch):
+    # estimate_hr needs 4 s (120 samples at 30 Hz) of each eval prediction
+    clips = [gen_clip(70.0, n_samples=64, seed=i) for i in range(2)]
+    model = build_pipeline(replace(ModelConfig(), chunk_len=64), seed=0)
+    monkeypatch.setattr(nc, "adam_step", lambda *a, **k: pytest.fail("adam_step ran"))
+    with pytest.raises(ContractError, match=r"need at least 4 s of samples \(120\), got 64"):
+        train(clips, TrainConfig(steps=30), model=model, eval_clips=clips)
+
+
 def test_train_rejects_empty_dataset():
     with pytest.raises(ContractError):
         train([], TrainConfig(steps=1))
