@@ -8,6 +8,7 @@ trailing-dimension cases so that every backward rule stays auditable.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 from typing import Callable, Iterable, Iterator, Sequence
@@ -25,6 +26,35 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 def _as_f64(x) -> Array:
     return np.asarray(x, dtype=np.float64)
+
+
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _steady_heap() -> None:
+    """Keep multi-MB temporaries on the heap and the freed heap in the process.
+
+    A forward pass allocates and frees attention and FFN temporaries of a few
+    MB each. With glibc's defaults these are served by mmap, or trimmed from
+    the top of the heap once freed, so each pass faults the same pages back
+    in: a 900-clip ``predict`` loop took 650k-683k minor page faults. With the
+    mmap threshold at 32 MB and the trim threshold at 256 MB it takes about
+    200, and runs no slower. Both must be set: any mallopt call switches off
+    glibc's dynamic mmap threshold, and setting the trim threshold alone made
+    the loop take 1.58M faults at 0.7x the speed. The settings hold for the
+    whole process; without mallopt (not glibc) nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
+
+_steady_heap()
 
 
 # ---------------------------------------------------------------------------
@@ -607,15 +637,19 @@ def sample_param_entries(
 def grad_check(
     f: Callable[[], Tensor],
     store: ParamStore,
-    eps: float = 1e-5,
+    eps: float = 1e-3,
     entries: Iterable[tuple[str, int]] | None = None,
 ) -> float:
-    """Worst relative disagreement between tape gradients and central
+    """Worst relative disagreement between tape gradients and five-point
     finite differences of the scalar map f over the store's parameters.
 
-    f must be deterministic; it is evaluated twice up front and a bitwise
-    mismatch raises. Relative error uses a 1e-6 floor so entries whose true
-    gradient is zero compare against finite-difference noise sanely.
+    The five-point stencil is the Richardson extrapolation of the central
+    differences at steps eps and 2 eps. Its truncation error is O(eps**4), so
+    it can take a step of 1e-3, where the round-off in f weighs 100x less
+    than at the 1e-5 step a central difference needs. f must be deterministic; it is
+    evaluated twice up front and a bitwise mismatch raises. Relative error
+    uses a 1e-6 floor so entries whose true gradient is zero compare against
+    finite-difference noise sanely.
     """
     v1 = float(as_tensor(f()).item())
     v2 = float(as_tensor(f()).item())
@@ -637,12 +671,15 @@ def grad_check(
         p = store[name]
         flat = p.value.reshape(-1)
         saved = flat[idx]
-        flat[idx] = saved + eps
-        fp = float(as_tensor(f()).item())
-        flat[idx] = saved - eps
-        fm = float(as_tensor(f()).item())
+
+        def f_at(step: float) -> float:
+            flat[idx] = saved + step
+            return float(as_tensor(f()).item())
+
+        near = f_at(eps) - f_at(-eps)
+        far = f_at(2.0 * eps) - f_at(-2.0 * eps)
         flat[idx] = saved
-        numeric = (fp - fm) / (2.0 * eps)
+        numeric = (8.0 * near - far) / (12.0 * eps)
         a = analytic[name].reshape(-1)[idx]
         rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
         worst = max(worst, rel)

@@ -337,8 +337,13 @@ def train(
     if not clips:
         raise ContractError("training needs a non-empty dataset")
     model = model if model is not None else build_pipeline(seed=cfg.seed)
-    # estimate_hr reads each eval prediction after the last step; refuse short ones before the first
-    for c in eval_clips or ():
+    # predict and estimate_hr read the eval clips after the last step; refuse bad ones before the first
+    for i, c in enumerate(eval_clips or ()):
+        if c.x_enc.size != model.cfg.chunk_len:
+            raise ShapeError(
+                f"eval clip {i} (seed {c.seed}) has {c.x_enc.size} samples, "
+                f"the model reads chunk_len={model.cfg.chunk_len}"
+            )
         require_hr_length(model.cfg.chunk_len, c.fs)
     batch_rng = _rng(cfg.seed, "train-batches")
     log = TrainLog()

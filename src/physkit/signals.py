@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import welch
 
 from .cues import SceneMeta
 from .errors import ContractError, EstimationError, NumericError, ParseError
@@ -157,12 +156,31 @@ def require_hr_length(n_samples: int, fs: float) -> None:
         raise ContractError(f"need at least 4 s of samples ({int(4 * fs)}), got {n_samples}")
 
 
+def welch_psd(x: np.ndarray, fs: float, nperseg: int, nfft: int) -> tuple[np.ndarray, np.ndarray]:
+    """Welch's one-sided power spectral density of a 1-d array: (freqs, psd).
+
+    Segments of nperseg samples start every nperseg - nperseg // 2 samples (a
+    tail too short for one more is dropped), are multiplied by a periodic Hann
+    window and zero padded to nfft; their periodograms are averaged with
+    density scaling. This is ``scipy.signal.welch(x, fs, "hann", nperseg,
+    nperseg // 2, nfft, detrend=False)`` to rounding, in numpy alone.
+    """
+    window = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(nperseg) / nperseg)
+    segments = np.lib.stride_tricks.sliding_window_view(x, nperseg)[:: nperseg - nperseg // 2]
+    psd = np.mean(np.abs(np.fft.rfft(segments * window, nfft)) ** 2, axis=0)
+    psd /= fs * float(window @ window)
+    # fold the negative frequencies onto every bin but DC and, for even nfft, Nyquist
+    psd[1 : (nfft + 1) // 2] *= 2.0
+    return np.fft.rfftfreq(nfft, 1.0 / fs), psd
+
+
 def estimate_hr(waveform, fs: float) -> HrEstimate:
     """Welch-PSD peak inside the physiologic band, reported in bpm.
 
-    The mean is removed first; segments are Hann windowed at 50% overlap
-    and zero padded to 4x their length. The peak is the PSD maximum on a
-    grid of fs/nfft Hz (``resolution_hz``), with no interpolation.
+    The mean is removed first; ``welch_psd`` Hann windows segments at 50%
+    overlap, zero pads them to 4x their length and averages their spectra,
+    computed with ``numpy.fft``. The peak is the PSD maximum on a grid of
+    fs/nfft Hz (``resolution_hz``), with no interpolation.
     """
     x = np.asarray(waveform, dtype=np.float64)
     if x.ndim != 1:
@@ -175,10 +193,7 @@ def estimate_hr(waveform, fs: float) -> HrEstimate:
     x = x - x.mean()
     nperseg = int(min(x.size, round(256.0 * fs / 30.0)))
     nfft = 4 * nperseg
-    freqs, psd = welch(
-        x, fs=fs, window="hann", nperseg=nperseg, noverlap=nperseg // 2, nfft=nfft,
-        detrend=False,
-    )
+    freqs, psd = welch_psd(x, fs, nperseg, nfft)
     band = (freqs >= HR_BAND_HZ[0]) & (freqs <= HR_BAND_HZ[1])
     if not np.any(band):
         raise EstimationError("PSD has no bins inside the heart-rate band")

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.signal import lfilter
 
 from . import numcore as nc
 from .errors import ContractError
@@ -47,16 +46,24 @@ def ema_smooth(x, alpha: float) -> np.ndarray:
     """First-order exponential smoothing along the last axis of (..., time).
 
     z[..., 0] = x[..., 0] and z[..., i] = alpha x[..., i] + (1 - alpha) z[..., i-1].
+
+    The recurrence is a linear scan, computed by recursive doubling (Blelloch,
+    "Prefix sums and their applications", 1990): each pass adds decay**shift
+    times the partial sums shift samples back and doubles shift, so after k
+    passes each output holds its last 2**k terms. The passes stop once
+    decay**shift is below 2**-60, where the terms left out are lost to double
+    precision anyway: 5 passes at alpha 0.8, 16 at alpha 0.001. alpha = 1 runs
+    no pass and returns x exactly.
     """
     if not 0.0 < alpha <= 1.0:
         raise ContractError(f"smoothing factor must be in (0, 1], got {alpha}")
     x = np.asarray(x, dtype=np.float64)
-    decay = 1.0 - alpha
-    z = np.empty_like(x)
+    z = alpha * x
     z[..., 0] = x[..., 0]
-    # the filter starts at the second sample from the state decay * x[..., 0],
-    # so every step is the recurrence's own two products and one sum
-    z[..., 1:] = lfilter([alpha], [1.0, -decay], x[..., 1:], axis=-1, zi=decay * x[..., :1])[0]
+    shift, c = 1, 1.0 - alpha
+    while shift < x.shape[-1] and c > 2.0**-60:
+        z[..., shift:] += c * z[..., :-shift]
+        shift, c = 2 * shift, c * c
     return z
 
 

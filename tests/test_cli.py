@@ -3,6 +3,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from physkit import numcore as nc
 from physkit.cli import main
 from physkit.numcore import ParamStore
 from physkit.pipeline import ModelConfig, TrainConfig, train
@@ -187,6 +188,28 @@ def test_gradcheck_passes_on_fresh_init(capsys):
         line = [l for l in out.splitlines() if l.startswith(module + ":")][0]
         assert line.endswith("ok")
         assert float(line.split("max_rel_err=")[1].split()[0]) < 1e-4
+
+
+def test_gradcheck_passes_at_seed_3(capsys):
+    # central differences at step 1e-5 read 2.2e-4 here, from round-off on va.self.w_q[7]
+    assert main(["gradcheck", "--seed", "3"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_gradcheck_fails_on_a_one_percent_wrong_gradient(monkeypatch, capsys):
+    gelu = nc.gelu
+
+    def gelu_with_wrong_grad(t):
+        out = gelu(t)
+        if out.node is not None:
+            right = out.node.grad_fn
+            out.node.grad_fn = lambda g: tuple(1.01 * gi for gi in right(g))
+        return out
+
+    monkeypatch.setattr(nc, "gelu", gelu_with_wrong_grad)
+    assert main(["gradcheck", "--seed", "3"]) == 2
+    pipeline = [l for l in capsys.readouterr().out.splitlines() if l.startswith("pipeline:")]
+    assert pipeline[0].endswith("FAIL")
 
 
 def test_hr_command_recovers_clean_tone(tmp_path, capsys):

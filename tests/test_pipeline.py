@@ -263,6 +263,14 @@ def test_train_refuses_short_eval_clips_before_the_first_step(monkeypatch):
         train(clips, TrainConfig(steps=30), model=model, eval_clips=clips)
 
 
+def test_train_refuses_eval_clips_of_another_length_before_the_first_step(monkeypatch):
+    clips = [gen_clip(70.0, n_samples=128, seed=i) for i in range(2)]
+    eval_clips = clips + [gen_clip(70.0, n_samples=200, seed=9)]
+    monkeypatch.setattr(nc, "adam_step", lambda *a, **k: pytest.fail("adam_step ran"))
+    with pytest.raises(ShapeError, match=r"eval clip 2 \(seed 9\) has 200 samples, .*chunk_len=128"):
+        train(clips, TrainConfig(steps=5), eval_clips=eval_clips)
+
+
 def test_train_rejects_empty_dataset():
     with pytest.raises(ContractError):
         train([], TrainConfig(steps=1))

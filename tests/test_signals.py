@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import physkit
 from physkit.errors import ContractError, EstimationError, ParseError
 from physkit.signals import (
+    HR_BAND_HZ,
     ClipRecord,
     estimate_hr,
     gen_clip,
@@ -12,6 +18,7 @@ from physkit.signals import (
     metrics,
     read_manifest,
     save_waveform,
+    welch_psd,
     write_manifest,
 )
 
@@ -99,6 +106,40 @@ def test_estimate_is_scale_invariant():
     a = estimate_hr(wave, 30.0)
     b = estimate_hr(1e3 * wave, 30.0)
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "n, fs",
+    [
+        (128, 30.0),  # one segment: nperseg is the whole clip
+        (1000, 30.0),  # six segments of 256 and a 104-sample tail that fills none
+        (600, 29.0),  # odd nperseg 247, three segments
+    ],
+)
+def test_welch_psd_and_estimate_match_scipy_welch(n, fs):
+    from scipy.signal import welch
+
+    t = np.arange(n) / fs
+    x = np.sin(2 * np.pi * 1.3 * t) + 0.5 * np.random.default_rng(n).standard_normal(n)
+    x = x - x.mean()
+    nperseg = int(min(n, round(256.0 * fs / 30.0)))
+    nfft = 4 * nperseg
+    want_f, want_psd = welch(x, fs, "hann", nperseg, nperseg // 2, nfft, detrend=False)
+    freqs, psd = welch_psd(x, fs, nperseg, nfft)
+    assert np.array_equal(freqs, want_f)
+    assert np.allclose(psd, want_psd, rtol=1e-12, atol=0.0)
+    band = (want_f >= HR_BAND_HZ[0]) & (want_f <= HR_BAND_HZ[1])
+    assert estimate_hr(x, fs).bpm == 60.0 * float(want_f[band][np.argmax(want_psd[band])])
+
+
+def test_importing_physkit_leaves_scipy_signal_unloaded():
+    # scipy.signal takes most of a second to import and physkit has no use for it
+    code = "import sys, physkit; print('scipy.signal' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(physkit.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_clean_clips_recover_true_rate_within_one_bin():

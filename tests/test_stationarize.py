@@ -89,6 +89,18 @@ def test_ema_matches_the_explicit_recurrence(alpha, shape):
     assert np.max(np.abs(z - _ema_loop(x, alpha).reshape(shape))) < 1e-12
 
 
+@pytest.mark.parametrize("alpha", [0.001, 0.05])
+def test_ema_matches_the_explicit_recurrence_on_a_long_series(alpha):
+    # 2**16 + 7 samples: past every shift the doubling scan takes, and not a power of 2
+    x = np.random.default_rng(14).standard_normal(65543) * 3.0 + 1.0
+    assert np.max(np.abs(ema_smooth(x, alpha) - _ema_loop(x, alpha)[0])) < 1e-12
+
+
+def test_ema_at_alpha_one_returns_a_long_series_exactly():
+    x = np.random.default_rng(15).standard_normal((2, 65543))
+    assert np.array_equal(ema_smooth(x, 1.0), x)
+
+
 def test_ema_rejects_bad_alpha():
     for alpha in (0.0, -0.1, 1.5):
         with pytest.raises(ContractError):
