@@ -9,8 +9,8 @@ command is deterministic given its flags: outputs carry no timestamps, and
 synth, train and gradcheck draw all randomness from one root seed (--seed)
 split by fixed labels. No other command takes --seed, except dds, which
 ignores it. `eval --ckpt` takes no model flags: the model comes from the
-checkpoint, whose header carries the config it was trained with, keyed by
-train's flag dests.
+checkpoint. Its two text lines, a magic line and the trained config as JSON
+keyed by train's flag dests, precede a name line and an .npy record per parameter.
 Exit codes: 0 success, 1 contract/parse/IO error, 2 usage error (from
 argparse) or threshold failure (gradcheck/eval).
 """
@@ -30,11 +30,11 @@ from .pipeline import ModelConfig, TrainConfig, build_pipeline, load_pipeline, m
 from .reprogram import derive_prototypes, init_probe, init_reprogrammer, init_vocab, reprogram
 from .signals import (
     ClipRecord,
-    _rng,
     estimate_hr,
     gen_clip,
     load_waveform,
     metrics,
+    read_lines,
     read_manifest,
     save_waveform,
     write_manifest,
@@ -54,10 +54,10 @@ def cmd_synth(args) -> int:
     n = args.n_clips
     if n < 1:
         raise ContractError(f"need at least one clip, got {n}")
+    seed = args.seed
+    hr_rng = nc.rng(seed, "synth-hr")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = args.seed
-    hr_rng = _rng(seed, "synth-hr")
     records = []
     for i in range(n):
         hr = float(hr_rng.uniform(45.0, 150.0))
@@ -76,9 +76,6 @@ def cmd_synth(args) -> int:
                 n_samples=args.chunk_len,
                 snr_db=args.snr,
                 seed=clip_seed,
-                lighting=clip.scene.lighting,
-                motion=clip.scene.motion,
-                skin_tone=clip.scene.skin_tone,
             )
         )
     write_manifest(out_dir / "manifest.jsonl", records)
@@ -139,7 +136,7 @@ def cmd_train(args) -> int:
 
 
 def _hr_list_from(path) -> list[float]:
-    text = Path(path).read_text().splitlines()
+    text = read_lines(path)
     if text and text[0].lstrip().startswith("{"):
         return [r.hr_bpm for r in read_manifest(path)]
     rates = []
@@ -179,7 +176,7 @@ def cmd_eval(args) -> int:
 def _gradcheck_modules(seed: int) -> dict[str, float]:
     """Per-module finite-difference audits at a randomized (non-gated) point."""
     results: dict[str, float] = {}
-    rng = _rng(seed, "gradcheck")
+    rng = nc.rng(seed, "gradcheck")
 
     store = nc.ParamStore()
     smoother = init_smoother(store)
@@ -192,7 +189,7 @@ def _gradcheck_modules(seed: int) -> dict[str, float]:
     results["dds"] = nc.grad_check(f_smoother, store)
 
     store = nc.ParamStore()
-    agg = init_aggregator(store, "va", ((3, 3), (2, 2)), 16, 8, 8, 2, _rng(seed, "gc-agg"))
+    agg = init_aggregator(store, "va", ((3, 3), (2, 2)), 16, 8, 8, 2, nc.rng(seed, "gc-agg"))
     agg.gate_inner.value = rng.standard_normal(8) * 0.5
     agg.gate_outer.value = rng.standard_normal(8) * 0.5
     pyr = FeaturePyramid([rng.standard_normal((1, 16, h, w)) for h, w in ((3, 3), (2, 2))])
@@ -202,13 +199,13 @@ def _gradcheck_modules(seed: int) -> dict[str, float]:
         return nc.mean_all(nc.mul(out, out))
 
     results["aggregator"] = nc.grad_check(
-        f_agg, store, entries=nc.sample_param_entries(store, 60, _rng(seed, "gc-agg-e"))
+        f_agg, store, entries=nc.sample_param_entries(store, 60, nc.rng(seed, "gc-agg-e"))
     )
 
     store = nc.ParamStore()
     vocab = init_vocab(store, vocab_size=64, dim=8, seed=seed)
-    probe = init_probe(store, 64, 8, _rng(seed, "gc-probe"))
-    rep = init_reprogrammer(store, "reprog", 8, 2, 8, _rng(seed, "gc-rep"), lengths=(5,), seed=seed)
+    probe = init_probe(store, 64, 8, nc.rng(seed, "gc-probe"))
+    rep = init_reprogrammer(store, "reprog", 8, 2, 8, nc.rng(seed, "gc-rep"), lengths=(5,), seed=seed)
     x_tok = nc.Tensor(rng.standard_normal((1, 5, 8)))
 
     def f_rep():
@@ -216,11 +213,11 @@ def _gradcheck_modules(seed: int) -> dict[str, float]:
         return nc.mean_all(nc.mul(out, out))
 
     results["tpg"] = nc.grad_check(
-        f_rep, store, entries=nc.sample_param_entries(store, 60, _rng(seed, "gc-rep-e"))
+        f_rep, store, entries=nc.sample_param_entries(store, 60, nc.rng(seed, "gc-rep-e"))
     )
 
     store = nc.ParamStore()
-    comps = [init_compressor(store, f"cue.{k}", 3, 8, _rng(seed, f"gc-{k}")) for k in ("t", "v", "s")]
+    comps = [init_compressor(store, f"cue.{k}", 3, 8, nc.rng(seed, f"gc-{k}")) for k in ("t", "v", "s")]
     fusion = init_fusion(store, "cue.fuse", 3, 8)
     streams = [nc.Tensor(rng.standard_normal((1, n, 8))) for n in (2, 6, 4)]
 
@@ -230,7 +227,7 @@ def _gradcheck_modules(seed: int) -> dict[str, float]:
         return nc.mean_all(nc.mul(out, out))
 
     results["cue"] = nc.grad_check(
-        f_cue, store, entries=nc.sample_param_entries(store, 60, _rng(seed, "gc-cue-e"))
+        f_cue, store, entries=nc.sample_param_entries(store, 60, nc.rng(seed, "gc-cue-e"))
     )
 
     tiny = ModelConfig(
@@ -254,7 +251,7 @@ def _gradcheck_modules(seed: int) -> dict[str, float]:
 
     results["pipeline"] = nc.grad_check(
         f_pipe, store=model.store,
-        entries=nc.sample_param_entries(model.store, 50, _rng(seed, "gc-pipe-e")),
+        entries=nc.sample_param_entries(model.store, 50, nc.rng(seed, "gc-pipe-e")),
     )
     return results
 

@@ -24,7 +24,7 @@ class EstimationError(PhyskitError, RuntimeError):
 
 
 class ParseError(PhyskitError, ValueError):
-    """A text artifact could not be parsed; carries the offending line."""
+    """A file could not be parsed; carries the offending line, if any."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line

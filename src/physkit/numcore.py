@@ -11,6 +11,7 @@ from __future__ import annotations
 import ctypes
 import json
 import math
+from functools import reduce
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -55,6 +56,19 @@ def _steady_heap() -> None:
 
 
 _steady_heap()
+
+
+def _hash32(label: str) -> int:
+    return reduce(lambda h, ch: (h * 131 + ch) & 0xFFFFFFFF, label.encode("utf-8"), 0)
+
+
+def rng(seed: int, *keys: int | str) -> np.random.Generator:
+    """The random stream of a root seed in [0, 2**32), split by fixed keys:
+    an integer key is used as it is, a string key is hashed to 32 bits."""
+    if not 0 <= seed < 1 << 32:
+        raise ContractError(f"seed must be in [0, 2**32), got {seed}")
+    words = [int(seed)] + [k if isinstance(k, int) else _hash32(k) for k in keys]
+    return np.random.default_rng(np.random.SeedSequence(words))
 
 
 # ---------------------------------------------------------------------------
@@ -461,81 +475,70 @@ class ParamStore:
     def n_values(self) -> int:
         return sum(p.value.size for p in self._params.values())
 
-    # -- flat text serialization -------------------------------------------
+    # -- checkpoint: two text lines, then a name line and an .npy record per parameter
 
-    MAGIC = "physkit-paramstore 2"
+    MAGIC = "physkit-paramstore 3"
 
     def save(self, path) -> None:
         """Line 1 is MAGIC, line 2 the config as JSON with sorted keys, then
-        one line per parameter: name, trainable flag, ndim, dims, values."""
-        lines = [self.MAGIC, json.dumps(self.config, sort_keys=True)]
-        for p in self._params.values():
-            dims = " ".join(str(d) for d in p.value.shape)
-            vals = " ".join(repr(float(v)) for v in p.value.reshape(-1))
-            flag = "1" if p.trainable else "0"
-            lines.append(f"{p.name} {flag} {p.value.ndim} {dims} {vals}".rstrip())
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        per parameter its name on one line followed by the value as a numpy
+        ``.npy`` record. Names hold no whitespace, so a newline ends each."""
+        with open(path, "wb") as fh:
+            fh.write(f"{self.MAGIC}\n{json.dumps(self.config, sort_keys=True)}\n".encode())
+            for p in self._params.values():
+                fh.write(p.name.encode() + b"\n")
+                np.lib.format.write_array(fh, p.value, allow_pickle=False)
 
     def load_into(self, path) -> None:
         """Overwrite every parameter in place. The checkpoint must carry this
-        store's config, and its names and shapes must match; a checkpoint that
-        fails a check leaves every value unchanged."""
-        config, records = self._parse(path)
+        store's config, and its names, shapes and dtypes must match; a
+        checkpoint that fails a check leaves every value unchanged."""
+        records = {}
+        with open(path, "rb") as fh:
+            config = self._read_header(fh)
+            for number, line in enumerate(iter(fh.readline, b""), start=1):
+                name = line.rstrip(b"\n").decode(errors="replace")
+                try:
+                    records[name] = np.lib.format.read_array(fh, allow_pickle=False)
+                except ValueError as exc:  # numpy's EOF and format errors among them
+                    raise ParseError(f"bad parameter record {number} ({name!r}): {exc}") from exc
         live = self.config
         differing = sorted(k for k in config.keys() | live.keys() if config.get(k) != live.get(k))
         if differing:
             pairs = ", ".join(f"{k} is {config.get(k)!r} there, {live.get(k)!r} here" for k in differing)
             raise ContractError(f"checkpoint was saved under a different model config: {pairs}")
-        for name, _trainable, value in records:
+        for name, value in records.items():
             if name not in self._params:
                 raise ContractError(f"checkpoint has unknown parameter {name!r}")
             p = self._params[name]
-            if value.shape != p.value.shape:
+            if (value.shape, value.dtype) != (p.value.shape, p.value.dtype):
                 raise ShapeError(
-                    f"checkpoint shape {value.shape} != live shape {p.value.shape} "
-                    f"for {name!r}"
+                    f"checkpoint {value.dtype} {value.shape} != live {p.value.dtype} "
+                    f"{p.value.shape} for {name!r}"
                 )
-        seen = {name for name, _, _ in records}
-        missing = [n for n in self._params if n not in seen]
+        missing = [n for n in self._params if n not in records]
         if missing:
             raise ContractError(f"checkpoint is missing parameters: {missing[:5]}")
-        for name, _trainable, value in records:
+        for name, value in records.items():
             self._params[name].value = value
 
     @classmethod
     def read_config(cls, path) -> dict:
         """The config in a checkpoint's header; the values are not read."""
-        with open(path) as fh:
-            magic, header = fh.readline().rstrip("\n"), fh.readline()
-        if magic != cls.MAGIC:
+        with open(path, "rb") as fh:
+            return cls._read_header(fh)
+
+    @classmethod
+    def _read_header(cls, fh) -> dict:
+        if fh.readline().rstrip(b"\n") != cls.MAGIC.encode():
             raise ParseError(f"missing {cls.MAGIC!r} header", line=1)
         try:
-            config = json.loads(header)
-        except json.JSONDecodeError:
+            config = json.loads(fh.readline())
+        except ValueError:
             config = None
         if not isinstance(config, dict):
             raise ParseError("header config is not a JSON object", line=2)
         return config
-
-    @classmethod
-    def _parse(cls, path) -> tuple[dict, list[tuple[str, bool, Array]]]:
-        config = cls.read_config(path)
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-        records = []
-        for lineno, line in enumerate(lines[2:], start=3):
-            if not line.strip():
-                continue
-            fields = line.split()
-            try:
-                name, flag, ndim = fields[0], fields[1], int(fields[2])
-                dims = tuple(int(d) for d in fields[3 : 3 + ndim])
-                vals = np.array([float(v) for v in fields[3 + ndim :]])
-                records.append((name, flag == "1", vals.reshape(dims)))
-            except (ValueError, IndexError) as exc:
-                raise ParseError(f"bad parameter record: {exc}", line=lineno) from exc
-        return config, records
 
 
 # ---------------------------------------------------------------------------

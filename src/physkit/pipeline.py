@@ -52,7 +52,7 @@ from .reprogram import (
     reprogram,
 )
 from .signals import (
-    LEVEL_SHAPES, MetricsReport, SyntheticClip, _rng, estimate_hr, metrics, require_hr_length,
+    LEVEL_SHAPES, MetricsReport, SyntheticClip, estimate_hr, metrics, require_hr_length,
 )
 from .stationarize import SmootherParams, init_smoother, smooth_batch
 from .wavelet import get_basis
@@ -216,9 +216,9 @@ def build_pipeline(cfg: ModelConfig | None = None, seed: int = 0) -> Pipeline:
     cfg = cfg if cfg is not None else ModelConfig()
     store = nc.ParamStore(config=asdict(cfg))
     vocab = init_vocab(store, cfg.vocab_size, cfg.dim, seed=seed)
-    probe = init_probe(store, cfg.vocab_size, cfg.n_prototypes, _rng(seed, "probe"))
+    probe = init_probe(store, cfg.vocab_size, cfg.n_prototypes, nc.rng(seed, "probe"))
     reprogrammer = init_reprogrammer(
-        store, "reprog", cfg.dim, cfg.heads, cfg.n_prototypes, _rng(seed, "reprog"),
+        store, "reprog", cfg.dim, cfg.heads, cfg.n_prototypes, nc.rng(seed, "reprog"),
         lengths=(cfg.n_signal_tokens, cfg.target_len), seed=seed,
     )
     aggregator_params = init_aggregator(
@@ -229,27 +229,27 @@ def build_pipeline(cfg: ModelConfig | None = None, seed: int = 0) -> Pipeline:
         cfg.target_len,
         cfg.dim,
         cfg.heads,
-        _rng(seed, "aggregator"),
+        nc.rng(seed, "aggregator"),
     )
     smoother = init_smoother(store, alpha=cfg.alpha, level=cfg.level, basis=get_basis(cfg.wavelet))
     compressors = {
-        kind: init_compressor(store, f"cue.{kind}", cfg.prompt_len, cfg.dim, _rng(seed, f"cue-{kind}"))
+        kind: init_compressor(store, f"cue.{kind}", cfg.prompt_len, cfg.dim, nc.rng(seed, f"cue-{kind}"))
         for kind in CUE_KINDS
     }
     fusion = init_fusion(store, "cue.fuse", cfg.prompt_len, cfg.dim)
     patch_embed = store.add(
         "signal.patch_embed",
-        _rng(seed, "patch").standard_normal((cfg.patch_len, cfg.dim))
+        nc.rng(seed, "patch").standard_normal((cfg.patch_len, cfg.dim))
         * (PATCH_GAIN / math.sqrt(cfg.patch_len)),
     )
     positions = store.add(
         "lm.positions",
-        _rng(seed, "positions").standard_normal((cfg.n_tokens, cfg.dim)) * POS_SCALE,
+        nc.rng(seed, "positions").standard_normal((cfg.n_tokens, cfg.dim)) * POS_SCALE,
     )
     lm_attn, lm_ffn = [], []
     for i in range(cfg.lm_layers):
-        lm_attn.append(init_attention(store, f"lm.layer{i}.attn", cfg.dim, cfg.heads, _rng(seed, f"lm-a{i}")))
-        lm_ffn.append(init_feed_forward(store, f"lm.layer{i}.ffn", cfg.dim, _rng(seed, f"lm-f{i}")))
+        lm_attn.append(init_attention(store, f"lm.layer{i}.attn", cfg.dim, cfg.heads, nc.rng(seed, f"lm-a{i}")))
+        lm_ffn.append(init_feed_forward(store, f"lm.layer{i}.ffn", cfg.dim, nc.rng(seed, f"lm-f{i}")))
     # zero heads: training starts from the flat waveform
     head = store.add("lm.head", np.zeros((cfg.dim, cfg.chunk_len)))
     head_skip = store.add("lm.head_skip", np.zeros((cfg.chunk_len, cfg.chunk_len)))
@@ -345,7 +345,7 @@ def train(
                 f"the model reads chunk_len={model.cfg.chunk_len}"
             )
         require_hr_length(model.cfg.chunk_len, c.fs)
-    batch_rng = _rng(cfg.seed, "train-batches")
+    batch_rng = nc.rng(cfg.seed, "train-batches")
     log = TrainLog()
     for step in range(1, cfg.steps + 1):
         idx = batch_rng.integers(0, len(clips), size=cfg.batch_size)

@@ -58,7 +58,7 @@ class VocabEmbedding:
 def init_vocab(
     store: nc.ParamStore, vocab_size: int = 1024, dim: int = 64, seed: int = 0
 ) -> VocabEmbedding:
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x56C4B]))
+    rng = nc.rng(seed, 0x56C4B)
     table = rng.standard_normal((vocab_size, dim))
     return VocabEmbedding(param=store.add("vocab.embedding", table, trainable=False))
 
@@ -114,7 +114,7 @@ def init_reprogrammer(
         adapters={},
     )
     for length in sorted(set(lengths)):
-        adapter_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xADA, length]))
+        adapter_rng = nc.rng(seed, 0xADA, length)
         params.adapters[length] = store.add(
             f"{prefix}.adapt.len{length}",
             adapter_rng.standard_normal((length, n_prototypes)) / math.sqrt(length),

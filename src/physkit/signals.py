@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import numcore as nc
 from .cues import SceneMeta
 from .errors import ContractError, EstimationError, NumericError, ParseError
 from .stationarize import ema_smooth
@@ -31,13 +32,6 @@ _SKIN_TONES = tuple(f"type-{i}" for i in range(1, 7))
 _WINDOW = 9
 # default (height, width) of each feature-pyramid level, shallowest first
 LEVEL_SHAPES = ((8, 8), (6, 6), (4, 4))
-
-
-def _rng(seed: int, label: str) -> np.random.Generator:
-    digest = 0
-    for ch in label.encode("utf-8"):
-        digest = (digest * 131 + ch) & 0xFFFFFFFF
-    return np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, digest]))
 
 
 @dataclass
@@ -103,7 +97,7 @@ def gen_clip(
         raise ContractError(f"fs={fs} violates Nyquist for the 2nd harmonic of {hr_bpm} bpm")
 
     t = np.arange(n_samples) / fs
-    phase = float(_rng(seed, "phase").uniform(0.0, 2.0 * math.pi))
+    phase = float(nc.rng(seed, "phase").uniform(0.0, 2.0 * math.pi))
     clean = np.sin(2.0 * math.pi * f0 * t) + 0.3 * np.sin(4.0 * math.pi * f0 * t + phase)
     sig_power = float(np.mean(clean * clean))
 
@@ -112,10 +106,10 @@ def gen_clip(
 
     bvp = clean.copy()
     if not noiseless:
-        bvp = bvp + _scaled_noise(_rng(seed, "bvp-noise"), n_samples, noise_power)
+        bvp = bvp + _scaled_noise(nc.rng(seed, "bvp-noise"), n_samples, noise_power)
     x_enc = bvp.copy()
     if not noiseless:
-        x_enc = x_enc + _scaled_noise(_rng(seed, "enc-noise"), n_samples, noise_power, color=0.3)
+        x_enc = x_enc + _scaled_noise(nc.rng(seed, "enc-noise"), n_samples, noise_power, color=0.3)
 
     # sliding windows of the waveform, randomly projected into each level,
     # so every spatial cell is a linear functional of the local pulse
@@ -123,16 +117,16 @@ def gen_clip(
     windows = np.stack([pad[i : i + _WINDOW] for i in range(n_samples)])
     pyramid = []
     for li, (h, w) in enumerate(level_shapes):
-        proj = _rng(seed, f"level{li}-proj").standard_normal((_WINDOW, h * w)) / math.sqrt(_WINDOW)
+        proj = nc.rng(seed, f"level{li}-proj").standard_normal((_WINDOW, h * w)) / math.sqrt(_WINDOW)
         feat = windows @ proj
         if not noiseless:
             level_power = float(np.mean(feat * feat)) / (10.0 ** (snr_db / 10.0))
             feat = feat + _scaled_noise(
-                _rng(seed, f"level{li}-noise"), feat.size, level_power
+                nc.rng(seed, f"level{li}-noise"), feat.size, level_power
             ).reshape(feat.shape)
         pyramid.append(feat.reshape(n_samples, h, w))
 
-    scene_rng = _rng(seed, "scene")
+    scene_rng = nc.rng(seed, "scene")
     scene = SceneMeta(
         lighting=_LIGHTING[int(scene_rng.integers(len(_LIGHTING)))],
         motion=bool(scene_rng.integers(2)),
@@ -230,6 +224,14 @@ def metrics(pred, gt) -> MetricsReport:
 # ---------------------------------------------------------------------------
 
 
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; other bytes are a ParseError naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 def save_waveform(path, samples, fs: float) -> None:
     """Header line fs=<rate>, then one decimal sample per line."""
     samples = np.asarray(samples, dtype=np.float64)
@@ -239,7 +241,7 @@ def save_waveform(path, samples, fs: float) -> None:
 
 
 def load_waveform(path) -> tuple[np.ndarray, float]:
-    lines = Path(path).read_text().splitlines()
+    lines = read_lines(path)
     if not lines or not lines[0].startswith("fs="):
         raise ParseError("expected header 'fs=<rate>'", line=1)
     try:
@@ -273,9 +275,6 @@ class ClipRecord:
     n_samples: int
     snr_db: float
     seed: int
-    lighting: str
-    motion: bool
-    skin_tone: str
     level_shapes: list = field(default_factory=lambda: [list(s) for s in LEVEL_SHAPES])
 
     def to_clip(self) -> SyntheticClip:
@@ -300,7 +299,7 @@ def write_manifest(path, records: list[ClipRecord]) -> None:
 
 def read_manifest(path) -> list[ClipRecord]:
     records = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
         try:

@@ -1,3 +1,4 @@
+import json
 from dataclasses import asdict
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from physkit import numcore as nc
 from physkit.cli import main
 from physkit.numcore import ParamStore
-from physkit.pipeline import ModelConfig, TrainConfig, train
+from physkit.pipeline import ModelConfig, TrainConfig, build_pipeline, train
 from physkit.signals import load_waveform, save_waveform
 from physkit.stationarize import standardize
 
@@ -387,3 +388,51 @@ def test_train_is_byte_deterministic(tmp_path):
 def test_missing_input_file_is_io_error(tmp_path, capsys):
     assert main(["hr", str(tmp_path / "nope.csv")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    return err
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "gradcheck"])
+def test_a_negative_seed_is_one_error_line(tmp_path, capsys, command):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--n-clips", "2"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = {
+        "synth": ["synth", "--out", str(out), "--n-clips", "2"],
+        "train": ["train", "--data", str(data / "manifest.jsonl"), "--out", str(out), "--steps", "1"],
+        "gradcheck": ["gradcheck"],
+    }[command]
+    assert main(argv + ["--seed", "-1"]) == 1
+    assert "seed must be in [0, 2**32), got -1" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["hr", "{ckpt}"], ["eval", "--pred", "{ckpt}", "--gt", "{ckpt}"], ["train", "--data", "{ckpt}", "--out", "{out}"]],
+    ids=["load_waveform", "hr_list", "read_manifest"],
+)
+def test_a_checkpoint_given_as_text_input_is_one_error_line(tmp_path, capsys, argv):
+    ckpt = tmp_path / "checkpoint.txt"
+    build_pipeline(ModelConfig()).store.save(ckpt)
+    out = tmp_path / "out"
+    assert main([a.format(ckpt=ckpt, out=out) for a in argv]) == 1
+    assert f"{ckpt} is not UTF-8 text" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_eval_refuses_a_text_checkpoint_by_its_magic_line(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--n-clips", "2"]) == 0
+    capsys.readouterr()
+    # the text format before the .npy records: one line of decimal floats per parameter
+    ckpt = tmp_path / "checkpoint.txt"
+    config = build_pipeline(ModelConfig()).store.config
+    ckpt.write_text(f"physkit-paramstore 2\n{json.dumps(config, sort_keys=True)}\nlm.head 1 1 2 0.0 0.0\n")
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(data / "manifest.jsonl")]) == 1
+    assert "missing 'physkit-paramstore 3' header" in _one_error_line(capsys)

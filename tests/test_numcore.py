@@ -258,8 +258,6 @@ def test_paramstore_save_load_roundtrip_exact(tmp_path):
     path = tmp_path / "params.txt"
     store.save(path)
     assert nc.ParamStore.read_config(path) == store.config == {"width": 3, "shapes": [[1, 2]]}
-    # the trainable flag is the second field of each record
-    assert [line.split()[1] for line in path.read_text().splitlines()[2:]] == ["1", "0", "1"]
     loaded = nc.ParamStore(config=store.config)
     for p in store:
         loaded.add(p.name, np.zeros(p.shape), p.trainable)
@@ -303,14 +301,54 @@ def test_paramstore_failed_load_changes_nothing(tmp_path, live, error):
         assert np.array_equal(store[name].value, np.full(shape, 7.0))
 
 
-def test_paramstore_parse_error_names_line(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text(nc.ParamStore.MAGIC + "\n{}\nw 1 1 2 0.0\n")
+def _load_fails_and_changes_nothing(path, error, match):
+    """Load path into a store of sevens; the load must fail and change nothing."""
     store = nc.ParamStore()
-    store.add("w", np.zeros(2))
-    with pytest.raises(ParseError) as err:
+    store.add("a", np.full(2, 7.0))
+    store.add("w", np.full((3, 4), 7.0))
+    with pytest.raises(error, match=match):
         store.load_into(path)
-    assert "line 3" in str(err.value)
+    for p in store:
+        assert np.array_equal(p.value, np.full(p.shape, 7.0))
+
+
+def test_paramstore_cut_record_is_a_parse_error_naming_it(tmp_path):
+    saved = nc.ParamStore()
+    saved.add("a", np.ones(2))
+    saved.add("w", np.ones((3, 4)))
+    path = tmp_path / "params.txt"
+    saved.save(path)
+    path.write_bytes(path.read_bytes()[:-5])
+    _load_fails_and_changes_nothing(path, ParseError, "record 2 \\('w'\\)")
+
+
+def test_paramstore_refuses_an_object_record_without_unpickling(tmp_path):
+    path = tmp_path / "params.txt"
+    with open(path, "wb") as fh:
+        fh.write(f"{nc.ParamStore.MAGIC}\n{{}}\na\n".encode())
+        np.lib.format.write_array(fh, np.ones(2))
+        fh.write(b"w\n")
+        np.lib.format.write_array(fh, np.full((3, 4), 1.0, dtype=object), allow_pickle=True)
+    _load_fails_and_changes_nothing(path, ParseError, "record 2 .*allow_pickle=False")
+
+
+def test_paramstore_refuses_a_float32_record_for_a_float64_parameter(tmp_path):
+    saved = nc.ParamStore()
+    saved.add("a", np.ones(2))
+    saved.add("w", np.ones((3, 4)))
+    saved["w"].value = saved["w"].value.astype(np.float32)
+    path = tmp_path / "params.txt"
+    saved.save(path)
+    _load_fails_and_changes_nothing(path, ShapeError, "float32 .*'w'")
+
+
+def test_rng_refuses_a_seed_outside_32_bits():
+    for seed in (-1, 2**32):
+        with pytest.raises(ContractError, match=f"got {seed}"):
+            nc.rng(seed, "x")
+    # integer keys pass through, so the adapter streams are those of SeedSequence([seed, 0xADA, length])
+    direct = np.random.default_rng(np.random.SeedSequence([2**32 - 1, 0xADA, 16]))
+    assert np.array_equal(nc.rng(2**32 - 1, 0xADA, 16).standard_normal(8), direct.standard_normal(8))
 
 
 @pytest.mark.parametrize(

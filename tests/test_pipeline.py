@@ -200,8 +200,8 @@ def test_checkpoint_refuses_another_model_config(tmp_path):
         build_pipeline(TINY, seed=0).store.load_into(path)
     assert "level" not in str(err.value)
     # the earlier format: a bare magic line, no config
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(["physkit-paramstore 1"] + lines[2:]) + "\n")
+    _magic, _config, records = path.read_bytes().split(b"\n", 2)
+    path.write_bytes(b"physkit-paramstore 1\n" + records)
     with pytest.raises(ParseError):
         load_pipeline(path)
 
@@ -210,9 +210,9 @@ def test_checkpoint_with_an_older_header_is_refused(tmp_path):
     # checkpoints saved while the model gains were config keys carry them in the header
     path = tmp_path / "ckpt.txt"
     build_pipeline(TINY, seed=0).store.save(path)
-    lines = path.read_text().splitlines()
-    lines[1] = json.dumps({**json.loads(lines[1]), "patch_gain": 2.0}, sort_keys=True)
-    path.write_text("\n".join(lines) + "\n")
+    magic, config, records = path.read_bytes().split(b"\n", 2)
+    config = json.dumps({**json.loads(config), "patch_gain": 2.0}, sort_keys=True).encode()
+    path.write_bytes(b"\n".join([magic, config, records]))
     with pytest.raises(ParseError, match="line 2: header is not a model config.*patch_gain"):
         load_pipeline(path)
     with pytest.raises(ContractError, match="patch_gain is 2.0 there, None here"):

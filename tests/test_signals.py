@@ -218,9 +218,6 @@ def test_manifest_roundtrip_and_regeneration(tmp_path):
         n_samples=128,
         snr_db=10.0,
         seed=21,
-        lighting=clip.scene.lighting,
-        motion=clip.scene.motion,
-        skin_tone=clip.scene.skin_tone,
     )
     path = tmp_path / "manifest.jsonl"
     write_manifest(path, [rec])
@@ -241,10 +238,21 @@ def test_manifest_handles_infinite_snr(tmp_path):
         n_samples=128,
         snr_db=math.inf,
         seed=1,
-        lighting="dim",
-        motion=False,
-        skin_tone="type-2",
     )
     path = tmp_path / "manifest.jsonl"
     write_manifest(path, [rec])
     assert math.isinf(read_manifest(path)[0].snr_db)
+
+
+def test_manifest_with_scene_fields_is_refused(tmp_path):
+    # the scene comes from the clip seed; a manifest that states it could contradict it
+    rec = ClipRecord(
+        clip_id="c", bvp_path="c.bvp.csv", xenc_path="c.xenc.csv", hr_bpm=72.0, fs=30.0,
+        n_samples=128, snr_db=10.0, seed=1,
+    )
+    path = tmp_path / "manifest.jsonl"
+    write_manifest(path, [rec, rec])
+    first, second = path.read_text().splitlines()
+    path.write_text(first + "\n" + second[:-1] + ', "lighting": "dim"}\n')
+    with pytest.raises(ParseError, match="line 2: .*lighting"):
+        read_manifest(path)
