@@ -18,6 +18,7 @@ argparse) or threshold failure (gradcheck/eval).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -147,12 +148,16 @@ def _hr_list_from(path) -> list[float]:
             rates.append(float(line))
         except ValueError as exc:
             raise ParseError(f"bad bpm value: {line!r}", line=lineno) from exc
+        if not math.isfinite(rates[-1]):
+            raise ParseError(f"bpm value is not finite: {line!r}", line=lineno)
     if not rates:
         raise ContractError(f"{path} holds no heart rates")
     return rates
 
 
 def cmd_eval(args) -> int:
+    if args.max_mae is not None and not args.max_mae >= 0.0:
+        raise ContractError(f"--max-mae must be >= 0, got {args.max_mae}")
     if args.pred and args.gt:
         rep = metrics(_hr_list_from(args.pred), _hr_list_from(args.gt))
     elif args.ckpt and args.data:

@@ -77,15 +77,15 @@ def rng(seed: int, *keys: int | str) -> np.random.Generator:
 
 
 class TapeNode:
-    """One recorded operation; backward state lives in the grad_fn closure."""
+    """One recorded operation, or a parameter's leaf (no parents, no grad_fn,
+    never on a tape); backward state lives in the grad_fn closure."""
 
-    __slots__ = ("op", "parents", "grad_fn", "param")
+    __slots__ = ("op", "parents", "grad_fn")
 
-    def __init__(self, op, parents=(), grad_fn=None, param=None):
+    def __init__(self, op, parents=(), grad_fn=None):
         self.op = op
         self.parents = parents
         self.grad_fn = grad_fn
-        self.param = param
 
 
 class Tape:
@@ -154,7 +154,9 @@ def as_tensor(x) -> Tensor:
 
 
 def _emit(out: Array, op: str, inputs: Sequence[Tensor], grad_fn) -> Tensor:
-    """Wrap an op result, recording a node only when it can reach a leaf."""
+    """Wrap an op result. An op is recorded on the active tape only when an
+    input has a node, i.e. when it can reach a parameter; outside a tape
+    nothing is recorded."""
     tape = _active_tape()
     if tape is None:
         return Tensor(out)
@@ -408,7 +410,7 @@ def patches_1d(t, patch_len: int, stride: int) -> Tensor:
 class Parameter:
     """Named trainable value with a gradient buffer and Adam moments."""
 
-    __slots__ = ("name", "value", "grad", "trainable", "m", "v")
+    __slots__ = ("name", "value", "grad", "trainable", "m", "v", "node")
 
     def __init__(self, name: str, value, trainable: bool = True):
         self.name = name
@@ -417,19 +419,16 @@ class Parameter:
         self.trainable = bool(trainable)
         self.m: Array | None = None
         self.v: Array | None = None
+        self.node = TapeNode("param:" + name)
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
     def use(self) -> Tensor:
-        """Read the current value, registering a leaf on the active tape."""
-        tape = _active_tape()
-        if tape is None:
-            return Tensor(self.value)
-        node = TapeNode("param:" + self.name, (), None, param=self)
-        tape._nodes.append(node)
-        return Tensor(self.value, node)
+        """The current value, attached to this parameter's one leaf node.
+        The leaf is never put on a tape; ops that read it are recorded."""
+        return Tensor(self.value, self.node)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = "" if self.trainable else ", frozen"
@@ -547,44 +546,38 @@ class ParamStore:
 
 
 def backward(loss: Tensor, store: ParamStore) -> ParamStore:
-    """Populate grad buffers with d(loss)/d(param) for trainable parameters.
+    """Set the grad buffer of every trainable parameter in the store to
+    d(loss)/d(param), or to zeros where the loss does not reach it.
 
-    The sweep walks the active tape, so backward runs inside the same
-    ``with Tape()`` block that recorded the loss. Grads of every trainable
-    parameter in the store are reset first, so the buffers always hold
-    exactly this loss's gradient.
+    The sweep walks the op nodes of the active tape, so backward runs inside
+    the same ``with Tape()`` that recorded the loss; a parameter used directly
+    as the loss gets gradient 1. Only the store's parameters are written: a
+    trainable parameter outside it keeps its grad buffer, even if the loss
+    reaches it. Two buffers may share memory, so replace a buffer rather
+    than write into it.
     """
     if loss.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     tape = _active_tape()
     if tape is None:
         raise ContractError("backward must run inside the `with Tape()` that recorded the loss")
-    for p in store.trainable():
-        p.grad = np.zeros_like(p.value)
     node = loss.node
-    if node is None:
-        return store
-    if node not in tape._nodes:
+    if node is not None and node.grad_fn is not None and node not in tape._nodes:
         raise ContractError("the loss was not recorded on the active tape")
-    touched = {n.param for n in tape._nodes if n.param is not None}
-    for p in touched:
-        if p.trainable and p.name not in store._params:
-            p.grad = np.zeros_like(p.value)
 
-    adjoint: dict[TapeNode, Array] = {node: np.ones_like(loss.data)}
+    adjoint: dict[TapeNode, Array] = {} if node is None else {node: np.ones_like(loss.data)}
     for n in reversed(tape._nodes):
         g = adjoint.pop(n, None)
         if g is None:
-            continue
-        if n.param is not None:
-            if n.param.trainable:
-                n.param.grad = n.param.grad + g
             continue
         for parent, pg in zip(n.parents, n.grad_fn(g)):
             if parent is None or pg is None:
                 continue
             acc = adjoint.get(parent)
             adjoint[parent] = pg if acc is None else acc + pg
+    for p in store.trainable():
+        g = adjoint.get(p.node)
+        p.grad = np.zeros_like(p.value) if g is None else g
     return store
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,8 @@ _LIGHTING = ("dim", "normal", "bright")
 _SKIN_TONES = tuple(f"type-{i}" for i in range(1, 7))
 # samples of waveform behind each pyramid frame
 _WINDOW = 9
-# default (height, width) of each feature-pyramid level, shallowest first
+# (height, width) of each feature-pyramid level of a synthetic clip,
+# shallowest first; also the model's default
 LEVEL_SHAPES = ((8, 8), (6, 6), (4, 4))
 
 
@@ -81,7 +82,6 @@ def gen_clip(
     n_samples: int = 128,
     snr_db: float = 10.0,
     seed: int = 0,
-    level_shapes: tuple[tuple[int, int], ...] = LEVEL_SHAPES,
 ) -> SyntheticClip:
     """Deterministically synthesize one clip; snr_db=inf means noiseless."""
     if not (math.isfinite(fs) and fs > 0.0):
@@ -116,7 +116,7 @@ def gen_clip(
     pad = np.concatenate([np.full(_WINDOW - 1, bvp[0]), bvp])
     windows = np.stack([pad[i : i + _WINDOW] for i in range(n_samples)])
     pyramid = []
-    for li, (h, w) in enumerate(level_shapes):
+    for li, (h, w) in enumerate(LEVEL_SHAPES):
         proj = nc.rng(seed, f"level{li}-proj").standard_normal((_WINDOW, h * w)) / math.sqrt(_WINDOW)
         feat = windows @ proj
         if not noiseless:
@@ -275,7 +275,6 @@ class ClipRecord:
     n_samples: int
     snr_db: float
     seed: int
-    level_shapes: list = field(default_factory=lambda: [list(s) for s in LEVEL_SHAPES])
 
     def to_clip(self) -> SyntheticClip:
         return gen_clip(
@@ -284,7 +283,6 @@ class ClipRecord:
             n_samples=self.n_samples,
             snr_db=self.snr_db,
             seed=self.seed,
-            level_shapes=tuple(tuple(s) for s in self.level_shapes),
         )
 
 
@@ -305,6 +303,8 @@ def read_manifest(path) -> list[ClipRecord]:
         try:
             payload = json.loads(line)
             payload["snr_db"] = float(payload["snr_db"])
+            if not math.isfinite(payload["hr_bpm"]):
+                raise ValueError(f"hr_bpm is not finite: {payload['hr_bpm']}")
             records.append(ClipRecord(**payload))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad manifest record: {exc}", line=lineno) from exc

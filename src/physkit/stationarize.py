@@ -181,10 +181,7 @@ def _domain_paths(x: np.ndarray, p: SmootherParams):
 
 
 def _blend(z_time: np.ndarray, z_fre: np.ndarray, p: SmootherParams) -> nc.Tensor:
-    if p.blend_override is not None:
-        b = float(p.blend_override)
-        return nc.Tensor((1.0 - b) * z_time + b * z_fre)
-    b = nc.sigmoid(p.blend_raw.use())
+    b = nc.sigmoid(p.blend_raw.use()) if p.blend_override is None else nc.Tensor(p.blend_override)
     keep = nc.sub(nc.Tensor(1.0), b)
     return nc.add(nc.mul(nc.Tensor(z_time), keep), nc.mul(nc.Tensor(z_fre), b))
 

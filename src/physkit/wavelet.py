@@ -27,35 +27,29 @@ _SQRT3 = math.sqrt(3.0)
 class WaveletBasis:
     """Orthonormal analysis filter pair.
 
-    The high-pass taps must satisfy the quadrature-mirror relation
-    hi[k] == (-1)^k * lo[n-1-k]; construction enforces it. The synthesis
-    taps equal the analysis taps because reconstruction applies the
-    transposed (i.e. inverse) operator.
+    The high-pass taps are the quadrature mirror of the low-pass ones,
+    hi[k] = (-1)^k * lo[n-1-k]. The synthesis taps equal the analysis taps
+    because reconstruction applies the transposed (i.e. inverse) operator.
     """
 
     name: str
     lo: np.ndarray
-    hi: np.ndarray
+    hi: np.ndarray = field(init=False)
 
     def __post_init__(self):
         lo = np.asarray(self.lo, dtype=np.float64)
-        hi = np.asarray(self.hi, dtype=np.float64)
         object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        n = lo.size
-        if hi.size != n or n % 2 != 0:
-            raise ContractError(f"filter pair for {self.name!r} must share an even length")
-        mirror = np.array([(-1.0) ** k * lo[n - 1 - k] for k in range(n)])
-        if not np.allclose(hi, mirror, atol=1e-12):
-            raise ContractError(f"filters for {self.name!r} break the quadrature-mirror relation")
+        object.__setattr__(self, "hi", lo[::-1] * (-1.0) ** np.arange(lo.size))
+        if lo.size % 2 != 0:
+            raise ContractError(f"filters for {self.name!r} must have an even length")
         if not math.isclose(float(lo @ lo), 1.0, abs_tol=1e-12):
             raise ContractError(f"low-pass taps for {self.name!r} are not unit-norm")
 
 
-HAAR = WaveletBasis("haar", np.array([1.0, 1.0]) / _SQRT2, np.array([1.0, -1.0]) / _SQRT2)
-
-_D4_LO = np.array([1.0 + _SQRT3, 3.0 + _SQRT3, 3.0 - _SQRT3, 1.0 - _SQRT3]) / (4.0 * _SQRT2)
-DB4 = WaveletBasis("db4", _D4_LO, np.array([_D4_LO[3], -_D4_LO[2], _D4_LO[1], -_D4_LO[0]]))
+HAAR = WaveletBasis("haar", np.array([1.0, 1.0]) / _SQRT2)
+DB4 = WaveletBasis(
+    "db4", np.array([1.0 + _SQRT3, 3.0 + _SQRT3, 3.0 - _SQRT3, 1.0 - _SQRT3]) / (4.0 * _SQRT2)
+)
 
 _BASES = {b.name: b for b in (HAAR, DB4)}
 

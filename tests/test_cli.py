@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -276,6 +277,44 @@ def test_eval_threshold_exit_code(tmp_path, capsys):
     assert main(["eval", "--pred", str(pred), "--gt", str(gt), "--max-mae", "5"]) == 2
     capsys.readouterr()
     assert main(["eval", "--pred", str(pred), "--gt", str(gt), "--max-mae", "15"]) == 0
+
+
+@pytest.mark.parametrize("bound", ["nan", "-1"])
+def test_eval_refuses_a_max_mae_below_zero_or_nan(tmp_path, capsys, bound):
+    pred, gt = tmp_path / "pred.txt", tmp_path / "gt.txt"
+    pred.write_text("70\n80\n")
+    gt.write_text("40\n110\n")
+    assert main(["eval", "--pred", str(pred), "--gt", str(gt), "--max-mae", bound]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+    assert "--max-mae" in captured.err
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf", "-inf"])
+def test_eval_refuses_a_non_finite_rate_naming_its_line(tmp_path, capsys, rate):
+    pred, gt = tmp_path / "pred.txt", tmp_path / "gt.txt"
+    pred.write_text(f"70\n{rate}\n")
+    gt.write_text("70\n80\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["eval", "--pred", str(pred), "--gt", str(gt), "--max-mae", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: line 2:")
+
+
+def test_eval_refuses_a_manifest_rate_that_is_not_finite(tmp_path, capsys):
+    assert main(["synth", "--out", str(tmp_path / "d"), "--n-clips", "2", "--seed", "6"]) == 0
+    gt = tmp_path / "d" / "manifest.jsonl"
+    first, second = gt.read_text().splitlines()
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text(first + "\n" + json.dumps({**json.loads(second), "hr_bpm": float("nan")}) + "\n")
+    capsys.readouterr()
+    assert main(["eval", "--pred", str(pred), "--gt", str(gt), "--max-mae", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: line 2:")
 
 
 def test_eval_requires_a_mode(capsys):

@@ -5,6 +5,8 @@ import pytest
 
 from physkit import numcore as nc
 from physkit.errors import ContractError, NumericError, ParseError, ShapeError
+from physkit.pipeline import batch_from_clips, build_pipeline, mse_loss
+from physkit.signals import gen_clip
 
 
 def test_matmul_identity():
@@ -95,6 +97,46 @@ def test_backward_needs_the_tape_that_recorded_the_loss():
     with nc.Tape():
         with pytest.raises(ContractError, match="not recorded on the active tape"):
             nc.backward(loss, store)
+
+
+def test_a_parameter_is_one_leaf_that_no_tape_holds():
+    model = build_pipeline(seed=0)
+    assert model.head.use().node is model.head.node
+    clips = [gen_clip(70.0 + 10.0 * i, seed=i) for i in range(4)]
+    pyr, x_enc, scenes = batch_from_clips(clips)
+    with nc.Tape() as tape:
+        loss = mse_loss(model.forward(pyr, x_enc, scenes), nc.Tensor(np.stack([c.bvp for c in clips])))
+        nc.backward(loss, model.store)
+    assert len(tape) > 0
+    assert not [n.op for n in tape._nodes if n.op.startswith("param:") or n.grad_fn is None]
+
+
+def test_a_parameter_used_twice_gets_both_gradients():
+    store = nc.ParamStore()
+    p = store.add("p", [1.0, -3.0])
+    with nc.Tape():
+        nc.backward(nc.sum_all(nc.add(p.use(), p.use())), store)
+    assert np.array_equal(p.grad, [2.0, 2.0])
+
+
+def test_a_scalar_parameter_used_as_the_loss_gets_gradient_one():
+    store = nc.ParamStore()
+    p = store.add("p", 0.25)
+    with nc.Tape() as tape:
+        nc.backward(p.use(), store)
+    assert len(tape) == 0
+    assert p.grad.shape == () and p.grad == 1.0
+
+
+def test_backward_writes_only_the_given_store():
+    outside, inside = nc.ParamStore(), nc.ParamStore()
+    a = outside.add("a", [1.0, 2.0])
+    b = inside.add("b", [3.0, 4.0])
+    old = a.grad = np.array([7.0, 8.0])
+    with nc.Tape():
+        nc.backward(nc.sum_all(nc.mul(a.use(), b.use())), inside)
+    assert a.grad is old and np.array_equal(a.grad, [7.0, 8.0])
+    assert np.array_equal(b.grad, [1.0, 2.0])
 
 
 def test_composite_graph_matches_finite_differences():

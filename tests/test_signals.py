@@ -256,3 +256,16 @@ def test_manifest_with_scene_fields_is_refused(tmp_path):
     path.write_text(first + "\n" + second[:-1] + ', "lighting": "dim"}\n')
     with pytest.raises(ParseError, match="line 2: .*lighting"):
         read_manifest(path)
+
+
+def test_manifest_with_level_shapes_is_refused(tmp_path):
+    # every clip's pyramid has LEVEL_SHAPES, so a manifest states no shapes
+    rec = ClipRecord(
+        clip_id="c", bvp_path="c.bvp.csv", xenc_path="c.xenc.csv", hr_bpm=72.0, fs=30.0,
+        n_samples=128, snr_db=10.0, seed=1,
+    )
+    path = tmp_path / "manifest.jsonl"
+    write_manifest(path, [rec])
+    path.write_text(path.read_text()[:-2] + ', "level_shapes": [[8, 8], [6, 6], [4, 4]]}\n')
+    with pytest.raises(ParseError, match="line 1: .*level_shapes"):
+        read_manifest(path)
