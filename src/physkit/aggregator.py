@@ -98,8 +98,9 @@ def init_aggregator(
 
 
 def project_level(f, p: AggregatorParams, level: int) -> nc.Tensor:
-    """Flatten a level spatially, map to the model width, compress time."""
-    f = np.asarray(f, dtype=np.float64)
+    """Flatten a level spatially, map to the model width, compress time.
+    The level is cast to the dtype of the aggregator's parameters."""
+    f = np.asarray(f, dtype=p.temporal.value.dtype)
     if f.ndim != 4:
         raise ShapeError(f"level tensor must be (batch, time, h, w), got {f.shape}")
     b, t, h, w = f.shape

@@ -10,7 +10,8 @@ synth, train and gradcheck draw all randomness from one root seed (--seed)
 split by fixed labels. No other command takes --seed, except dds, which
 ignores it. `eval --ckpt` takes no model flags: the model comes from the
 checkpoint. Its two text lines, a magic line and the trained config as JSON
-keyed by train's flag dests, precede a name line and an .npy record per parameter.
+keyed by train's flag dests, precede a name line and a float32 .npy record
+per parameter.
 Exit codes: 0 success, 1 contract/parse/IO error, 2 usage error (from
 argparse) or threshold failure (gradcheck/eval).
 """

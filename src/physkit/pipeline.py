@@ -6,6 +6,12 @@ Token budget: prompt_len + 2 * n_prototypes tokens enter the regressor for
 every sample (the two prototype blocks are the reprogrammed visual and
 signal streams). The regression head starts at zero so the first predicted
 waveform is flat and the initial loss equals the target's mean power.
+
+The model computes in float32: its parameters, every op of the forward and
+backward pass, and the optimizer state. ``train`` and ``predict`` run with
+subnormal numbers flushed to zero (``numcore.subnormals_flushed``). The
+stationarizer smooths in float64 and hands its blend to the model in float32;
+``grad_check`` audits the model through the store's float64 image.
 """
 
 from __future__ import annotations
@@ -212,9 +218,10 @@ class _stage:
 
 
 def build_pipeline(cfg: ModelConfig | None = None, seed: int = 0) -> Pipeline:
-    """Register every sub-module's parameters in one store, deterministically."""
+    """Register every sub-module's parameters in one float32 store,
+    deterministically."""
     cfg = cfg if cfg is not None else ModelConfig()
-    store = nc.ParamStore(config=asdict(cfg))
+    store = nc.ParamStore(config=asdict(cfg), dtype=np.float32)
     vocab = init_vocab(store, cfg.vocab_size, cfg.dim, seed=seed)
     probe = init_probe(store, cfg.vocab_size, cfg.n_prototypes, nc.rng(seed, "probe"))
     reprogrammer = init_reprogrammer(
@@ -289,10 +296,11 @@ def load_pipeline(path) -> Pipeline:
 
 
 def mse_loss(pred, target) -> nc.Tensor:
+    """Mean squared error, with the target cast to the prediction's dtype."""
     pred, target = nc.as_tensor(pred), nc.as_tensor(target)
     if pred.shape != target.shape:
         raise ShapeError(f"loss shapes differ: {pred.shape} vs {target.shape}")
-    d = nc.sub(pred, target)
+    d = nc.sub(pred, nc.Tensor(target.data.astype(pred.data.dtype, copy=False), target.node))
     return nc.mean_all(nc.mul(d, d))
 
 
@@ -307,11 +315,12 @@ def batch_from_clips(clips: list[SyntheticClip]) -> tuple[FeaturePyramid, np.nda
 def predict(model: Pipeline, clips: list[SyntheticClip], batch_size: int = 8) -> list[np.ndarray]:
     """Plain forward passes; no tape, no parameter updates."""
     outputs: list[np.ndarray] = []
-    for lo in range(0, len(clips), batch_size):
-        chunk = clips[lo : lo + batch_size]
-        pyr, x_enc, scenes = batch_from_clips(chunk)
-        pred = model.forward(pyr, x_enc, scenes)
-        outputs.extend(np.asarray(row) for row in pred.data)
+    with nc.subnormals_flushed():
+        for lo in range(0, len(clips), batch_size):
+            chunk = clips[lo : lo + batch_size]
+            pyr, x_enc, scenes = batch_from_clips(chunk)
+            pred = model.forward(pyr, x_enc, scenes)
+            outputs.extend(np.asarray(row) for row in pred.data)
     return outputs
 
 
@@ -347,17 +356,18 @@ def train(
         require_hr_length(model.cfg.chunk_len, c.fs)
     batch_rng = nc.rng(cfg.seed, "train-batches")
     log = TrainLog()
-    for step in range(1, cfg.steps + 1):
-        idx = batch_rng.integers(0, len(clips), size=cfg.batch_size)
-        chosen = [clips[i] for i in idx]
-        pyr, x_enc, scenes = batch_from_clips(chosen)
-        target = np.stack([c.bvp for c in chosen])
-        with nc.Tape():
-            pred = model.forward(pyr, x_enc, scenes)
-            loss = mse_loss(pred, nc.Tensor(target))
-            nc.backward(loss, model.store)
-        nc.adam_step(model.store, lr=cfg.lr, wd=cfg.weight_decay, t=step)
-        log.losses.append(float(loss.item()))
+    with nc.subnormals_flushed():
+        for step in range(1, cfg.steps + 1):
+            idx = batch_rng.integers(0, len(clips), size=cfg.batch_size)
+            chosen = [clips[i] for i in idx]
+            pyr, x_enc, scenes = batch_from_clips(chosen)
+            target = np.stack([c.bvp for c in chosen])
+            with nc.Tape():
+                pred = model.forward(pyr, x_enc, scenes)
+                loss = mse_loss(pred, nc.Tensor(target))
+                nc.backward(loss, model.store)
+            nc.adam_step(model.store, lr=cfg.lr, wd=cfg.weight_decay, t=step)
+            log.losses.append(float(loss.item()))
     window = max(1, cfg.steps // 10)
     log.initial_running_loss = float(np.mean(log.losses[:window]))
     log.final_running_loss = float(np.mean(log.losses[-window:]))

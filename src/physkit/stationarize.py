@@ -181,8 +181,14 @@ def _domain_paths(x: np.ndarray, p: SmootherParams):
 
 
 def _blend(z_time: np.ndarray, z_fre: np.ndarray, p: SmootherParams) -> nc.Tensor:
-    b = nc.sigmoid(p.blend_raw.use()) if p.blend_override is None else nc.Tensor(p.blend_override)
-    keep = nc.sub(nc.Tensor(1.0), b)
+    """The blend of the two float64 paths, in the blend parameter's dtype."""
+    dtype = p.blend_raw.value.dtype
+    z_time, z_fre = z_time.astype(dtype, copy=False), z_fre.astype(dtype, copy=False)
+    if p.blend_override is None:
+        b = nc.sigmoid(p.blend_raw.use())
+    else:
+        b = nc.Tensor(np.asarray(p.blend_override, dtype))
+    keep = nc.sub(nc.Tensor(np.ones((), dtype)), b)
     return nc.add(nc.mul(nc.Tensor(z_time), keep), nc.mul(nc.Tensor(z_fre), b))
 
 

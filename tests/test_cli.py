@@ -475,3 +475,16 @@ def test_eval_refuses_a_text_checkpoint_by_its_magic_line(tmp_path, capsys):
     ckpt.write_text(f"physkit-paramstore 2\n{json.dumps(config, sort_keys=True)}\nlm.head 1 1 2 0.0 0.0\n")
     assert main(["eval", "--ckpt", str(ckpt), "--data", str(data / "manifest.jsonl")]) == 1
     assert "missing 'physkit-paramstore 3' header" in _one_error_line(capsys)
+
+
+def test_eval_refuses_a_float64_checkpoint_as_one_error_line(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--n-clips", "2"]) == 0
+    capsys.readouterr()
+    # checkpoints saved before the model computed in float32 hold float64 records
+    ckpt = tmp_path / "checkpoint.txt"
+    store = build_pipeline(ModelConfig()).store
+    with store.float64_image():
+        store.save(ckpt)
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(data / "manifest.jsonl")]) == 1
+    assert "checkpoint float64 (1024, 64) != live float32 (1024, 64) for 'vocab.embedding'" in _one_error_line(capsys)

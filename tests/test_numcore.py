@@ -375,12 +375,13 @@ def test_paramstore_refuses_an_object_record_without_unpickling(tmp_path):
 
 
 def test_paramstore_refuses_a_float32_record_for_a_float64_parameter(tmp_path):
-    saved = nc.ParamStore()
-    saved.add("a", np.ones(2))
-    saved.add("w", np.ones((3, 4)))
-    saved["w"].value = saved["w"].value.astype(np.float32)
+    # a parameter keeps its dtype when assigned, so the record is written by hand
     path = tmp_path / "params.txt"
-    saved.save(path)
+    with open(path, "wb") as fh:
+        fh.write(f"{nc.ParamStore.MAGIC}\n{{}}\na\n".encode())
+        np.lib.format.write_array(fh, np.ones(2))
+        fh.write(b"w\n")
+        np.lib.format.write_array(fh, np.ones((3, 4), dtype=np.float32))
     _load_fails_and_changes_nothing(path, ShapeError, "float32 .*'w'")
 
 
@@ -411,3 +412,87 @@ def test_paramstore_refuses_a_file_without_config_header(tmp_path, text, line):
     for read in (store.load_into, nc.ParamStore.read_config):
         with pytest.raises(ParseError, match=f"line {line}"):
             read(path)
+
+
+def test_mean_over_and_concat_refuse_an_axis_out_of_range():
+    t = nc.Tensor(np.ones((2, 3, 4)))
+    for axis in (3, 5, -4):
+        with pytest.raises(ShapeError, match=f"axis {axis} is out of range for a 3-d input"):
+            nc.mean_over(t, axis)
+        with pytest.raises(ShapeError, match=f"axis {axis} is out of range"):
+            nc.concat([t, t], axis=axis)
+    assert nc.mean_over(t, -1).shape == (2, 3)
+    assert nc.concat([t, t], axis=-3).shape == (4, 3, 4)
+
+
+def test_concat_and_reshape_mismatches_name_both_shapes():
+    with pytest.raises(ShapeError, match=r"concat on axis 0: shapes \(2, 3\), \(2, 4\)"):
+        nc.concat([np.ones((2, 3)), np.ones((2, 4))], axis=0)
+    with pytest.raises(ShapeError, match=r"shapes \(2, 3\), \(3,\)"):
+        nc.concat([np.ones((2, 3)), np.ones(3)], axis=1)
+    with pytest.raises(ShapeError, match=r"reshape: cannot reshape \(2, 3\) into \(4, 2\)"):
+        nc.reshape(np.ones((2, 3)), (4, 2))
+
+
+def test_tensors_keep_float32_and_float64_and_widen_the_rest():
+    assert nc.Tensor(np.ones(2, dtype=np.float32)).data.dtype == np.float32
+    assert nc.Tensor(np.ones(2)).data.dtype == np.float64
+    for other in (np.arange(3), [1, 2], 1.5, np.ones(2, dtype=np.float16)):
+        assert nc.Tensor(other).data.dtype == np.float64
+    # a python float constant is weak: it does not widen a float32 op
+    x = nc.Tensor(np.ones(2, dtype=np.float32))
+    assert nc.scale(nc.sigmoid(x), 0.5).data.dtype == np.float32
+
+
+def test_a_parameter_keeps_its_dtype_when_assigned():
+    store = nc.ParamStore(dtype=np.float32)
+    p = store.add("w", np.arange(3.0))
+    assert p.value.dtype == p.grad.dtype == np.float32
+    p.value = np.array([0.1, 0.2, 0.3])
+    assert p.value.dtype == np.float32
+    assert np.array_equal(p.value, np.array([0.1, 0.2, 0.3], dtype=np.float32))
+    assert nc.ParamStore().add("w", 1).value.dtype == np.float64
+
+
+def test_the_float64_image_is_undone_even_on_an_error():
+    store = nc.ParamStore(dtype=np.float32)
+    w = store.add("w", [1.0, 2.0])
+    value, grad = w.value, w.grad
+    with pytest.raises(RuntimeError):
+        with store.float64_image():
+            assert w.value.dtype == np.float64 and np.array_equal(w.value, [1.0, 2.0])
+            w.value[0] = 5.0
+            w.grad = np.ones(2)
+            raise RuntimeError("inside")
+    assert w.value is value and w.grad is grad
+    assert w.value.dtype == np.float32 and np.array_equal(w.value, [1.0, 2.0])
+
+
+def test_grad_check_audits_a_float32_store_in_float64_and_restores_it():
+    rng = np.random.default_rng(21)
+    store = nc.ParamStore(dtype=np.float32)
+    w = store.add("w", rng.standard_normal((3, 2)))
+    x = nc.Tensor(rng.standard_normal((4, 3)).astype(np.float32))
+    before = w.value.copy()
+
+    def f():
+        # float32 input, float64 weights in the image: promotion widens the map
+        return nc.mean_all(nc.gelu(nc.matmul(x, w.use())))
+
+    # a float32 map would fail a 1e-8 bound on round-off alone
+    assert nc.grad_check(f, store) < 1e-8
+    assert w.value.dtype == np.float32 and np.array_equal(w.value, before)
+    with pytest.raises(ContractError, match="deterministic"):
+        nc.grad_check(lambda: nc.scale(f(), rng.random()), store)
+    assert w.value.dtype == np.float32 and np.array_equal(w.value, before)
+
+
+def test_subnormals_flush_to_zero_only_inside_the_block():
+    small, quarter = np.float32(2e-38), np.float32(0.25)  # 2e-38 is normal, 5e-39 is not
+    assert small * quarter > 0.0
+    with pytest.raises(RuntimeError):
+        with nc.subnormals_flushed():
+            assert (small * quarter == 0.0) == (nc._FENV_CALLS is not None)
+            assert small * np.float32(2.0) == np.float32(4e-38)
+            raise RuntimeError("inside")
+    assert small * quarter == np.float32(5e-39)

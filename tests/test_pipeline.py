@@ -21,6 +21,7 @@ from physkit.pipeline import (
     train,
 )
 from physkit.signals import gen_clip
+from physkit.stationarize import init_smoother, smooth
 
 TINY = ModelConfig(
     dim=8,
@@ -298,4 +299,92 @@ def test_initial_loss_equals_target_power_with_zero_heads():
     pyr, x_enc, scenes = batch_from_clips(clips)
     target = np.stack([c.bvp for c in clips])
     loss = mse_loss(model.forward(pyr, x_enc, scenes), nc.Tensor(target)).item()
+    # the model computes in float32: the target's power at that dtype
+    target = target.astype(model.store.dtype)
     assert loss == pytest.approx(float(np.mean(target**2)), rel=1e-12)
+
+
+def _generic_point(model, seed):
+    """Nonzero heads and gates, so gradient reaches every parameter."""
+    rng = np.random.default_rng(seed)
+    for p, s in ((model.head, 0.2), (model.head_skip, 0.2), (model.aggregator.gate_inner, 0.5),
+                 (model.aggregator.gate_outer, 0.5)):
+        p.value = rng.standard_normal(p.shape) * s
+
+
+def test_float32_gradients_match_the_float64_image_on_the_default_model():
+    model = build_pipeline(seed=0)
+    _generic_point(model, seed=1)
+    clips = _clips(4, base_seed=17)
+    batch = batch_from_clips(clips)
+    target = nc.Tensor(np.stack([c.bvp for c in clips]))
+
+    def grads():
+        with nc.Tape():
+            nc.backward(mse_loss(model.forward(*batch), target), model.store)
+        return {p.name: p.grad.astype(np.float64) for p in model.store.trainable()}
+
+    with model.store.float64_image():
+        exact = grads()
+    single = grads()
+    for name, g in exact.items():
+        norm = np.linalg.norm(g)
+        assert norm > 0.0, name
+        assert np.linalg.norm(single[name] - g) <= 1e-4 * norm, name
+
+
+def test_the_model_dtype_sticks(tmp_path):
+    clips = _clips(4, base_seed=18)
+    model, _ = train(clips, TrainConfig(steps=2), model=build_pipeline(seed=0))
+    for p in model.store:
+        assert p.value.dtype == p.grad.dtype == np.float32, p.name
+        if p.trainable:
+            assert p.m.dtype == p.v.dtype == np.float32, p.name
+    pyr, x_enc, scenes = batch_from_clips(clips)
+    assert pyr.levels[0].dtype == x_enc.dtype == np.float64
+    assert model.forward(pyr, x_enc, scenes).data.dtype == np.float32
+    before, after = tmp_path / "before.ckpt", tmp_path / "after.ckpt"
+    model.store.save(before)
+    model.head.value = model.head.value.astype(np.float64)
+    model.store.save(after)
+    assert after.read_bytes() == before.read_bytes()
+    # a bare store, as `physkit dds` builds it, stays in float64
+    smoother = init_smoother(nc.ParamStore())
+    z, trace = smooth(clips[0].x_enc, smoother)
+    assert z.data.dtype == trace.z_time.dtype == trace.z_fre.dtype == np.float64
+    assert smoother.blend_raw.value.dtype == np.float64
+
+
+def test_every_op_of_a_float32_train_step_computes_in_float32(monkeypatch):
+    dtypes = set()
+    emit = nc._emit
+
+    def spy(out, op, inputs, grad_fn):
+        dtypes.add((op, out.dtype.name))
+
+        def checked(g):
+            grads = grad_fn(g)
+            dtypes.update(("d " + op, d.dtype.name) for d in grads if d is not None)
+            return grads
+
+        return emit(out, op, inputs, checked)
+
+    monkeypatch.setattr(nc, "_emit", spy)
+    train(_clips(4, base_seed=19), TrainConfig(steps=1), model=build_pipeline(seed=0))
+    assert {"matmul", "d matmul", "softmax_rows", "gelu", "d patches_1d"} <= {op for op, _ in dtypes}
+    assert {d for _, d in dtypes} == {"float32"}, sorted(dtypes)
+
+
+def test_a_float64_checkpoint_is_refused_naming_the_parameter(tmp_path):
+    model = build_pipeline(TINY, seed=0)
+    path = tmp_path / "old.ckpt"
+    with model.store.float64_image():  # the records of a checkpoint saved before float32 models
+        model.store.save(path)
+    with pytest.raises(ShapeError, match=r"checkpoint float64 .* != live float32 .* for 'vocab.embedding'"):
+        load_pipeline(path)
+    live = build_pipeline(TINY, seed=1)
+    before = {p.name: p.value.copy() for p in live.store}
+    with pytest.raises(ShapeError, match="float64"):
+        live.store.load_into(path)
+    for p in live.store:
+        assert p.value.dtype == np.float32 and np.array_equal(p.value, before[p.name]), p.name
