@@ -48,5 +48,5 @@ for seed, (kind, text) in enumerate(captions.items()):
     print(f"{kind:6s}| {len(ids)} token ids -> {streams[kind].shape[1]} prompt tokens")
 
 weights = init_fusion(store, "fuse", prompt_len=16, dim=64)
-prompt = fuse_cues(streams["task"], streams["vision"], streams["stats"], weights)
+prompt = fuse_cues(streams, weights)
 print("fused prompt:", prompt.shape)

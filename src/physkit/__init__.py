@@ -44,7 +44,6 @@ from .attention import (
 )
 from .aggregator import AggregatorParams, FeaturePyramid, aggregate, init_aggregator, project_level
 from .reprogram import (
-    PrototypeProbe,
     ReprogrammerParams,
     VocabEmbedding,
     derive_prototypes,
@@ -55,7 +54,6 @@ from .reprogram import (
 )
 from .cues import (
     TASK_CAPTION,
-    FusionWeights,
     SceneMeta,
     StatSummary,
     compress,

@@ -31,7 +31,7 @@ class FeaturePyramid:
     levels: list[np.ndarray] = field(default_factory=list)
 
     def __post_init__(self):
-        self.levels = [np.asarray(f, dtype=np.float64) for f in self.levels]
+        self.levels = [np.asarray(f) for f in self.levels]
         for f in self.levels:
             if f.ndim != 4:
                 raise ShapeError(f"pyramid level must be 4-d, got {f.shape}")

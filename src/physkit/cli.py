@@ -31,6 +31,7 @@ from .errors import ContractError, ParseError, PhyskitError
 from .pipeline import ModelConfig, TrainConfig, build_pipeline, load_pipeline, mse_loss, predict, train
 from .reprogram import derive_prototypes, init_probe, init_reprogrammer, init_vocab, reprogram
 from .signals import (
+    HR_BAND_BPM,
     ClipRecord,
     estimate_hr,
     gen_clip,
@@ -62,7 +63,7 @@ def cmd_synth(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     records = []
     for i in range(n):
-        hr = float(hr_rng.uniform(45.0, 150.0))
+        hr = float(hr_rng.uniform(*HR_BAND_BPM))
         clip_seed = (seed * 1_000_003 + i) % (1 << 31)
         clip = gen_clip(hr, fs=args.fs, n_samples=args.chunk_len, snr_db=args.snr, seed=clip_seed)
         bvp_name, xenc_name = f"clip_{i:03d}.bvp.csv", f"clip_{i:03d}.xenc.csv"
@@ -228,8 +229,8 @@ def _gradcheck_modules(seed: int) -> dict[str, float]:
     streams = [nc.Tensor(rng.standard_normal((1, n, 8))) for n in (2, 6, 4)]
 
     def f_cue():
-        parts = [compress(s, c) for s, c in zip(streams, comps)]
-        out = fuse_cues(*parts, fusion)
+        parts = {kind: compress(s, c) for kind, s, c in zip(fusion, streams, comps)}
+        out = fuse_cues(parts, fusion)
         return nc.mean_all(nc.mul(out, out))
 
     results["cue"] = nc.grad_check(

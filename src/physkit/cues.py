@@ -5,7 +5,8 @@ Each cue is a plain-string caption: the task description is the constant
 physiological statistics from ``signal_stats`` through ``stats_caption``.
 ``tokenize`` hashes a caption into a tuple of vocabulary ids. A per-kind
 attentive compressor squeezes each caption's embeddings to a fixed prompt
-length, and learnable element-wise weights fuse the three streams.
+length, and learnable element-wise weights fuse the three streams. Streams,
+compressors and fusion weights are dicts keyed by ``CUE_KINDS``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -192,35 +194,20 @@ def compress(tokens, p: CompressorParams) -> nc.Tensor:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FusionWeights:
-    """Per-kind (prompt_len, dim) weights, broadcast over the batch."""
-
-    task: nc.Parameter
-    vision: nc.Parameter
-    stats: nc.Parameter
+def init_fusion(store: nc.ParamStore, prefix: str, prompt_len: int, dim: int) -> dict[str, nc.Parameter]:
+    """One (prompt_len, dim) weight per kind, keyed and added in ``CUE_KINDS``
+    order. Every weight starts at 1/3: the fused stream is the streams' mean."""
+    return {kind: store.add(f"{prefix}.{kind}", np.full((prompt_len, dim), 1.0 / 3.0)) for kind in CUE_KINDS}
 
 
-def init_fusion(store: nc.ParamStore, prefix: str, prompt_len: int, dim: int) -> FusionWeights:
-    """Every weight starts at 1/3: the fused stream is the streams' mean."""
-    shape = (prompt_len, dim)
-    return FusionWeights(
-        task=store.add(f"{prefix}.task", np.full(shape, 1.0 / 3.0)),
-        vision=store.add(f"{prefix}.vision", np.full(shape, 1.0 / 3.0)),
-        stats=store.add(f"{prefix}.stats", np.full(shape, 1.0 / 3.0)),
-    )
-
-
-def fuse_cues(e_task, e_vision, e_stats, w: FusionWeights) -> nc.Tensor:
-    """Element-wise weighted sum of the three compressed cue streams."""
-    e_task, e_vision, e_stats = (nc.as_tensor(e) for e in (e_task, e_vision, e_stats))
-    if not (e_task.shape == e_vision.shape == e_stats.shape):
-        raise ShapeError(
-            f"cue streams disagree: {e_task.shape}, {e_vision.shape}, {e_stats.shape}"
-        )
-    if e_task.shape[1:] != w.task.shape:
-        raise ShapeError(f"streams {e_task.shape} do not match weights {w.task.shape}")
-    return nc.add(
-        nc.add(nc.mul(w.task.use(), e_task), nc.mul(w.vision.use(), e_vision)),
-        nc.mul(w.stats.use(), e_stats),
-    )
+def fuse_cues(streams: dict, weights: dict[str, nc.Parameter]) -> nc.Tensor:
+    """Element-wise weighted sum (task + vision) + stats of the compressed cue
+    streams; streams and weights are both keyed by exactly ``CUE_KINDS``."""
+    if set(streams) != set(CUE_KINDS) or set(weights) != set(CUE_KINDS):
+        raise ContractError(f"cues must be keyed by {CUE_KINDS}, got {tuple(streams)}, {tuple(weights)}")
+    e = [nc.as_tensor(streams[kind]) for kind in CUE_KINDS]
+    if len({t.shape for t in e}) > 1:
+        raise ShapeError(f"cue streams disagree: {', '.join(str(t.shape) for t in e)}")
+    if e[0].shape[1:] != weights["task"].shape:
+        raise ShapeError(f"streams {e[0].shape} do not match weights {weights['task'].shape}")
+    return reduce(nc.add, (nc.mul(weights[kind].use(), t) for kind, t in zip(CUE_KINDS, e)))

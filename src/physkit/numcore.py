@@ -15,6 +15,7 @@ from __future__ import annotations
 import ctypes
 import json
 import math
+import numbers
 import os
 from contextlib import contextmanager
 from functools import reduce
@@ -117,9 +118,22 @@ def _hash32(label: str) -> int:
     return reduce(lambda h, ch: (h * 131 + ch) & 0xFFFFFFFF, label.encode("utf-8"), 0)
 
 
+def is_int(value) -> bool:
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """True for a Python or numpy real number; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def rng(seed: int, *keys: int | str) -> np.random.Generator:
-    """The random stream of a root seed in [0, 2**32), split by fixed keys:
-    an integer key is used as it is, a string key is hashed to 32 bits."""
+    """The random stream of a root seed, an integer in [0, 2**32), split by
+    fixed keys: an integer key is used as it is, a string key is hashed to 32
+    bits."""
+    if not is_int(seed):
+        raise ContractError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 1 << 32:
         raise ContractError(f"seed must be in [0, 2**32), got {seed}")
     words = [int(seed)] + [k if isinstance(k, int) else _hash32(k) for k in keys]
@@ -541,12 +555,6 @@ class ParamStore:
 
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def __iter__(self) -> Iterator[Parameter]:
         return iter(self._params.values())

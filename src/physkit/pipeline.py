@@ -17,7 +17,8 @@ stationarizer smooths in float64 and hands its blend to the model in float32;
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .cues import (
     CUE_KINDS,
     TASK_CAPTION,
     CompressorParams,
-    FusionWeights,
     SceneMeta,
     compress,
     fuse_cues,
@@ -48,7 +48,6 @@ from .cues import (
 )
 from .errors import ContractError, ParseError, PhyskitError, ShapeError
 from .reprogram import (
-    PrototypeProbe,
     ReprogrammerParams,
     VocabEmbedding,
     derive_prototypes,
@@ -66,9 +65,6 @@ from .wavelet import get_basis
 # signal patches are embedded with this gain so the pooled features keep
 # a strong linear image of the smoothed pulse for the zero-initialized head
 PATCH_GAIN = 2.0
-# position table scale comparable to token scale, so attention can route
-# position-specifically instead of averaging the blocks together
-POS_SCALE = 1.0
 # gain on the smoothed signal entering the head's skip readout; larger
 # values shrink the weights Adam must reach within its step budget
 SKIP_GAIN = 12.0
@@ -92,10 +88,31 @@ class ModelConfig:
     lm_layers: int = 2
 
     def __post_init__(self):
-        for key, value in vars(self).items():
-            least = 0 if key == "lm_layers" else 1
-            if isinstance(value, int) and value < least:
-                raise ContractError(f"model config {key} must be at least {least}, got {value}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type != "int":
+                continue
+            if not nc.is_int(value):
+                raise ContractError(f"model config {f.name} must be an integer, got {value!r}")
+            least = 0 if f.name == "lm_layers" else 1
+            if value < least:
+                raise ContractError(f"model config {f.name} must be at least {least}, got {value}")
+            setattr(self, f.name, int(value))
+        if not (nc.is_real(self.alpha) and math.isfinite(self.alpha)):
+            raise ContractError(f"model config alpha must be a finite real, got {self.alpha!r}")
+        self.alpha = float(self.alpha)
+        if not isinstance(self.wavelet, str):
+            raise ContractError(f"model config wavelet must be a string, got {self.wavelet!r}")
+        try:
+            shapes = tuple((h, w) for h, w in self.level_shapes)
+        except (TypeError, ValueError):
+            shapes = ()
+        if not shapes or not all(nc.is_int(n) and n >= 1 for shape in shapes for n in shape):
+            raise ContractError(
+                "model config level_shapes must be a non-empty sequence of (height, width) "
+                f"pairs of positive integers, got {self.level_shapes!r}"
+            )
+        self.level_shapes = tuple((int(h), int(w)) for h, w in shapes)
         if not self.patch_stride <= self.patch_len <= self.chunk_len:
             raise ContractError(
                 "model config needs patch_stride <= patch_len <= chunk_len, got "
@@ -133,12 +150,12 @@ class Pipeline:
     cfg: ModelConfig
     store: nc.ParamStore
     vocab: VocabEmbedding
-    probe: PrototypeProbe
+    probe: nc.Parameter
     reprogrammer: ReprogrammerParams
     aggregator: AggregatorParams
     smoother: SmootherParams
     compressors: dict[str, CompressorParams]
-    fusion: FusionWeights
+    fusion: dict[str, nc.Parameter]
     patch_embed: nc.Parameter
     positions: nc.Parameter
     lm_attn: list[AttentionParams]
@@ -150,7 +167,7 @@ class Pipeline:
 
     def forward(self, pyramid: FeaturePyramid, x_enc, scenes: list[SceneMeta]) -> nc.Tensor:
         cfg = self.cfg
-        x_enc = np.asarray(x_enc, dtype=np.float64)
+        x_enc = np.asarray(x_enc)
         if x_enc.ndim != 2 or x_enc.shape[1] != cfg.chunk_len:
             raise ShapeError(f"x_enc must be (batch, {cfg.chunk_len}), got {x_enc.shape}")
         bsz = x_enc.shape[0]
@@ -198,23 +215,17 @@ class Pipeline:
             if len(lengths) > 1:
                 raise ContractError(f"{kind} captions disagree on token count: {sorted(lengths)}")
             streams[kind] = compress(nc.Tensor(np.stack(rows)), self.compressors[kind])
-        return fuse_cues(streams["task"], streams["vision"], streams["stats"], self.fusion)
+        return fuse_cues(streams, self.fusion)
 
 
-class _stage:
-    """Prefix module attribution onto contract violations escaping a phase."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc is not None and isinstance(exc, PhyskitError) and not getattr(exc, "_staged", False):
-            exc._staged = True
-            exc.args = (f"[{self.name}] {exc.args[0] if exc.args else ''}",) + exc.args[1:]
-        return False
+@contextmanager
+def _stage(name: str):
+    """Prefix the stage's name onto a physkit error escaping it."""
+    try:
+        yield
+    except PhyskitError as exc:
+        exc.args = (f"[{name}] {exc.args[0] if exc.args else ''}",) + exc.args[1:]
+        raise
 
 
 def build_pipeline(cfg: ModelConfig | None = None, seed: int = 0) -> Pipeline:
@@ -249,9 +260,10 @@ def build_pipeline(cfg: ModelConfig | None = None, seed: int = 0) -> Pipeline:
         nc.rng(seed, "patch").standard_normal((cfg.patch_len, cfg.dim))
         * (PATCH_GAIN / math.sqrt(cfg.patch_len)),
     )
+    # unit scale, comparable to the tokens', so attention can route
+    # position-specifically instead of averaging the blocks together
     positions = store.add(
-        "lm.positions",
-        nc.rng(seed, "positions").standard_normal((cfg.n_tokens, cfg.dim)) * POS_SCALE,
+        "lm.positions", nc.rng(seed, "positions").standard_normal((cfg.n_tokens, cfg.dim))
     )
     lm_attn, lm_ffn = [], []
     for i in range(cfg.lm_layers):
@@ -285,10 +297,9 @@ def load_pipeline(path) -> Pipeline:
     The model config comes from the checkpoint's header; no seed is needed
     because every value, the frozen vocabulary included, is in the file.
     """
-    config = nc.ParamStore.read_config(path)
     try:
-        cfg = ModelConfig(**{**config, "level_shapes": tuple(map(tuple, config["level_shapes"]))})
-    except (KeyError, TypeError) as exc:
+        cfg = ModelConfig(**nc.ParamStore.read_config(path))
+    except (TypeError, ContractError) as exc:
         raise ParseError(f"header is not a model config: {exc}", line=2) from exc
     model = build_pipeline(cfg)
     model.store.load_into(path)

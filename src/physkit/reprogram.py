@@ -2,11 +2,13 @@
 prototypes probed from a frozen vocabulary embedding.
 
 The vocabulary matrix stands in for a language model's word embeddings: a
-fixed-seed Gaussian table that never receives gradient. A trainable probe
-mixes its rows down to a much smaller prototype bank, and incoming visual or
-signal tokens are fused with that bank through self-attention, a token-count
-adapter, cross-attention, and a feed-forward block. Output token count
-always equals the prototype count, whatever the input length.
+fixed-seed Gaussian table that never receives gradient. The probe, one
+trainable (n_prototypes, vocab_size) ``Parameter`` as in Time-LLM (Jin et
+al., ICLR 2024), mixes its rows down to a much smaller prototype bank, and
+incoming visual or signal tokens are fused with that bank through
+self-attention, a token-count adapter, cross-attention, and a feed-forward
+block. Output token count always equals the prototype count, whatever the
+input length.
 
 One instance is meant to serve several modalities; everything is shared
 except the token-count adapters (a fixed linear map over the token axis
@@ -63,29 +65,22 @@ def init_vocab(
     return VocabEmbedding(param=store.add("vocab.embedding", table, trainable=False))
 
 
-@dataclass
-class PrototypeProbe:
-    """Trainable (n_prototypes, vocab_size) mixer; prototypes stay few."""
-
-    weight: nc.Parameter
-
-
 def init_probe(
     store: nc.ParamStore, vocab_size: int, n_prototypes: int, rng: np.random.Generator
-) -> PrototypeProbe:
+) -> nc.Parameter:
+    """The probe: one trainable (n_prototypes, vocab_size) Parameter, ``probe.weight``."""
     if n_prototypes > vocab_size // 4:
         raise ContractError(
             f"prototype count {n_prototypes} exceeds vocab_size/4 = {vocab_size // 4}"
         )
-    weight = store.add(
+    return store.add(
         "probe.weight", rng.standard_normal((n_prototypes, vocab_size)) / math.sqrt(vocab_size)
     )
-    return PrototypeProbe(weight=weight)
 
 
-def derive_prototypes(vocab: VocabEmbedding, probe: PrototypeProbe) -> nc.Tensor:
+def derive_prototypes(vocab: VocabEmbedding, probe: nc.Parameter) -> nc.Tensor:
     """Prototype bank = probe @ vocabulary, shaped (n_prototypes, dim)."""
-    return nc.matmul(probe.weight.use(), vocab.param.use())
+    return nc.matmul(probe.use(), vocab.param.use())
 
 
 @dataclass

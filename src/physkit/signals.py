@@ -295,16 +295,34 @@ def write_manifest(path, records: list[ClipRecord]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+# manifest field -> (test of its JSON value, what the value must be)
+_MANIFEST_TYPES = {
+    "clip_id": (lambda v: isinstance(v, str), "a string"),
+    "bvp_path": (lambda v: isinstance(v, str), "a string"),
+    "xenc_path": (lambda v: isinstance(v, str), "a string"),
+    "hr_bpm": (lambda v: nc.is_real(v) and math.isfinite(v), "a finite number"),
+    "fs": (lambda v: nc.is_real(v) and math.isfinite(v), "a finite number"),
+    "n_samples": (nc.is_int, "an integer"),
+    "snr_db": (lambda v: nc.is_real(v) or v == "inf", 'a number or "inf"'),
+    "seed": (nc.is_int, "an integer"),
+}
+
+
 def read_manifest(path) -> list[ClipRecord]:
+    """The records of a manifest; a line that is not one record with fields
+    of the right JSON types is a ParseError naming the line and the field."""
     records = []
     for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
         try:
             payload = json.loads(line)
+            if not isinstance(payload, dict):
+                raise ValueError(f"not a JSON object: {payload!r}")
+            for name, (accepts, kind) in _MANIFEST_TYPES.items():
+                if name in payload and not accepts(payload[name]):
+                    raise ValueError(f"{name} must be {kind}, got {payload[name]!r}")
             payload["snr_db"] = float(payload["snr_db"])
-            if not math.isfinite(payload["hr_bpm"]):
-                raise ValueError(f"hr_bpm is not finite: {payload['hr_bpm']}")
             records.append(ClipRecord(**payload))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad manifest record: {exc}", line=lineno) from exc

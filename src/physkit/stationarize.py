@@ -88,13 +88,6 @@ class SmootherParams:
         if self.blend_override is not None and not 0.0 <= self.blend_override <= 1.0:
             raise ContractError(f"blend override must be in [0, 1], got {self.blend_override}")
 
-    @property
-    def blend(self) -> float:
-        """Current frequency-path weight in (0, 1), or the pinned override."""
-        if self.blend_override is not None:
-            return float(self.blend_override)
-        return float(1.0 / (1.0 + np.exp(-self.blend_raw.value)))
-
 
 def init_smoother(
     store: nc.ParamStore,
@@ -152,15 +145,15 @@ def smooth(x, p: SmootherParams) -> tuple[nc.Tensor, SmootherTrace]:
     if x.ndim != 1 or x.size == 0:
         raise ContractError(f"smooth needs a non-empty 1-d sequence, got shape {x.shape}")
     z_t, z_f, (mu, sigma) = _domain_paths(x[None], p)
-    z = nc.reshape(_blend(z_t, z_f, p), (x.size,))
+    z, b = _blend(z_t, z_f, p)
     trace = SmootherTrace(
         mu=float(mu[0, 0]),
         sigma=float(sigma[0, 0]),
         z_time=z_t[0],
         z_fre=z_f[0],
-        blend=p.blend,
+        blend=float(b.data),
     )
-    return z, trace
+    return nc.reshape(z, (x.size,)), trace
 
 
 def smooth_batch(x_rows, p: SmootherParams) -> nc.Tensor:
@@ -169,7 +162,7 @@ def smooth_batch(x_rows, p: SmootherParams) -> nc.Tensor:
     if x_rows.ndim != 2:
         raise ContractError(f"smooth_batch expects (batch, time), got shape {x_rows.shape}")
     z_t, z_f, _ = _domain_paths(x_rows, p)
-    return _blend(z_t, z_f, p)
+    return _blend(z_t, z_f, p)[0]
 
 
 def _domain_paths(x: np.ndarray, p: SmootherParams):
@@ -180,8 +173,9 @@ def _domain_paths(x: np.ndarray, p: SmootherParams):
     return ema_smooth(x_std, p.alpha), _frequency_path(x, p), (mu, sigma)
 
 
-def _blend(z_time: np.ndarray, z_fre: np.ndarray, p: SmootherParams) -> nc.Tensor:
-    """The blend of the two float64 paths, in the blend parameter's dtype."""
+def _blend(z_time: np.ndarray, z_fre: np.ndarray, p: SmootherParams) -> tuple[nc.Tensor, nc.Tensor]:
+    """The blend of the two float64 paths, and the frequency-path weight it
+    used, both in the blend parameter's dtype."""
     dtype = p.blend_raw.value.dtype
     z_time, z_fre = z_time.astype(dtype, copy=False), z_fre.astype(dtype, copy=False)
     if p.blend_override is None:
@@ -189,7 +183,7 @@ def _blend(z_time: np.ndarray, z_fre: np.ndarray, p: SmootherParams) -> nc.Tenso
     else:
         b = nc.Tensor(np.asarray(p.blend_override, dtype))
     keep = nc.sub(nc.Tensor(np.ones((), dtype)), b)
-    return nc.add(nc.mul(nc.Tensor(z_time), keep), nc.mul(nc.Tensor(z_fre), b))
+    return nc.add(nc.mul(nc.Tensor(z_time), keep), nc.mul(nc.Tensor(z_fre), b)), b
 
 
 # ---------------------------------------------------------------------------

@@ -488,3 +488,33 @@ def test_eval_refuses_a_float64_checkpoint_as_one_error_line(tmp_path, capsys):
         store.save(ckpt)
     assert main(["eval", "--ckpt", str(ckpt), "--data", str(data / "manifest.jsonl")]) == 1
     assert "checkpoint float64 (1024, 64) != live float32 (1024, 64) for 'vocab.embedding'" in _one_error_line(capsys)
+
+
+def test_train_refuses_a_manifest_field_of_the_wrong_type(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--n-clips", "2"]) == 0
+    capsys.readouterr()
+    manifest = data / "manifest.jsonl"
+    first, second = manifest.read_text().splitlines()
+    manifest.write_text(json.dumps({**json.loads(first), "n_samples": "128"}) + "\n" + second + "\n")
+    out = tmp_path / "out"
+    assert main(["train", "--data", str(manifest), "--out", str(out), "--steps", "1"]) == 1
+    assert _one_error_line(capsys).startswith("error: line 1: bad manifest record: n_samples")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("dim", "64"), ("dim", 64.0), ("alpha", "0.8"), ("level_shapes", [[8]]), ("lm_layers", True)],
+)
+def test_eval_refuses_a_checkpoint_header_field_of_the_wrong_type(tmp_path, capsys, field, value):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--n-clips", "2"]) == 0
+    capsys.readouterr()
+    ckpt = tmp_path / "checkpoint.txt"
+    build_pipeline(ModelConfig()).store.save(ckpt)
+    magic, config, records = ckpt.read_bytes().split(b"\n", 2)
+    config = json.dumps({**json.loads(config), field: value}, sort_keys=True).encode()
+    ckpt.write_bytes(b"\n".join([magic, config, records]))
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(data / "manifest.jsonl")]) == 1
+    assert f"line 2: header is not a model config: model config {field} must be" in _one_error_line(capsys)

@@ -5,6 +5,7 @@ import pytest
 
 from physkit import numcore as nc
 from physkit.cues import (
+    CUE_KINDS,
     TASK_CAPTION,
     SceneMeta,
     StatSummary,
@@ -196,19 +197,19 @@ def test_fuse_uniform_weights_average_streams():
     w = init_fusion(store, "fuse", 4, 8)
     rng = np.random.default_rng(8)
     a, b, c = (rng.standard_normal((2, 4, 8)) for _ in range(3))
-    out = fuse_cues(a, b, c, w).data
+    out = fuse_cues({"task": a, "vision": b, "stats": c}, w).data
     assert np.max(np.abs(out - (a + b + c) / 3.0)) < 1e-12
 
 
 def test_fuse_masking_keeps_single_stream():
     store = nc.ParamStore()
     w = init_fusion(store, "fuse", 4, 8)
-    w.task.value = np.full((4, 8), 0.7)
-    w.vision.value = np.zeros((4, 8))
-    w.stats.value = np.zeros((4, 8))
+    w["task"].value = np.full((4, 8), 0.7)
+    w["vision"].value = np.zeros((4, 8))
+    w["stats"].value = np.zeros((4, 8))
     rng = np.random.default_rng(9)
     a, b, c = (rng.standard_normal((1, 4, 8)) for _ in range(3))
-    out = fuse_cues(a, b, c, w).data
+    out = fuse_cues({"task": a, "vision": b, "stats": c}, w).data
     assert np.max(np.abs(out - 0.7 * a)) < 1e-15
 
 
@@ -216,33 +217,33 @@ def test_fuse_matches_elementwise_oracle():
     store = nc.ParamStore()
     w = init_fusion(store, "fuse", 3, 4)
     rng = np.random.default_rng(10)
-    w.task.value, w.vision.value, w.stats.value = (
+    w["task"].value, w["vision"].value, w["stats"].value = (
         rng.standard_normal((3, 4)) for _ in range(3)
     )
     a, b, c = (rng.standard_normal((2, 3, 4)) for _ in range(3))
-    oracle = w.task.value * a + w.vision.value * b + w.stats.value * c
-    assert np.max(np.abs(fuse_cues(a, b, c, w).data - oracle)) < 1e-12
+    oracle = w["task"].value * a + w["vision"].value * b + w["stats"].value * c
+    assert np.max(np.abs(fuse_cues({"task": a, "vision": b, "stats": c}, w).data - oracle)) < 1e-12
 
 
 def test_fuse_shape_errors():
     store = nc.ParamStore()
     w = init_fusion(store, "fuse", 4, 8)
     with pytest.raises(ShapeError):
-        fuse_cues(np.zeros((1, 4, 8)), np.zeros((1, 3, 8)), np.zeros((1, 4, 8)), w)
+        fuse_cues({kind: np.zeros((1, n, 8)) for kind, n in zip(CUE_KINDS, (4, 3, 4))}, w)
     with pytest.raises(ShapeError):
-        fuse_cues(np.zeros((1, 5, 8)), np.zeros((1, 5, 8)), np.zeros((1, 5, 8)), w)
+        fuse_cues({kind: np.zeros((1, 5, 8)) for kind in CUE_KINDS}, w)
 
 
 def test_compress_and_fuse_gradient_check():
     store = nc.ParamStore()
     rng = np.random.default_rng(11)
-    comps = [init_compressor(store, f"comp.{k}", 3, 4, rng) for k in ("task", "vision", "stats")]
+    comps = [init_compressor(store, f"comp.{k}", 3, 4, rng) for k in CUE_KINDS]
     w = init_fusion(store, "fuse", 3, 4)
     xs = [nc.Tensor(rng.standard_normal((1, n, 4))) for n in (2, 5, 3)]
 
     def f():
-        streams = [compress(x, c) for x, c in zip(xs, comps)]
-        out = fuse_cues(*streams, w)
+        streams = {k: compress(x, c) for k, x, c in zip(CUE_KINDS, xs, comps)}
+        out = fuse_cues(streams, w)
         return nc.mean_all(nc.mul(out, out))
 
     entries = nc.sample_param_entries(store, 60, np.random.default_rng(12))

@@ -389,6 +389,10 @@ def test_rng_refuses_a_seed_outside_32_bits():
     for seed in (-1, 2**32):
         with pytest.raises(ContractError, match=f"got {seed}"):
             nc.rng(seed, "x")
+    for seed in (1.5, True, "3"):
+        with pytest.raises(ContractError, match=f"seed must be an integer, got {seed!r}"):
+            nc.rng(seed, "x")
+    assert np.array_equal(nc.rng(np.uint32(3), "x").random(4), nc.rng(3, "x").random(4))
     # integer keys pass through, so the adapter streams are those of SeedSequence([seed, 0xADA, length])
     direct = np.random.default_rng(np.random.SeedSequence([2**32 - 1, 0xADA, 16]))
     assert np.array_equal(nc.rng(2**32 - 1, 0xADA, 16).standard_normal(8), direct.standard_normal(8))

@@ -127,7 +127,7 @@ def test_frozen_vocabulary_gets_identically_zero_gradient():
         loss = mse_loss(model.forward(pyr, x_enc, scenes), target)
         nc.backward(loss, model.store)
     assert np.array_equal(model.vocab.param.grad, np.zeros_like(model.vocab.param.value))
-    assert np.any(model.probe.weight.grad != 0.0)
+    assert np.any(model.probe.grad != 0.0)
 
 
 def test_forward_rejects_mismatched_batches():
@@ -247,12 +247,41 @@ def test_train_same_seed_gives_identical_loss_curves():
         ({"lm_layers": -1}, "lm_layers"),
         ({"patch_stride": 32}, "patch_stride <= patch_len"),
         ({"patch_len": 256}, "patch_len <= chunk_len"),
+        ({"dim": "64"}, "dim must be an integer, got '64'"),
+        ({"dim": 64.0}, "dim must be an integer"),
+        ({"lm_layers": True}, "lm_layers must be an integer"),
+        ({"alpha": "0.8"}, "alpha must be a finite real"),
+        ({"alpha": float("nan")}, "alpha must be a finite real"),
+        ({"alpha": False}, "alpha must be a finite real"),
+        ({"wavelet": 3}, "wavelet must be a string"),
+        ({"level_shapes": ((8,),)}, "level_shapes must be a non-empty sequence"),
+        ({"level_shapes": ()}, "level_shapes must be a non-empty sequence"),
+        ({"level_shapes": ((8, 0), (4, 4))}, "level_shapes must be"),
+        ({"level_shapes": ((8, 8.0), (4, 4))}, "level_shapes must be"),
+        ({"level_shapes": "ab"}, "level_shapes must be"),
     ],
 )
 def test_model_config_refuses_bad_sizes(change, named):
     with pytest.raises(ContractError, match=named):
         ModelConfig(**change)
     assert ModelConfig(lm_layers=0).lm_layers == 0
+
+
+def test_model_config_takes_numpy_integers_as_python_ints():
+    cfg = replace(TINY, dim=np.int64(8), level_shapes=np.array([[3, 3], [2, 2]]))
+    assert cfg == TINY and type(cfg.dim) is int
+    assert build_pipeline(cfg, seed=0).store.config == build_pipeline(TINY, seed=0).store.config
+
+
+@pytest.mark.parametrize("field, value", [("dim", "8"), ("alpha", "0.8"), ("level_shapes", [[3]])])
+def test_load_pipeline_refuses_a_header_field_of_the_wrong_type(tmp_path, field, value):
+    path = tmp_path / "ckpt.txt"
+    build_pipeline(TINY, seed=0).store.save(path)
+    magic, config, records = path.read_bytes().split(b"\n", 2)
+    config = json.dumps({**json.loads(config), field: value}, sort_keys=True).encode()
+    path.write_bytes(b"\n".join([magic, config, records]))
+    with pytest.raises(ParseError, match=f"line 2: header is not a model config: model config {field}"):
+        load_pipeline(path)
 
 
 def test_train_refuses_short_eval_clips_before_the_first_step(monkeypatch):

@@ -28,20 +28,20 @@ def test_one_hot_probe_selects_vocab_rows():
     picks = [3, 17, 41, 5, 0, 63, 12, 30]
     for row, col in enumerate(picks):
         w[row, col] = 1.0
-    probe.weight.value = w
+    probe.value = w
     protos = derive_prototypes(vocab, probe).data
     assert np.array_equal(protos, vocab.param.value[picks])
 
 
 def test_zero_probe_gives_zero_prototypes():
     store, vocab, probe, _ = _setup()
-    probe.weight.value = np.zeros_like(probe.weight.value)
+    probe.value = np.zeros_like(probe.value)
     assert np.array_equal(derive_prototypes(vocab, probe).data, np.zeros((8, 8)))
 
 
 def test_derive_matches_matmul_oracle():
     store, vocab, probe, _ = _setup(seed=1)
-    oracle = probe.weight.value @ vocab.param.value
+    oracle = probe.value @ vocab.param.value
     assert np.max(np.abs(derive_prototypes(vocab, probe).data - oracle)) < 1e-12
 
 
@@ -112,7 +112,7 @@ def test_frozen_vocab_gets_zero_grad_while_probe_trains():
         out = reprogram(x, protos, rep)
         nc.backward(nc.mean_all(nc.mul(out, out)), store)
     assert np.array_equal(vocab.param.grad, np.zeros_like(vocab.param.value))
-    assert np.any(probe.weight.grad != 0.0)
+    assert np.any(probe.grad != 0.0)
     assert np.any(rep.ffn.w_in.grad != 0.0)
 
 

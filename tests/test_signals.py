@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -269,3 +270,55 @@ def test_manifest_with_level_shapes_is_refused(tmp_path):
     path.write_text(path.read_text()[:-2] + ', "level_shapes": [[8, 8], [6, 6], [4, 4]]}\n')
     with pytest.raises(ParseError, match="line 1: .*level_shapes"):
         read_manifest(path)
+
+
+def _one_record_manifest(tmp_path, **fields):
+    rec = ClipRecord(
+        clip_id="c", bvp_path="c.bvp.csv", xenc_path="c.xenc.csv", hr_bpm=72.0, fs=30.0,
+        n_samples=128, snr_db=10.0, seed=1,
+    )
+    path = tmp_path / "manifest.jsonl"
+    write_manifest(path, [rec])
+    path.write_text(json.dumps({**json.loads(path.read_text()), **fields}) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_samples", "128"),
+        ("n_samples", 128.0),
+        ("n_samples", True),
+        ("seed", 1.5),
+        ("seed", False),
+        ("fs", "30"),
+        ("fs", None),
+        ("fs", float("inf")),
+        ("hr_bpm", "72"),
+        ("hr_bpm", float("nan")),
+        ("snr_db", "10"),
+        ("snr_db", "nan"),
+        ("snr_db", True),
+        ("clip_id", 3),
+        ("bvp_path", None),
+        ("xenc_path", ["c.xenc.csv"]),
+    ],
+)
+def test_manifest_refuses_a_field_of_the_wrong_json_type(tmp_path, field, value):
+    path = _one_record_manifest(tmp_path, **{field: value})
+    with pytest.raises(ParseError, match=f"line 1: bad manifest record: {field} must be"):
+        read_manifest(path)
+
+
+@pytest.mark.parametrize("line", ['"clip_000"', "[1, 2]", "7"])
+def test_manifest_refuses_a_line_that_is_not_an_object(tmp_path, line):
+    path = tmp_path / "manifest.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(ParseError, match="line 1: bad manifest record: not a JSON object"):
+        read_manifest(path)
+
+
+def test_manifest_reads_whole_numbers_as_rates(tmp_path):
+    (rec,) = read_manifest(_one_record_manifest(tmp_path, hr_bpm=72, fs=30, snr_db=10))
+    assert (rec.hr_bpm, rec.fs, rec.snr_db) == (72, 30, 10.0)
+    assert np.array_equal(rec.to_clip().x_enc, gen_clip(72.0, snr_db=10.0, seed=1).x_enc)
