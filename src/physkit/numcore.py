@@ -8,6 +8,10 @@ in NumPy's promoted dtype of its inputs, where a Python float constant is
 weak, so a float32 graph stays float32 forward and backward. A
 ``ParamStore`` names the dtype its parameters are built in, float64 unless
 told otherwise.
+
+GELU's normal CDF is a rational erf evaluated in float32 for float32 data,
+and ``scipy.special.erf`` for float64 data; scipy is imported only on that
+path, so a float32 model runs without loading scipy.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from functools import reduce
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ContractError, NumericError, ParseError, ShapeError
 
@@ -324,10 +327,12 @@ def matmul(a, b) -> Tensor:
     except ValueError as exc:  # leading batch dims incompatible
         raise ShapeError(f"matmul batch dimensions differ: {a.shape} vs {b.shape}") from exc
     sa, sb = a.shape, b.shape
+    # an operand without a node is a constant: backward would drop its gradient
+    need_a, need_b = a.node is not None, b.node is not None
 
     def grad_fn(g):
-        ga = _unbroadcast(np.matmul(g, bd.swapaxes(-1, -2)), sa)
-        gb = _unbroadcast(np.matmul(ad.swapaxes(-1, -2), g), sb)
+        ga = _unbroadcast(np.matmul(g, bd.swapaxes(-1, -2)), sa) if need_a else None
+        gb = _unbroadcast(np.matmul(ad.swapaxes(-1, -2), g), sb) if need_b else None
         return ga, gb
 
     return _emit(out, "matmul", (a, b), grad_fn)
@@ -361,11 +366,83 @@ def sigmoid(t) -> Tensor:
     return _emit(out, "sigmoid", (t,), grad_fn)
 
 
+# Eigen's float32 erf (generic_fast_erf_float; XLA's ErfImpl32 has the same
+# coefficients): erf(z) ~ z P(z^2) / Q(z^2) on |z| <= 4, with P of degree 6
+# and Q of degree 4 in z^2, coefficients from the highest power down.
+# Eigen clamps z to +-4; here the clamp is _ERF_CLAMP.
+_ERF_P = tuple(np.float32(c) for c in (
+    -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+    -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+    -1.60960333262415e-02,
+))
+_ERF_Q = tuple(np.float32(c) for c in (
+    -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+    -7.37332916720468e-03, -1.42647390514189e-02,
+))
+# One float32 ulp below erf^-1(1 - half an ulp) = 3.832506856900711, where
+# erf rounds to 1: the largest z at which the float32 rational is exactly 1,
+# so Phi is exactly 0 and 1 beyond the clamp.
+_ERF_CLAMP = np.float32(3.8325067)
+
+
+def _horner(w: Array, coefs: Sequence, out: Array) -> Array:
+    """The polynomial with these coefficients (highest power first) at w,
+    written into out; needs at least two coefficients."""
+    np.multiply(w, coefs[0], out=out)
+    out += coefs[1]
+    for c in coefs[2:]:
+        out *= w
+        out += c
+    return out
+
+
+def _even_odd(y: Array, w: Array, coefs: Sequence, out: Array, scratch: Array) -> Array:
+    """The polynomial at y by second-order Horner, w = y*y: its even and odd
+    halves are two chains of half the length. With plain Horner the normal
+    CDF's worst float32 error is 2.52e-7; with this form and _ERF_CLAMP it
+    is 2.15e-7."""
+    _horner(w, coefs[0::2], out)
+    _horner(w, coefs[1::2], scratch)
+    scratch *= y
+    out += scratch
+    return out
+
+
+def _normal_cdf(x: Array) -> Array:
+    """The standard normal CDF, (1 + erf(x / sqrt 2)) / 2, in x's dtype.
+
+    float64 calls ``scipy.special.erf``, imported here so that a float32
+    model never loads scipy. float32 evaluates Eigen's rational erf in float32
+    on x / sqrt 2 clamped to +-_ERF_CLAMP. Over every float32 input it is
+    within 2.2e-7 of the exact CDF (2.15e-7 at worst, at x = 4.049), against
+    6e-8 for scipy's erf in float32, in about a third of the time: 0.8 against
+    2.5 ms on a (4, 144, 256) array, one core.
+    """
+    if x.dtype != np.float32:
+        from scipy.special import erf
+
+        return 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    z = x * np.float32(_INV_SQRT2)
+    np.clip(z, -_ERF_CLAMP, _ERF_CLAMP, out=z)
+    y = z * z
+    w = y * y
+    scratch = np.empty_like(z)
+    cdf = _even_odd(y, w, _ERF_P, np.empty_like(z), scratch)
+    cdf *= z
+    cdf /= _even_odd(y, w, _ERF_Q, z, scratch)
+    cdf *= 0.5
+    cdf += 0.5
+    return cdf
+
+
 def gelu(t) -> Tensor:
-    """Exact (erf-based) GELU."""
+    """Exact GELU, x * Phi(x) with Phi the standard normal CDF (not the tanh
+    form). float32 computes Phi with a rational erf within 2.2e-7 of the
+    exact Phi; float64 with ``scipy.special.erf``. The backward is
+    Phi(x) + x phi(x) with the exact Gaussian density phi."""
     t = as_tensor(t)
     x = t.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    cdf = _normal_cdf(x)
     out = x * cdf
 
     def grad_fn(g):
@@ -524,9 +601,10 @@ class Parameter:
         return self._value.shape
 
     def use(self) -> Tensor:
-        """The current value, attached to this parameter's one leaf node.
+        """The current value, attached to this parameter's one leaf node if it
+        is trainable; a frozen parameter's value is a constant, as data is.
         The leaf is never put on a tape; ops that read it are recorded."""
-        return Tensor(self._value, self.node)
+        return Tensor(self._value, self.node if self.trainable else None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = "" if self.trainable else ", frozen"

@@ -11,7 +11,10 @@ The model computes in float32: its parameters, every op of the forward and
 backward pass, and the optimizer state. ``train`` and ``predict`` run with
 subnormal numbers flushed to zero (``numcore.subnormals_flushed``). The
 stationarizer smooths in float64 and hands its blend to the model in float32;
-``grad_check`` audits the model through the store's float64 image.
+``grad_check`` audits the model through the store's float64 image. In
+float32 the GELU's normal CDF is a rational approximation within 2.2e-7 of
+the exact one, and building, training and predicting load no scipy module;
+the float64 audit computes it with ``scipy.special.erf``.
 """
 
 from __future__ import annotations

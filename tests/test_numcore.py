@@ -500,3 +500,62 @@ def test_subnormals_flush_to_zero_only_inside_the_block():
             assert small * np.float32(2.0) == np.float32(4e-38)
             raise RuntimeError("inside")
     assert small * quarter == np.float32(5e-39)
+
+
+def test_float32_normal_cdf_is_within_2_2e_7_of_the_exact_one():
+    from scipy.special import ndtr
+
+    # a dense grid and the worst float32 input of an exhaustive search
+    x = np.append(np.linspace(-10.0, 10.0, 2_000_001, dtype=np.float32), np.float32(4.0489297))
+    cdf = nc._normal_cdf(x)
+    assert cdf.dtype == np.float32
+    assert np.max(np.abs(cdf - ndtr(x.astype(np.float64)))) <= 2.2e-7
+    # beyond the clamp the CDF is exactly 0 and 1, so GELU of a large negative input is 0
+    assert nc._normal_cdf(np.array([-1e4, -6.0, 6.0, 1e4], dtype=np.float32)).tolist() == [0, 0, 1, 1]
+    assert nc.gelu(np.array([-1e4], dtype=np.float32)).data[0] == 0.0
+
+
+def test_float32_gelu_stays_float32_and_its_backward_matches_the_exact_derivative():
+    from scipy.special import ndtr
+
+    x = np.linspace(-10.0, 10.0, 20_001, dtype=np.float32)
+    store = nc.ParamStore(dtype=np.float32)
+    p = store.add("x", x)
+    with nc.Tape():
+        out = nc.gelu(p.use())
+        nc.backward(nc.sum_all(out), store)
+    assert out.data.dtype == p.grad.dtype == np.float32
+    x64 = x.astype(np.float64)
+    exact = ndtr(x64) + x64 * np.exp(-0.5 * x64 * x64) / math.sqrt(2.0 * math.pi)
+    assert np.max(np.abs(p.grad - exact)) <= 1e-6
+
+
+def test_float64_gelu_is_the_scipy_erf_expression_bit_for_bit():
+    from scipy.special import erf
+
+    rng = np.random.default_rng(8)
+    x = 3.0 * rng.standard_normal((5, 7))
+    g = rng.standard_normal((5, 7))
+    store = nc.ParamStore()
+    p = store.add("x", x)
+    with nc.Tape():
+        out = nc.gelu(p.use())
+        nc.backward(nc.sum_all(nc.mul(out, g)), store)
+    cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+    pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+    assert np.array_equal(out.data, x * cdf)
+    assert np.array_equal(p.grad, g * (cdf + x * pdf))
+
+
+def test_matmul_forms_no_gradient_for_a_constant_or_a_frozen_operand():
+    store = nc.ParamStore()
+    w = store.add("w", np.ones((3, 2)))
+    frozen = store.add("frozen", np.ones((2, 4)), trainable=False)
+    assert frozen.use().node is None
+    with nc.Tape():
+        h = nc.matmul(np.ones((5, 3)), w.use())
+        out = nc.matmul(h, frozen.use())
+    ga, gb = h.node.grad_fn(np.ones((5, 2)))
+    assert ga is None and gb.shape == (3, 2)
+    ga, gb = out.node.grad_fn(np.ones((5, 4)))
+    assert ga.shape == (5, 2) and gb is None

@@ -1,11 +1,16 @@
 import gc
 import json
+import os
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import physkit
 from physkit import numcore as nc
 from physkit.aggregator import FeaturePyramid
 from physkit.cues import SceneMeta
@@ -417,3 +422,35 @@ def test_a_float64_checkpoint_is_refused_naming_the_parameter(tmp_path):
         live.store.load_into(path)
     for p in live.store:
         assert p.value.dtype == np.float32 and np.array_equal(p.value, before[p.name]), p.name
+
+
+def _run_python(code: str) -> str:
+    env = {**os.environ, "PYTHONPATH": str(Path(physkit.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    return out.stdout.strip()
+
+
+def test_building_training_and_predicting_load_no_scipy_module():
+    code = (
+        "import sys, physkit\n"
+        "from physkit.pipeline import TrainConfig, build_pipeline, predict, train\n"
+        "from physkit.signals import gen_clip\n"
+        "clips = [gen_clip(60.0 + 10.0 * i, seed=i) for i in range(4)]\n"
+        "model, _ = train(clips, TrainConfig(steps=1), model=build_pipeline())\n"
+        "predict(model, clips[:2])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert _run_python(code) == "[]"
+
+
+def test_the_float64_audit_imports_scipy_on_demand_and_passes():
+    code = (
+        "import sys\n"
+        "from physkit.cli import main\n"
+        "assert 'scipy' not in sys.modules\n"
+        "code = main(['gradcheck', '--seed', '0'])\n"
+        "print(code, 'scipy.special' in sys.modules)"
+    )
+    assert _run_python(code).splitlines()[-1] == "0 True"
