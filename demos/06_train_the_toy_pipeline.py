@@ -4,7 +4,7 @@
 64 noisy clips, 200 Adam steps at the stock settings (lr 1e-4, weight
 decay 5e-5, batch 4). The log reports the running-loss endpoints and
 heart-rate metrics on 16 held-out noiseless clips. Expect roughly a 10x
-loss drop and an MAE near 1 bpm in about half a minute on a laptop CPU.
+loss drop and an MAE near 1 bpm in about 8 s on two cores of a Xeon.
 """
 
 import math

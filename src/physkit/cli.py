@@ -8,10 +8,11 @@ an earlier one, so `train @base.txt --alpha 0.9` changes one value. Every
 command is deterministic given its flags: outputs carry no timestamps, and
 synth, train and gradcheck draw all randomness from one root seed (--seed)
 split by fixed labels. No other command takes --seed, except dds, which
-ignores it. `eval --ckpt` takes no model flags: the model comes from the
-checkpoint. Its two text lines, a magic line and the trained config as JSON
-keyed by train's flag dests, precede a name line and a float32 .npy record
-per parameter.
+ignores it. synth writes the clips train and eval remake from its manifest.
+`eval --ckpt` scores with train's scorer, ``pipeline.evaluate``, and takes no
+model flags: the model comes from the checkpoint. Its two text lines, a magic
+line and the trained config as JSON keyed by train's flag dests, precede a
+name line and a float32 .npy record per parameter.
 Exit codes: 0 success, 1 contract/parse/IO error, 2 usage error (from
 argparse) or threshold failure (gradcheck/eval).
 """
@@ -19,7 +20,6 @@ argparse) or threshold failure (gradcheck/eval).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -27,16 +27,16 @@ from pathlib import Path
 from . import numcore as nc
 from .aggregator import FeaturePyramid, aggregate, init_aggregator
 from .cues import SceneMeta, compress, fuse_cues, init_compressor, init_fusion, signal_stats
-from .errors import ContractError, ParseError, PhyskitError
-from .pipeline import ModelConfig, TrainConfig, build_pipeline, load_pipeline, mse_loss, predict, train
+from .errors import ContractError, PhyskitError
+from .pipeline import ModelConfig, TrainConfig, build_pipeline, evaluate, load_pipeline, mse_loss, train
 from .reprogram import derive_prototypes, init_probe, init_reprogrammer, init_vocab, reprogram
 from .signals import (
     HR_BAND_BPM,
     ClipRecord,
     estimate_hr,
-    gen_clip,
     load_waveform,
     metrics,
+    parse_numbers,
     read_lines,
     read_manifest,
     save_waveform,
@@ -63,24 +63,20 @@ def cmd_synth(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     records = []
     for i in range(n):
-        hr = float(hr_rng.uniform(*HR_BAND_BPM))
-        clip_seed = (seed * 1_000_003 + i) % (1 << 31)
-        clip = gen_clip(hr, fs=args.fs, n_samples=args.chunk_len, snr_db=args.snr, seed=clip_seed)
-        bvp_name, xenc_name = f"clip_{i:03d}.bvp.csv", f"clip_{i:03d}.xenc.csv"
-        save_waveform(out_dir / bvp_name, clip.bvp, clip.fs)
-        save_waveform(out_dir / xenc_name, clip.x_enc, clip.fs)
-        records.append(
-            ClipRecord(
-                clip_id=f"clip_{i:03d}",
-                bvp_path=bvp_name,
-                xenc_path=xenc_name,
-                hr_bpm=hr,
-                fs=args.fs,
-                n_samples=args.chunk_len,
-                snr_db=args.snr,
-                seed=clip_seed,
-            )
+        record = ClipRecord(
+            clip_id=f"clip_{i:03d}",
+            bvp_path=f"clip_{i:03d}.bvp.csv",
+            xenc_path=f"clip_{i:03d}.xenc.csv",
+            hr_bpm=float(hr_rng.uniform(*HR_BAND_BPM)),
+            fs=args.fs,
+            n_samples=args.chunk_len,
+            snr_db=args.snr,
+            seed=(seed * 1_000_003 + i) % (1 << 31),
         )
+        clip = record.to_clip()
+        save_waveform(out_dir / record.bvp_path, clip.bvp, clip.fs)
+        save_waveform(out_dir / record.xenc_path, clip.x_enc, clip.fs)
+        records.append(record)
     write_manifest(out_dir / "manifest.jsonl", records)
     rates = [r.hr_bpm for r in records]
     print(f"wrote {n} clips to {out_dir}")
@@ -142,16 +138,7 @@ def _hr_list_from(path) -> list[float]:
     text = read_lines(path)
     if text and text[0].lstrip().startswith("{"):
         return [r.hr_bpm for r in read_manifest(path)]
-    rates = []
-    for lineno, line in enumerate(text, start=1):
-        if not line.strip():
-            continue
-        try:
-            rates.append(float(line))
-        except ValueError as exc:
-            raise ParseError(f"bad bpm value: {line!r}", line=lineno) from exc
-        if not math.isfinite(rates[-1]):
-            raise ParseError(f"bpm value is not finite: {line!r}", line=lineno)
+    rates = parse_numbers(text, 1, "bpm value")
     if not rates:
         raise ContractError(f"{path} holds no heart rates")
     return rates
@@ -163,11 +150,7 @@ def cmd_eval(args) -> int:
     if args.pred and args.gt:
         rep = metrics(_hr_list_from(args.pred), _hr_list_from(args.gt))
     elif args.ckpt and args.data:
-        model = load_pipeline(args.ckpt)
-        clips = _load_clips(args.data)
-        preds = predict(model, clips)
-        est = [estimate_hr(p, c.fs).bpm for p, c in zip(preds, clips)]
-        rep = metrics(est, [c.hr_bpm for c in clips])
+        rep = evaluate(load_pipeline(args.ckpt), _load_clips(args.data))
     else:
         raise ContractError("eval needs either --pred and --gt, or --ckpt and --data")
     for line in rep.lines():

@@ -63,9 +63,9 @@ def signal_stats(x) -> StatSummary:
     direction = int(np.sign(trend))
     max_lag = x.size // 2
     r = normalized_autocorr(x, max_lag)
-    # sort by (-|r|, lag): descending magnitude, smaller lag wins ties
-    order = sorted(range(max_lag), key=lambda i: (-abs(r[i]), i))
-    top = tuple(i + 1 for i in order[:5])
+    # descending magnitude; the stable sort lets the smaller lag win ties
+    order = np.argsort(-np.abs(r), kind="stable")
+    top = tuple(int(i) + 1 for i in order[:5])
     return StatSummary(
         minimum=float(x.min()),
         maximum=float(x.max()),

@@ -15,6 +15,9 @@ stationarizer smooths in float64 and hands its blend to the model in float32;
 float32 the GELU's normal CDF is a rational approximation within 2.2e-7 of
 the exact one, and building, training and predicting load no scipy module;
 the float64 audit computes it with ``scipy.special.erf``.
+
+``evaluate`` scores the model by the heart rate ``estimate_hr`` reads from
+each predicted clip, for train's held-out report and ``eval --ckpt`` alike.
 """
 
 from __future__ import annotations
@@ -326,8 +329,19 @@ def batch_from_clips(clips: list[SyntheticClip]) -> tuple[FeaturePyramid, np.nda
     return pyramid, x_enc, [c.scene for c in clips]
 
 
+def _require_chunk_len(clips: list[SyntheticClip], chunk_len: int, what: str) -> None:
+    """Refuse, naming it, the first clip that is not chunk_len samples long."""
+    for i, c in enumerate(clips):
+        if c.x_enc.size != chunk_len:
+            raise ShapeError(
+                f"{what} {i} (seed {c.seed}) has {c.x_enc.size} samples, "
+                f"the model reads chunk_len={chunk_len}"
+            )
+
+
 def predict(model: Pipeline, clips: list[SyntheticClip], batch_size: int = 8) -> list[np.ndarray]:
     """Plain forward passes; no tape, no parameter updates."""
+    _require_chunk_len(clips, model.cfg.chunk_len, "clip")
     outputs: list[np.ndarray] = []
     with nc.subnormals_flushed():
         for lo in range(0, len(clips), batch_size):
@@ -336,6 +350,13 @@ def predict(model: Pipeline, clips: list[SyntheticClip], batch_size: int = 8) ->
             pred = model.forward(pyr, x_enc, scenes)
             outputs.extend(np.asarray(row) for row in pred.data)
     return outputs
+
+
+def evaluate(model: Pipeline, clips: list[SyntheticClip]) -> MetricsReport:
+    """Metrics of ``estimate_hr`` on each predicted clip against its true rate."""
+    preds = predict(model, clips)
+    est = [estimate_hr(p, c.fs).bpm for p, c in zip(preds, clips)]
+    return metrics(est, [c.hr_bpm for c in clips])
 
 
 @dataclass
@@ -355,18 +376,15 @@ def train(
     """Mini-batch Adam on the waveform MSE; returns the model and its log.
 
     The running-loss endpoints average the first and last 10% of steps.
-    Post-training heart-rate metrics are computed on eval_clips when given.
+    When eval_clips are given, ``hr_metrics`` is their ``evaluate`` report.
     """
     if not clips:
         raise ContractError("training needs a non-empty dataset")
     model = model if model is not None else build_pipeline(seed=cfg.seed)
-    # predict and estimate_hr read the eval clips after the last step; refuse bad ones before the first
-    for i, c in enumerate(eval_clips or ()):
-        if c.x_enc.size != model.cfg.chunk_len:
-            raise ShapeError(
-                f"eval clip {i} (seed {c.seed}) has {c.x_enc.size} samples, "
-                f"the model reads chunk_len={model.cfg.chunk_len}"
-            )
+    _require_chunk_len(clips, model.cfg.chunk_len, "train clip")
+    # evaluate reads the eval clips after the last step; refuse bad ones before the first
+    _require_chunk_len(eval_clips or [], model.cfg.chunk_len, "eval clip")
+    for c in eval_clips or []:
         require_hr_length(model.cfg.chunk_len, c.fs)
     batch_rng = nc.rng(cfg.seed, "train-batches")
     log = TrainLog()
@@ -386,7 +404,5 @@ def train(
     log.initial_running_loss = float(np.mean(log.losses[:window]))
     log.final_running_loss = float(np.mean(log.losses[-window:]))
     if eval_clips:
-        preds = predict(model, eval_clips)
-        est = [estimate_hr(p, c.fs).bpm for p, c in zip(preds, eval_clips)]
-        log.hr_metrics = metrics(est, [c.hr_bpm for c in eval_clips])
+        log.hr_metrics = evaluate(model, eval_clips)
     return model, log

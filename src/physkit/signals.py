@@ -43,7 +43,6 @@ class SyntheticClip:
     hr_bpm: float
     fs: float
     scene: SceneMeta
-    snr_db: float
     seed: int
 
 
@@ -99,22 +98,17 @@ def gen_clip(
     t = np.arange(n_samples) / fs
     phase = float(nc.rng(seed, "phase").uniform(0.0, 2.0 * math.pi))
     clean = np.sin(2.0 * math.pi * f0 * t) + 0.3 * np.sin(4.0 * math.pi * f0 * t + phase)
-    sig_power = float(np.mean(clean * clean))
-
     noiseless = math.isinf(snr_db)
-    noise_power = 0.0 if noiseless else sig_power / (10.0 ** (snr_db / 10.0))
-
-    bvp = clean.copy()
+    bvp, x_enc = clean, clean.copy()
     if not noiseless:
-        bvp = bvp + _scaled_noise(nc.rng(seed, "bvp-noise"), n_samples, noise_power)
-    x_enc = bvp.copy()
-    if not noiseless:
-        x_enc = x_enc + _scaled_noise(nc.rng(seed, "enc-noise"), n_samples, noise_power, color=0.3)
+        noise_power = float(np.mean(clean * clean)) / (10.0 ** (snr_db / 10.0))
+        bvp = clean + _scaled_noise(nc.rng(seed, "bvp-noise"), n_samples, noise_power)
+        x_enc = bvp + _scaled_noise(nc.rng(seed, "enc-noise"), n_samples, noise_power, color=0.3)
 
     # sliding windows of the waveform, randomly projected into each level,
     # so every spatial cell is a linear functional of the local pulse
     pad = np.concatenate([np.full(_WINDOW - 1, bvp[0]), bvp])
-    windows = np.stack([pad[i : i + _WINDOW] for i in range(n_samples)])
+    windows = np.lib.stride_tricks.sliding_window_view(pad, _WINDOW)
     pyramid = []
     for li, (h, w) in enumerate(LEVEL_SHAPES):
         proj = nc.rng(seed, f"level{li}-proj").standard_normal((_WINDOW, h * w)) / math.sqrt(_WINDOW)
@@ -139,7 +133,6 @@ def gen_clip(
         hr_bpm=float(hr_bpm),
         fs=float(fs),
         scene=scene,
-        snr_db=float(snr_db),
         seed=int(seed),
     )
 
@@ -240,6 +233,22 @@ def save_waveform(path, samples, fs: float) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def parse_numbers(lines, first_line: int, what: str) -> list[float]:
+    """One finite number per non-blank line; any other line is a ParseError
+    naming its number, counted from first_line, and what it should hold."""
+    values = []
+    for lineno, line in enumerate(lines, start=first_line):
+        if not line.strip():
+            continue
+        try:
+            values.append(float(line))
+        except ValueError as exc:
+            raise ParseError(f"bad {what}: {line!r}", line=lineno) from exc
+        if not math.isfinite(values[-1]):
+            raise ParseError(f"{what} is not finite: {line!r}", line=lineno)
+    return values
+
+
 def load_waveform(path) -> tuple[np.ndarray, float]:
     lines = read_lines(path)
     if not lines or not lines[0].startswith("fs="):
@@ -250,22 +259,13 @@ def load_waveform(path) -> tuple[np.ndarray, float]:
         raise ParseError(f"bad sample rate: {lines[0][3:]!r}", line=1) from exc
     if not (math.isfinite(fs) and fs > 0.0):
         raise ParseError(f"sample rate must be finite and positive, got {fs}", line=1)
-    samples = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            samples.append(float(line))
-        except ValueError as exc:
-            raise ParseError(f"bad sample: {line!r}", line=lineno) from exc
-        if not math.isfinite(samples[-1]):
-            raise ParseError(f"sample is not finite: {line!r}", line=lineno)
-    return np.array(samples), fs
+    return np.array(parse_numbers(lines[1:], 2, "sample")), fs
 
 
 @dataclass
 class ClipRecord:
-    """One manifest row; enough to regenerate the clip bit-for-bit."""
+    """One manifest row; enough to regenerate the clip bit-for-bit. synth
+    writes the files of the clip ``to_clip`` makes, which train and eval remake."""
 
     clip_id: str
     bvp_path: str

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from physkit import numcore as nc
-from physkit.cli import main
+from physkit.cli import _load_clips, main
 from physkit.numcore import ParamStore
-from physkit.pipeline import ModelConfig, TrainConfig, build_pipeline, train
+from physkit.pipeline import ModelConfig, Pipeline, TrainConfig, build_pipeline, train
 from physkit.signals import load_waveform, save_waveform
 from physkit.stationarize import standardize
 
@@ -518,3 +518,59 @@ def test_eval_refuses_a_checkpoint_header_field_of_the_wrong_type(tmp_path, caps
     ckpt.write_bytes(b"\n".join([magic, config, records]))
     assert main(["eval", "--ckpt", str(ckpt), "--data", str(data / "manifest.jsonl")]) == 1
     assert f"line 2: header is not a model config: model config {field} must be" in _one_error_line(capsys)
+
+
+def test_synth_writes_the_clips_that_train_regenerates_from_the_manifest(tmp_path):
+    data = tmp_path / "data"
+    argv = ["synth", "--out", str(data), "--n-clips", "4", "--seed", "5", "--snr", "3", "--chunk", "160"]
+    assert main(argv) == 0
+    clips = _load_clips(data / "manifest.jsonl")
+    assert len(clips) == 4
+    for i, clip in enumerate(clips):
+        for kind, wave in (("bvp", clip.bvp), ("xenc", clip.x_enc)):
+            written, fs = load_waveform(data / f"clip_{i:03d}.{kind}.csv")
+            assert fs == clip.fs and np.array_equal(written, wave)
+
+
+@pytest.mark.parametrize(
+    "line, sample_error, rate_error",
+    [
+        ("oops", "bad sample: 'oops'", "bad bpm value: 'oops'"),
+        ("nan", "sample is not finite: 'nan'", "bpm value is not finite: 'nan'"),
+    ],
+)
+def test_a_bad_number_line_is_named_by_line_and_quantity(tmp_path, capsys, line, sample_error, rate_error):
+    wave, rates = tmp_path / "wave.csv", tmp_path / "rates.txt"
+    # blank lines are skipped but still counted
+    wave.write_text(f"fs=30\n0.5\n\n{line}\n")
+    rates.write_text(f"70\n\n{line}\n")
+    assert main(["hr", str(wave)]) == 1
+    assert _one_error_line(capsys) == f"error: line 4: {sample_error}\n"
+    assert main(["eval", "--pred", str(rates), "--gt", str(rates)]) == 1
+    assert _one_error_line(capsys) == f"error: line 3: {rate_error}\n"
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_manifest_of_mixed_clip_lengths_is_one_error_line_before_any_forward(
+    tmp_path, capsys, monkeypatch, command
+):
+    for seed, chunk in ((1, "128"), (2, "160")):
+        argv = ["synth", "--out", str(tmp_path / f"s{seed}"), "--n-clips", "2", "--seed", str(seed)]
+        assert main(argv + ["--chunk", chunk]) == 0
+    ok = tmp_path / "s1" / "manifest.jsonl"
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text(ok.read_text() + (tmp_path / "s2" / "manifest.jsonl").read_text())
+    ckpt = tmp_path / "checkpoint.txt"
+    build_pipeline(ModelConfig()).store.save(ckpt)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = {
+        "train": ["train", "--data", str(mixed), "--eval-data", str(ok), "--out", str(out)],
+        "eval": ["eval", "--ckpt", str(ckpt), "--data", str(mixed)],
+    }[command]
+    monkeypatch.setattr(Pipeline, "forward", lambda *a: pytest.fail("forward ran"))
+    monkeypatch.setattr(nc, "adam_step", lambda *a, **k: pytest.fail("adam_step ran"))
+    assert main(argv) == 1
+    err = _one_error_line(capsys)
+    assert "clip 2 (seed 2000006) has 160 samples, the model reads chunk_len=128" in err
+    assert not out.exists()

@@ -1,7 +1,8 @@
 """The demos run to the end against the current API.
 
-Demo 06 is left out: it trains for 200 steps, which takes about 16 s on
-two cores against about 0.25 s for demos 01-05 together.
+Demo 06 is left out: it trains for 200 steps, which takes 7-8 s on two
+cores of a Xeon against about 0.5 s for demos 01-05 together, most of which
+is importing physkit.
 """
 
 import runpy
