@@ -3,6 +3,9 @@ a position-free feed-forward block.
 
 Primitives return raw sub-layer outputs; residual composition is the
 caller's job so that fusion formulas upstream can be written literally.
+An attention is one ``numcore.attention`` node on the tape, with the
+softmax over transposed scores and a hand-written backward; the
+feed-forward block is the three ops matmul, gelu, matmul.
 """
 
 from __future__ import annotations
@@ -33,10 +36,6 @@ class AttentionParams:
     @property
     def dim(self) -> int:
         return self.w_q.shape[0]
-
-    @property
-    def head_dim(self) -> int:
-        return self.dim // self.heads
 
 
 @dataclass
@@ -74,16 +73,6 @@ def init_feed_forward(
     )
 
 
-def _split_heads(t: nc.Tensor, heads: int, head_dim: int) -> nc.Tensor:
-    b, n, _ = t.shape
-    return nc.transpose(nc.reshape(t, (b, n, heads, head_dim)), (0, 2, 1, 3))
-
-
-def _merge_heads(t: nc.Tensor, dim: int) -> nc.Tensor:
-    b, _, n, _ = t.shape
-    return nc.reshape(nc.transpose(t, (0, 2, 1, 3)), (b, n, dim))
-
-
 def cross_attention(q_in, kv_in, p: AttentionParams) -> nc.Tensor:
     """softmax(QK^T / sqrt(d)) V per head, followed by the output projection.
 
@@ -98,19 +87,8 @@ def cross_attention(q_in, kv_in, p: AttentionParams) -> nc.Tensor:
             )
     if q_in.shape[0] != kv_in.shape[0]:
         raise ShapeError(f"batch sizes differ: {q_in.shape} vs {kv_in.shape}")
-
-    weights = _softmax_weights(q_in, kv_in, p)
-    v = _split_heads(nc.matmul(kv_in, p.w_v.use()), p.heads, p.head_dim)
-    mixed = _merge_heads(nc.matmul(weights, v), p.dim)
-    return nc.matmul(mixed, p.w_o.use())
-
-
-def _softmax_weights(q_in: nc.Tensor, kv_in: nc.Tensor, p: AttentionParams) -> nc.Tensor:
-    """softmax(QK^T / sqrt(d)) per head, shaped (batch, heads, Lq, Lk)."""
-    q = _split_heads(nc.matmul(q_in, p.w_q.use()), p.heads, p.head_dim)
-    k = _split_heads(nc.matmul(kv_in, p.w_k.use()), p.heads, p.head_dim)
-    scores = nc.scale(nc.matmul(q, nc.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(p.head_dim))
-    return nc.softmax_rows(scores)
+    weights = (p.w_q.use(), p.w_k.use(), p.w_v.use(), p.w_o.use())
+    return nc.attention(q_in, kv_in, *weights, p.heads)
 
 
 def self_attention(x, p: AttentionParams) -> nc.Tensor:

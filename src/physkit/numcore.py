@@ -9,6 +9,13 @@ weak, so a float32 graph stays float32 forward and backward. A
 ``ParamStore`` names the dtype its parameters are built in, float64 unless
 told otherwise.
 
+Multi-head attention is one op, ``attention``, and one tape node: its
+projections are 2-D GEMMs on (batch * tokens, width) rows, and it forms the
+scores transposed, K Q^T, so that the softmax reduces over axis -2. numpy
+reduces a stack of rows along the fast axis about three times faster than
+over short last-axis rows (0.2 against 0.6 ms for a max over a
+(8, 4, 144, 144) float32 array). Its backward is written out by hand.
+
 GELU's normal CDF is a rational erf evaluated in float32 for float32 data,
 and ``scipy.special.erf`` for float64 data; scipy is imported only on that
 path, so a float32 model runs without loading scipy.
@@ -356,6 +363,82 @@ def softmax_rows(t) -> Tensor:
     return _emit(out, "softmax_rows", (t,), grad_fn)
 
 
+def _heads(x2: Array, w: Array, bsz: int, heads: int) -> Array:
+    """The projection x2 @ w of (B*L, D) rows as a (B, heads, L, D/heads) view."""
+    y = x2 @ w
+    return y.reshape(bsz, -1, heads, y.shape[-1] // heads).transpose(0, 2, 1, 3)
+
+
+def _merged(a: Array, b: Array) -> Array:
+    """np.matmul(a, b) of per-head stacks (B, H, L, .) @ (B, H, ., E), written
+    straight into (B*L, H*E) rows: head h of a token fills columns h*E:(h+1)*E."""
+    bsz, heads, n, _ = a.shape
+    e = b.shape[-1]
+    rows = np.empty((bsz, n, heads, e), dtype=np.result_type(a, b))
+    np.matmul(a, b, out=rows.transpose(0, 2, 1, 3))
+    return rows.reshape(bsz * n, heads * e)
+
+
+def _attention_weights_t(q: Array, k: Array) -> Array:
+    """softmax(Q K^T / sqrt(E)) per head, transposed: (B, H, Lk, Lq) from q
+    (B, H, Lq, E) and k (B, H, Lk, E), each column summing to 1. Scale,
+    shift, exp and normalisation run in place on the one K Q^T buffer."""
+    pt = np.matmul(k, q.swapaxes(-1, -2))
+    pt *= 1.0 / math.sqrt(q.shape[-1])
+    if not np.isfinite(pt).all():
+        raise NumericError("softmax_rows received non-finite values")
+    pt -= pt.max(axis=-2, keepdims=True)
+    np.exp(pt, out=pt)
+    pt /= pt.sum(axis=-2, keepdims=True)
+    return pt
+
+
+def attention(q_in, kv_in, w_q, w_k, w_v, w_o, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention, recorded as one tape node.
+
+    q_in is (B, Lq, D) and kv_in (B, Lk, D); the four weights are (D, D) and
+    heads divides D. Each head h attends with Q, K, V = q_in w_q, kv_in w_k,
+    kv_in w_v restricted to its D/heads columns; the heads' outputs, side by
+    side, are projected by w_o. Projections are 2-D GEMMs on (B*L, D) rows.
+    The backward is written out: each weight gradient is one 2-D GEMM, the
+    softmax backward runs in place, and an input without a node gets no
+    gradient.
+    """
+    q_in, kv_in, w_q, w_k, w_v, w_o = (as_tensor(t) for t in (q_in, kv_in, w_q, w_k, w_v, w_o))
+    bsz, d = q_in.shape[0], q_in.shape[-1]
+    if (
+        q_in.ndim != 3 or kv_in.ndim != 3 or kv_in.shape[::2] != (bsz, d)
+        or any(w.shape != (d, d) for w in (w_q, w_k, w_v, w_o)) or not 1 <= heads <= d or d % heads
+    ):
+        raise ShapeError(
+            f"attention needs (B, Lq, D) and (B, Lk, D) inputs, (D, D) weights and heads "
+            f"dividing D; got {q_in.shape}, {kv_in.shape}, {w_q.shape}, {heads} heads"
+        )
+    xq, xkv = q_in.data.reshape(-1, d), kv_in.data.reshape(-1, d)
+    q, k, v = (_heads(x, w.data, bsz, heads) for x, w in ((xq, w_q), (xkv, w_k), (xkv, w_v)))
+    pt = _attention_weights_t(q, k)
+    mixed = _merged(pt.swapaxes(-1, -2), v)
+    out = (mixed @ w_o.data).reshape(q_in.shape)
+    need_q, need_kv, *need_w = (t.node is not None for t in (q_in, kv_in, w_q, w_k, w_v, w_o))
+
+    def grad_fn(g):
+        g = g.reshape(-1, d)
+        g_heads = (g @ w_o.data.T).reshape(bsz, -1, heads, d // heads).transpose(0, 2, 1, 3)
+        g_v = _merged(pt, g_heads)
+        # softmax backward on dL/dP^T, in place: P^T * (g - sum of g P^T over axis -2)
+        g_s = np.matmul(v, g_heads.swapaxes(-1, -2))
+        g_s -= np.einsum("...ji,...ji->...i", g_s, pt)[..., None, :]
+        g_s *= pt
+        g_s *= 1.0 / math.sqrt(d // heads)
+        g_q, g_k = _merged(g_s.swapaxes(-1, -2), k), _merged(g_s, q)
+        g_q_in = (g_q @ w_q.data.T).reshape(q_in.shape) if need_q else None
+        g_kv_in = (g_k @ w_k.data.T + g_v @ w_v.data.T).reshape(kv_in.shape) if need_kv else None
+        rows = zip((xq, xkv, xkv, mixed), (g_q, g_k, g_v, g), need_w)
+        return (g_q_in, g_kv_in, *(x.T @ gy if need else None for x, gy, need in rows))
+
+    return _emit(out, "attention", (q_in, kv_in, w_q, w_k, w_v, w_o), grad_fn)
+
+
 def sigmoid(t) -> Tensor:
     t = as_tensor(t)
     out = 1.0 / (1.0 + np.exp(-t.data))
@@ -594,7 +677,8 @@ class Parameter:
 
     @value.setter
     def value(self, value) -> None:
-        self._value = np.asarray(value, dtype=self._value.dtype)
+        # a copy: adam_step writes into the value, never into the caller's array
+        self._value = np.array(value, dtype=self._value.dtype)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -772,22 +856,39 @@ def backward(loss: Tensor, store: ParamStore) -> ParamStore:
 
 
 def adam_step(store: ParamStore, lr: float, wd: float, t: int) -> ParamStore:
-    """One Adam update with decoupled weight decay; t is 1-based."""
+    """One Adam update with decoupled weight decay; t is 1-based.
+
+    m, v and the value are updated in place, with two scratch buffers per
+    parameter. Each step is the rounding of
+    ``value - lr * m_hat / (sqrt(v_hat) + eps) - lr * wd * value``
+    in that order, so the result is bit-for-bit that formula's."""
     if t < 1:
         raise ContractError(f"adam step index must be >= 1, got {t}")
     beta1, beta2, eps = 0.9, 0.999, 1e-8
+    lr, wd = float(lr), float(wd)
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
     for p in store.trainable():
         if p.m is None:
             p.m = np.zeros_like(p.value)
             p.v = np.zeros_like(p.value)
-        g = p.grad
-        p.m = beta1 * p.m + (1.0 - beta1) * g
-        p.v = beta2 * p.v + (1.0 - beta2) * (g * g)
-        m_hat = p.m / bc1
-        v_hat = p.v / bc2
-        p.value = p.value - lr * m_hat / (np.sqrt(v_hat) + eps) - lr * wd * p.value
+        g, m, v, value = p.grad, p.m, p.v, p.value
+        step, denom = np.empty_like(value), np.empty_like(value)
+        m *= beta1
+        m += np.multiply(g, 1.0 - beta1, out=step)
+        v *= beta2
+        np.multiply(g, g, out=step)
+        step *= 1.0 - beta2
+        v += step
+        np.divide(v, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        np.divide(m, bc1, out=step)
+        step *= lr
+        step /= denom
+        decay = np.multiply(value, lr * wd, out=denom)
+        value -= step
+        value -= decay
     return store
 
 

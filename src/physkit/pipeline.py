@@ -352,8 +352,17 @@ def predict(model: Pipeline, clips: list[SyntheticClip], batch_size: int = 8) ->
     return outputs
 
 
+def _require_scorable(clips: list[SyntheticClip], chunk_len: int) -> None:
+    """Refuse clips that ``evaluate`` cannot score, before any forward pass:
+    one of another length, or one shorter than the 4 s ``estimate_hr`` reads."""
+    _require_chunk_len(clips, chunk_len, "eval clip")
+    for c in clips:
+        require_hr_length(chunk_len, c.fs)
+
+
 def evaluate(model: Pipeline, clips: list[SyntheticClip]) -> MetricsReport:
     """Metrics of ``estimate_hr`` on each predicted clip against its true rate."""
+    _require_scorable(clips, model.cfg.chunk_len)
     preds = predict(model, clips)
     est = [estimate_hr(p, c.fs).bpm for p, c in zip(preds, clips)]
     return metrics(est, [c.hr_bpm for c in clips])
@@ -383,9 +392,7 @@ def train(
     model = model if model is not None else build_pipeline(seed=cfg.seed)
     _require_chunk_len(clips, model.cfg.chunk_len, "train clip")
     # evaluate reads the eval clips after the last step; refuse bad ones before the first
-    _require_chunk_len(eval_clips or [], model.cfg.chunk_len, "eval clip")
-    for c in eval_clips or []:
-        require_hr_length(model.cfg.chunk_len, c.fs)
+    _require_scorable(eval_clips or [], model.cfg.chunk_len)
     batch_rng = nc.rng(cfg.seed, "train-batches")
     log = TrainLog()
     with nc.subnormals_flushed():

@@ -5,14 +5,13 @@ import pytest
 
 from physkit import numcore as nc
 from physkit.attention import (
-    _softmax_weights,
     cross_attention,
     feed_forward,
     init_attention,
     init_feed_forward,
     self_attention,
 )
-from physkit.errors import ContractError, ShapeError
+from physkit.errors import ContractError, NumericError, ShapeError
 
 
 def _params(dim=4, heads=1, seed=0, store=None):
@@ -62,11 +61,92 @@ def test_matches_straight_line_oracle():
 def test_attention_weight_rows_are_stochastic():
     store, p = _params(dim=8, heads=2, seed=7)
     rng = np.random.default_rng(8)
-    q_in, kv_in = (nc.Tensor(rng.standard_normal((2, n, 8))) for n in (5, 9))
-    w = _softmax_weights(q_in, kv_in, p).data
+    q_in, kv_in = (rng.standard_normal((2, n, 8)) for n in (5, 9))
+    q = nc._heads(q_in.reshape(-1, 8), p.w_q.value, 2, p.heads)
+    k = nc._heads(kv_in.reshape(-1, 8), p.w_k.value, 2, p.heads)
+    w = nc._attention_weights_t(q, k).swapaxes(-1, -2)
     assert w.shape == (2, 2, 5, 9)
     assert np.max(np.abs(w.sum(axis=-1) - 1.0)) < 1e-12
     assert np.all(w >= 0)
+
+
+def oracle_op_chain(q_in, kv_in, p):
+    """The multi-head attention as separate steps: project, split heads,
+    scale QK^T, softmax over the last axis, mix V, merge heads, project."""
+    b, heads, hd = q_in.shape[0], p.heads, p.dim // p.heads
+
+    def split(x, w):
+        return (x @ w).reshape(b, x.shape[1], heads, hd).transpose(0, 2, 1, 3)
+
+    q, k, v = split(q_in, p.w_q.value), split(kv_in, p.w_k.value), split(kv_in, p.w_v.value)
+    scores = (q @ k.transpose(0, 1, 3, 2)) / math.sqrt(hd)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    mixed = (e / e.sum(axis=-1, keepdims=True)) @ v
+    return mixed.transpose(0, 2, 1, 3).reshape(b, q_in.shape[1], p.dim) @ p.w_o.value
+
+
+@pytest.mark.parametrize("heads, batch, lq, lk", [(1, 2, 3, 5), (2, 3, 7, 4), (4, 1, 6, 6), (4, 2, 1, 9)])
+def test_fused_attention_matches_the_op_chain(heads, batch, lq, lk):
+    store, p = _params(dim=8, heads=heads, seed=20 + heads)
+    rng = np.random.default_rng(21)
+    q_in, kv_in = rng.standard_normal((batch, lq, 8)), rng.standard_normal((batch, lk, 8))
+    out = cross_attention(q_in, kv_in, p).data
+    assert out.shape == (batch, lq, 8)
+    assert np.max(np.abs(out - oracle_op_chain(q_in, kv_in, p))) < 1e-12
+
+
+def _input_map(store, dim=8):
+    """A trainable (D, D) map: what it feeds the attention carries a node."""
+    rng = np.random.default_rng(40)
+    return store.add("w_in", rng.standard_normal((dim, dim)) * 0.5)
+
+
+@pytest.mark.parametrize("frozen", [None, "w_q", "w_k", "w_v", "w_o"])
+def test_fused_attention_gradient_check(frozen):
+    store, p = _params(dim=8, heads=2, seed=30)
+    w_in = _input_map(store)
+    if frozen:
+        getattr(p, frozen).trainable = False
+    rng = np.random.default_rng(31)
+    xq, xkv = rng.standard_normal((2, 3, 8)), rng.standard_normal((2, 5, 8))
+
+    def f():
+        crossed = cross_attention(nc.matmul(xq, w_in.use()), xkv, p)
+        return nc.mean_all(nc.mul(crossed, crossed))
+
+    assert nc.grad_check(f, store) < 1e-4
+
+
+def test_self_attention_gradient_reaches_the_shared_input():
+    store, p = _params(dim=8, heads=4, seed=32)
+    w_in = _input_map(store)
+    x = np.random.default_rng(33).standard_normal((2, 6, 8))
+
+    def f():
+        out = self_attention(nc.matmul(x, w_in.use()), p)
+        return nc.mean_all(nc.mul(out, out))
+
+    assert nc.grad_check(f, store) < 1e-4
+
+
+def test_fused_attention_is_one_node_and_skips_constant_gradients():
+    store, p = _params(dim=8, heads=2, seed=34)
+    p.w_v.trainable = False
+    rng = np.random.default_rng(35)
+    with nc.Tape() as tape:
+        out = cross_attention(rng.standard_normal((2, 3, 8)), rng.standard_normal((2, 4, 8)), p)
+    assert len(tape) == 1 and out.node.op == "attention"
+    grads = out.node.grad_fn(np.ones(out.shape))
+    assert [g is None for g in grads] == [True, True, False, False, True, False]
+    assert [g.shape for g in grads if g is not None] == [(8, 8)] * 3
+
+
+def test_non_finite_input_raises():
+    store, p = _params(dim=4, heads=2, seed=36)
+    x = np.random.default_rng(37).standard_normal((1, 3, 4))
+    x[0, 1, 2] = np.nan
+    with pytest.raises(NumericError, match="non-finite"):
+        self_attention(x, p)
 
 
 def test_permutation_equivariance_of_self_attention():

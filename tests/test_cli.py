@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from physkit import numcore as nc
+from physkit import pipeline
 from physkit.cli import _load_clips, main
 from physkit.numcore import ParamStore
 from physkit.pipeline import ModelConfig, Pipeline, TrainConfig, build_pipeline, train
@@ -574,3 +575,15 @@ def test_a_manifest_of_mixed_clip_lengths_is_one_error_line_before_any_forward(
     err = _one_error_line(capsys)
     assert "clip 2 (seed 2000006) has 160 samples, the model reads chunk_len=128" in err
     assert not out.exists()
+
+
+def test_eval_refuses_clips_under_4_s_before_predicting(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "data"
+    # 128 samples at 60 Hz are 2.1 s; estimate_hr reads at least 4 s
+    assert main(["synth", "--out", str(data), "--n-clips", "2", "--fs", "60"]) == 0
+    ckpt = tmp_path / "checkpoint.txt"
+    build_pipeline(ModelConfig()).store.save(ckpt)
+    capsys.readouterr()
+    monkeypatch.setattr(pipeline, "predict", lambda *a, **k: pytest.fail("predict ran"))
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(data / "manifest.jsonl")]) == 1
+    assert _one_error_line(capsys) == "error: need at least 4 s of samples (240), got 128\n"

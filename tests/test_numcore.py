@@ -216,6 +216,42 @@ def test_adam_first_step_is_signed_lr():
     assert np.allclose(p.value, [-1e-3, 1e-3], rtol=1e-6)
 
 
+def test_in_place_adam_equals_the_formula_bit_for_bit():
+    def oracle(value, m, v, g, lr, wd, t):
+        beta1, beta2, eps = 0.9, 0.999, 1e-8
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * (g * g)
+        m_hat, v_hat = m / (1.0 - beta1**t), v / (1.0 - beta2**t)
+        value = value - lr * m_hat / (np.sqrt(v_hat) + eps) - lr * wd * value
+        return np.asarray(value, dtype=value.dtype), m, v
+
+    rng = np.random.default_rng(50)
+    for dtype in (np.float32, np.float64):
+        store = nc.ParamStore(dtype=dtype)
+        params = [store.add(f"p{n}", rng.standard_normal(shape)) for n, shape in enumerate([(), (5,), (3, 4)])]
+        state = {p.name: (p.value.copy(), np.zeros_like(p.value), np.zeros_like(p.value)) for p in params}
+        for t in (1, 2, 3):
+            for p in params:
+                p.grad = rng.standard_normal(p.shape).astype(dtype)
+                state[p.name] = oracle(*state[p.name], p.grad, 3e-3, 0.05, t)
+            nc.adam_step(store, lr=3e-3, wd=0.05, t=t)
+            for p in params:
+                value, m, v = state[p.name]
+                assert p.value.dtype == p.m.dtype == p.v.dtype == dtype and p.value.shape == p.shape
+                for got, want in ((p.value, value), (p.m, m), (p.v, v)):
+                    assert np.asarray(got).tobytes() == np.asarray(want, dtype=dtype).tobytes(), (p.name, t)
+
+
+def test_adam_never_writes_into_an_array_the_value_was_set_from():
+    store = nc.ParamStore()
+    p = store.add("p", [1.0, 2.0])
+    given = np.array([3.0, 4.0])
+    p.value = given
+    p.grad = np.array([1.0, -1.0])
+    nc.adam_step(store, lr=0.1, wd=0.0, t=1)
+    assert given.tolist() == [3.0, 4.0] and not np.array_equal(p.value, given)
+
+
 def test_adam_rejects_bad_step_index():
     store = nc.ParamStore()
     store.add("p", [1.0])

@@ -405,7 +405,8 @@ def test_every_op_of_a_float32_train_step_computes_in_float32(monkeypatch):
 
     monkeypatch.setattr(nc, "_emit", spy)
     train(_clips(4, base_seed=19), TrainConfig(steps=1), model=build_pipeline(seed=0))
-    assert {"matmul", "d matmul", "softmax_rows", "gelu", "d patches_1d"} <= {op for op, _ in dtypes}
+    ops = {op for op, _ in dtypes}
+    assert {"matmul", "d matmul", "softmax_rows", "gelu", "d patches_1d", "attention", "d attention"} <= ops
     assert {d for _, d in dtypes} == {"float32"}, sorted(dtypes)
 
 
