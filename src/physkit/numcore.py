@@ -491,8 +491,9 @@ def _even_odd(y: Array, w: Array, coefs: Sequence, out: Array, scratch: Array) -
     return out
 
 
-def _normal_cdf(x: Array) -> Array:
-    """The standard normal CDF, (1 + erf(x / sqrt 2)) / 2, in x's dtype.
+def _normal_cdf(x: Array, out: Array | None = None) -> Array:
+    """The standard normal CDF, (1 + erf(x / sqrt 2)) / 2, in x's dtype,
+    written into out (a new array when out is None).
 
     float64 calls ``scipy.special.erf``, imported here so that a float32
     model never loads scipy. float32 evaluates Eigen's rational erf in float32
@@ -501,16 +502,21 @@ def _normal_cdf(x: Array) -> Array:
     6e-8 for scipy's erf in float32, in about a third of the time: 0.8 against
     2.5 ms on a (4, 144, 256) array, one core.
     """
+    out = np.empty_like(x) if out is None else out
     if x.dtype != np.float32:
         from scipy.special import erf
 
-        return 0.5 * (1.0 + erf(x * _INV_SQRT2))
+        np.multiply(x, _INV_SQRT2, out=out)
+        erf(out, out=out)
+        out += 1.0
+        out *= 0.5
+        return out
     z = x * np.float32(_INV_SQRT2)
     np.clip(z, -_ERF_CLAMP, _ERF_CLAMP, out=z)
     y = z * z
     w = y * y
     scratch = np.empty_like(z)
-    cdf = _even_odd(y, w, _ERF_P, np.empty_like(z), scratch)
+    cdf = _even_odd(y, w, _ERF_P, out, scratch)
     cdf *= z
     cdf /= _even_odd(y, w, _ERF_Q, z, scratch)
     cdf *= 0.5
@@ -518,21 +524,40 @@ def _normal_cdf(x: Array) -> Array:
     return cdf
 
 
+_GELU_BLOCK = 1 << 16
+
+
 def gelu(t) -> Tensor:
     """Exact GELU, x * Phi(x) with Phi the standard normal CDF (not the tanh
     form). float32 computes Phi with a rational erf within 2.2e-7 of the
     exact Phi; float64 with ``scipy.special.erf``. The backward is
-    Phi(x) + x phi(x) with the exact Gaussian density phi."""
+    Phi(x) + x phi(x) with the exact Gaussian density phi.
+
+    Forward and backward run over _GELU_BLOCK-element slices of the flat
+    input: only Phi, the output and the input gradient are full-size arrays.
+    Every result is elementwise, so it does not depend on the blocking."""
     t = as_tensor(t)
-    x = t.data
-    cdf = _normal_cdf(x)
-    out = x * cdf
+    shape, x = t.shape, t.data.reshape(-1)
+    cdf, out = np.empty_like(x), np.empty_like(x)
+    blocks = [slice(lo, lo + _GELU_BLOCK) for lo in range(0, x.size, _GELU_BLOCK)]
+    for s in blocks:
+        np.multiply(x[s], _normal_cdf(x[s], out=cdf[s]), out=out[s])
 
     def grad_fn(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        return (g * (cdf + x * pdf),)
+        g = g.reshape(-1)
+        gx = np.empty(x.shape, np.result_type(g, x))
+        for s in blocks:
+            xs = x[s]
+            d = np.multiply(xs, -0.5)
+            d *= xs
+            np.exp(d, out=d)
+            d *= _INV_SQRT2PI  # phi(x)
+            d *= xs
+            d += cdf[s]
+            np.multiply(g[s], d, out=gx[s])
+        return (gx.reshape(shape),)
 
-    return _emit(out, "gelu", (t,), grad_fn)
+    return _emit(out.reshape(shape), "gelu", (t,), grad_fn)
 
 
 def sum_all(t) -> Tensor:

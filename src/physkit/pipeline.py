@@ -9,9 +9,11 @@ waveform is flat and the initial loss equals the target's mean power.
 
 The model computes in float32: its parameters, every op of the forward and
 backward pass, and the optimizer state. ``train`` and ``predict`` run with
-subnormal numbers flushed to zero (``numcore.subnormals_flushed``). The
-stationarizer smooths in float64 and hands its blend to the model in float32;
-``grad_check`` audits the model through the store's float64 image. In
+subnormal numbers flushed to zero (``numcore.subnormals_flushed``). A clip's
+feature pyramid is float32 and enters the aggregator as it is; its waveforms
+``x_enc`` and ``bvp`` are float64. The stationarizer smooths in float64 and
+hands its blend to the model in float32; ``grad_check`` audits the model
+through the store's float64 image, which casts the pyramid up. In
 float32 the GELU's normal CDF is a rational approximation within 2.2e-7 of
 the exact one, and building, training and predicting load no scipy module;
 the float64 audit computes it with ``scipy.special.erf``.
@@ -76,6 +78,16 @@ PATCH_GAIN = 2.0
 SKIP_GAIN = 12.0
 
 
+def _integer(config: str, name: str, value, least: int) -> int:
+    """A config field's value as an int; refused, naming the field, unless
+    it is an integer (not a bool) of at least `least`."""
+    if not nc.is_int(value):
+        raise ContractError(f"{config} config {name} must be an integer, got {value!r}")
+    if value < least:
+        raise ContractError(f"{config} config {name} must be at least {least}, got {value}")
+    return int(value)
+
+
 @dataclass
 class ModelConfig:
     dim: int = 64
@@ -95,15 +107,9 @@ class ModelConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type != "int":
-                continue
-            if not nc.is_int(value):
-                raise ContractError(f"model config {f.name} must be an integer, got {value!r}")
-            least = 0 if f.name == "lm_layers" else 1
-            if value < least:
-                raise ContractError(f"model config {f.name} must be at least {least}, got {value}")
-            setattr(self, f.name, int(value))
+            if f.type == "int":
+                least = 0 if f.name == "lm_layers" else 1
+                setattr(self, f.name, _integer("model", f.name, getattr(self, f.name), least))
         if not (nc.is_real(self.alpha) and math.isfinite(self.alpha)):
             raise ContractError(f"model config alpha must be a finite real, got {self.alpha!r}")
         self.alpha = float(self.alpha)
@@ -143,12 +149,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for key in ("lr", "weight_decay"):
-            value = getattr(self, key)
-            if not 0 <= value < math.inf:
-                raise ContractError(f"train config {key} must be finite and >= 0, got {value}")
-        if min(self.batch_size, self.steps) < 1:
-            raise ContractError(f"need batch_size, steps >= 1: {self}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int":
+                setattr(self, f.name, _integer("train", f.name, value, 0 if f.name == "seed" else 1))
+            elif nc.is_real(value) and 0 <= value < math.inf:
+                setattr(self, f.name, float(value))
+            else:
+                raise ContractError(f"train config {f.name} must be a finite real >= 0, got {value!r}")
 
 
 @dataclass
@@ -341,6 +349,8 @@ def _require_chunk_len(clips: list[SyntheticClip], chunk_len: int, what: str) ->
 
 def predict(model: Pipeline, clips: list[SyntheticClip], batch_size: int = 8) -> list[np.ndarray]:
     """Plain forward passes; no tape, no parameter updates."""
+    if not (nc.is_int(batch_size) and batch_size >= 1):
+        raise ContractError(f"predict batch_size must be a positive integer, got {batch_size!r}")
     _require_chunk_len(clips, model.cfg.chunk_len, "clip")
     outputs: list[np.ndarray] = []
     with nc.subnormals_flushed():
@@ -368,6 +378,19 @@ def evaluate(model: Pipeline, clips: list[SyntheticClip]) -> MetricsReport:
     return metrics(est, [c.hr_bpm for c in clips])
 
 
+def _backward_step(model: Pipeline, clips: list[SyntheticClip]) -> float:
+    """The loss on one batch, with every trainable grad set to its gradient.
+
+    The step's graph, its tape nodes and the activations their backward
+    closures hold, lives only in this frame, so it is freed on return."""
+    pyr, x_enc, scenes = batch_from_clips(clips)
+    target = np.stack([c.bvp for c in clips])
+    with nc.Tape():
+        loss = mse_loss(model.forward(pyr, x_enc, scenes), nc.Tensor(target))
+        nc.backward(loss, model.store)
+    return float(loss.item())
+
+
 @dataclass
 class TrainLog:
     losses: list[float] = field(default_factory=list)  # step i + 1 at index i
@@ -386,6 +409,8 @@ def train(
 
     The running-loss endpoints average the first and last 10% of steps.
     When eval_clips are given, ``hr_metrics`` is their ``evaluate`` report.
+    A step's graph is freed once its gradients are set, before the Adam
+    update, so no two steps' graphs are alive at once.
     """
     if not clips:
         raise ContractError("training needs a non-empty dataset")
@@ -398,15 +423,8 @@ def train(
     with nc.subnormals_flushed():
         for step in range(1, cfg.steps + 1):
             idx = batch_rng.integers(0, len(clips), size=cfg.batch_size)
-            chosen = [clips[i] for i in idx]
-            pyr, x_enc, scenes = batch_from_clips(chosen)
-            target = np.stack([c.bvp for c in chosen])
-            with nc.Tape():
-                pred = model.forward(pyr, x_enc, scenes)
-                loss = mse_loss(pred, nc.Tensor(target))
-                nc.backward(loss, model.store)
+            log.losses.append(_backward_step(model, [clips[i] for i in idx]))
             nc.adam_step(model.store, lr=cfg.lr, wd=cfg.weight_decay, t=step)
-            log.losses.append(float(loss.item()))
     window = max(1, cfg.steps // 10)
     log.initial_running_loss = float(np.mean(log.losses[:window]))
     log.final_running_loss = float(np.mean(log.losses[-window:]))

@@ -37,6 +37,10 @@ LEVEL_SHAPES = ((8, 8), (6, 6), (4, 4))
 
 @dataclass
 class SyntheticClip:
+    """One clip. ``bvp`` and ``x_enc`` are float64, as the stationarizer,
+    the cue statistics and the CSV writers read them; the pyramid levels are
+    float32, the model's dtype, which is what the aggregator reads them in."""
+
     bvp: np.ndarray
     x_enc: np.ndarray
     pyramid: list[np.ndarray]  # level i: (time, h_i, w_i)
@@ -82,7 +86,11 @@ def gen_clip(
     snr_db: float = 10.0,
     seed: int = 0,
 ) -> SyntheticClip:
-    """Deterministically synthesize one clip; snr_db=inf means noiseless."""
+    """Deterministically synthesize one clip; snr_db=inf means noiseless.
+
+    The waveforms are float64. The features are computed in float64 and each
+    pyramid level is stored rounded to float32, the dtype a float32 model
+    reads it in; a float64 model casts it back up."""
     if not (math.isfinite(fs) and fs > 0.0):
         raise ContractError(f"sample rate must be finite and positive, got {fs}")
     if math.isnan(snr_db) or snr_db == -math.inf:
@@ -118,7 +126,7 @@ def gen_clip(
             feat = feat + _scaled_noise(
                 nc.rng(seed, f"level{li}-noise"), feat.size, level_power
             ).reshape(feat.shape)
-        pyramid.append(feat.reshape(n_samples, h, w))
+        pyramid.append(feat.reshape(n_samples, h, w).astype(np.float32))
 
     scene_rng = nc.rng(seed, "scene")
     scene = SceneMeta(

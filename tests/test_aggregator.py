@@ -140,3 +140,14 @@ def test_pyramid_validates_consistency():
         FeaturePyramid([np.zeros((1, 16, 4, 4)), np.zeros((2, 16, 3, 3))])
     with pytest.raises(ShapeError):
         FeaturePyramid([np.zeros((1, 16, 4))])
+
+
+def test_a_float64_aggregator_reads_a_float32_pyramid_in_float64():
+    _, p = _setup()
+    pyr64 = _pyramid(24)
+    pyr32 = FeaturePyramid([f.astype(np.float32) for f in pyr64.levels])
+    p.gate_inner.value[:] = p.gate_outer.value[:] = 0.5
+    out = aggregate(pyr32, p).data
+    assert out.dtype == np.float64
+    cast_up = FeaturePyramid([f.astype(np.float64) for f in pyr32.levels])
+    assert np.array_equal(out, aggregate(cast_up, p).data)

@@ -583,6 +583,40 @@ def test_float64_gelu_is_the_scipy_erf_expression_bit_for_bit():
     assert np.array_equal(p.grad, g * (cdf + x * pdf))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_blocked_gelu_is_the_unblocked_expression_bit_for_bit(dtype):
+    rng = np.random.default_rng(9)
+    block = 1 << 16
+    for n in (0, 1, block - 1, block, block + 1, 3 * block + 5):
+        x = (3.0 * rng.standard_normal(n)).astype(dtype)
+        g = rng.standard_normal(n).astype(dtype)
+        store = nc.ParamStore(dtype=dtype)
+        p = store.add("x", x)
+        with nc.Tape():
+            out = nc.gelu(p.use())
+            nc.backward(nc.sum_all(nc.mul(out, g)), store)
+        cdf = nc._normal_cdf(x)  # one call over the whole array
+        pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+        assert out.data.dtype == p.grad.dtype == dtype
+        assert np.array_equal(out.data, x * cdf), n
+        assert np.array_equal(p.grad, g * (cdf + x * pdf)), n
+
+
+def test_gelu_forward_holds_two_full_size_arrays_and_block_scratch():
+    import tracemalloc
+
+    x = np.random.default_rng(10).standard_normal((8, 144, 256)).astype(np.float32)
+    nc.gelu(x)
+    tracemalloc.start()
+    try:
+        nc.gelu(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Phi and the output, plus a few temporaries of 2**16 elements each
+    assert peak <= 2 * x.nbytes + 6 * (1 << 16) * x.itemsize, peak
+
+
 def test_matmul_forms_no_gradient_for_a_constant_or_a_frozen_operand():
     store = nc.ParamStore()
     w = store.add("w", np.ones((3, 2)))

@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from physkit.cues import SceneMeta
 from physkit.errors import ContractError, ParseError, ShapeError
 from physkit.pipeline import (
     ModelConfig,
+    Pipeline,
     TrainConfig,
     batch_from_clips,
     build_pipeline,
@@ -187,6 +189,30 @@ def test_finished_tapes_are_freed_without_a_collection(monkeypatch):
     assert alive == [False, False, False]
 
 
+def test_a_train_step_graph_is_freed_before_the_next_forward(monkeypatch):
+    inputs, live_at_forward = [], []
+    gelu, forward = nc.gelu, Pipeline.forward
+
+    def recorded_gelu(t):
+        inputs.append(weakref.ref(t.data))  # gelu's backward closure holds its input
+        return gelu(t)
+
+    def recorded_forward(self, *args):
+        live_at_forward.append(sum(ref() is not None for ref in inputs))
+        return forward(self, *args)
+
+    monkeypatch.setattr(nc, "gelu", recorded_gelu)
+    monkeypatch.setattr(Pipeline, "forward", recorded_forward)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        train(_clips(4, base_seed=20), TrainConfig(steps=3), model=build_pipeline(seed=0))
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert inputs and live_at_forward == [0, 0, 0]
+
+
 def test_checkpoint_rebuilds_its_model(tmp_path):
     cfg = replace(TINY, alpha=0.3, level=2)
     model = build_pipeline(cfg, seed=7)
@@ -312,10 +338,30 @@ def test_train_rejects_empty_dataset():
 
 
 def test_train_config_validation():
-    with pytest.raises(ContractError):
-        TrainConfig(batch_size=0)
-    with pytest.raises(ContractError):
-        TrainConfig(lr=-1e-4)
+    refused = [
+        ({"batch_size": 0}, "train config batch_size must be at least 1, got 0"),
+        ({"batch_size": 2.5}, "train config batch_size must be an integer, got 2.5"),
+        ({"batch_size": True}, "train config batch_size must be an integer, got True"),
+        ({"steps": 3.7}, "train config steps must be an integer, got 3.7"),
+        ({"seed": -1}, "train config seed must be at least 0, got -1"),
+        ({"lr": -1e-4}, "train config lr must be a finite real >= 0, got -0.0001"),
+        ({"lr": "x"}, "train config lr must be a finite real >= 0, got 'x'"),
+        ({"weight_decay": math.inf}, "train config weight_decay must be a finite real >= 0, got inf"),
+    ]
+    for kwargs, text in refused:
+        with pytest.raises(ContractError) as err:
+            TrainConfig(**kwargs)
+        assert str(err.value) == text
+    cfg = TrainConfig(lr=1, batch_size=np.int64(2))
+    assert type(cfg.lr) is float and type(cfg.batch_size) is int
+
+
+def test_predict_refuses_a_batch_size_that_is_not_a_positive_integer():
+    model, clips = build_pipeline(seed=0), _clips(1, base_seed=21)
+    for bad in (0, -2, 2.0, True):
+        with pytest.raises(ContractError) as err:
+            predict(model, clips, batch_size=bad)
+        assert str(err.value) == f"predict batch_size must be a positive integer, got {bad!r}"
 
 
 def test_predict_returns_one_waveform_per_clip():
@@ -375,7 +421,7 @@ def test_the_model_dtype_sticks(tmp_path):
         if p.trainable:
             assert p.m.dtype == p.v.dtype == np.float32, p.name
     pyr, x_enc, scenes = batch_from_clips(clips)
-    assert pyr.levels[0].dtype == x_enc.dtype == np.float64
+    assert pyr.levels[0].dtype == np.float32 and x_enc.dtype == np.float64
     assert model.forward(pyr, x_enc, scenes).data.dtype == np.float32
     before, after = tmp_path / "before.ckpt", tmp_path / "after.ckpt"
     model.store.save(before)
