@@ -77,16 +77,9 @@ def cross_attention(q_in, kv_in, p: AttentionParams) -> nc.Tensor:
     """softmax(QK^T / sqrt(d)) V per head, followed by the output projection.
 
     Queries come from q_in, keys and values from kv_in; both are
-    (batch, tokens, width) with the width matching the parameters.
+    (batch, tokens, width) with the width matching the parameters, which
+    ``nc.attention`` checks.
     """
-    q_in, kv_in = nc.as_tensor(q_in), nc.as_tensor(kv_in)
-    for name, t in (("query", q_in), ("key/value", kv_in)):
-        if t.ndim != 3 or t.shape[-1] != p.dim:
-            raise ShapeError(
-                f"{name} input must be (batch, tokens, {p.dim}), got {t.shape}"
-            )
-    if q_in.shape[0] != kv_in.shape[0]:
-        raise ShapeError(f"batch sizes differ: {q_in.shape} vs {kv_in.shape}")
     weights = (p.w_q.use(), p.w_k.use(), p.w_v.use(), p.w_o.use())
     return nc.attention(q_in, kv_in, *weights, p.heads)
 

@@ -17,8 +17,8 @@ over short last-axis rows (0.2 against 0.6 ms for a max over a
 (8, 4, 144, 144) float32 array). Its backward is written out by hand.
 
 GELU's normal CDF is a rational erf evaluated in float32 for float32 data,
-and ``scipy.special.erf`` for float64 data; scipy is imported only on that
-path, so a float32 model runs without loading scipy.
+and the standard library's ``math.erf`` per element for float64 data, so
+physkit needs only numpy and the standard library.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ Array = np.ndarray
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_ERF64 = np.frompyfunc(math.erf, 1, 1)
 
 
 _FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
@@ -124,10 +125,6 @@ def subnormals_flushed():
         put(saved)
 
 
-def _hash32(label: str) -> int:
-    return reduce(lambda h, ch: (h * 131 + ch) & 0xFFFFFFFF, label.encode("utf-8"), 0)
-
-
 def is_int(value) -> bool:
     """True for a Python or numpy integer; a bool is not one."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -138,15 +135,23 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _key_word(key: int | str) -> int:
+    if isinstance(key, str):
+        return reduce(lambda h, ch: (h * 131 + ch) & 0xFFFFFFFF, key.encode("utf-8"), 0)
+    if is_int(key) and key >= 0:
+        return int(key)
+    raise ContractError(f"rng key must be a non-negative integer or a string, got {key!r}")
+
+
 def rng(seed: int, *keys: int | str) -> np.random.Generator:
     """The random stream of a root seed, an integer in [0, 2**32), split by
-    fixed keys: an integer key is used as it is, a string key is hashed to 32
-    bits."""
+    fixed keys: a non-negative integer key (numpy's too) is used as its int
+    value, a string key is hashed to 32 bits."""
     if not is_int(seed):
         raise ContractError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 1 << 32:
         raise ContractError(f"seed must be in [0, 2**32), got {seed}")
-    words = [int(seed)] + [k if isinstance(k, int) else _hash32(k) for k in keys]
+    words = [int(seed)] + [_key_word(k) for k in keys]
     return np.random.default_rng(np.random.SeedSequence(words))
 
 
@@ -386,7 +391,7 @@ def _attention_weights_t(q: Array, k: Array) -> Array:
     pt = np.matmul(k, q.swapaxes(-1, -2))
     pt *= 1.0 / math.sqrt(q.shape[-1])
     if not np.isfinite(pt).all():
-        raise NumericError("softmax_rows received non-finite values")
+        raise NumericError("attention received non-finite values")
     pt -= pt.max(axis=-2, keepdims=True)
     np.exp(pt, out=pt)
     pt /= pt.sum(axis=-2, keepdims=True)
@@ -405,7 +410,7 @@ def attention(q_in, kv_in, w_q, w_k, w_v, w_o, heads: int) -> Tensor:
     gradient.
     """
     q_in, kv_in, w_q, w_k, w_v, w_o = (as_tensor(t) for t in (q_in, kv_in, w_q, w_k, w_v, w_o))
-    bsz, d = q_in.shape[0], q_in.shape[-1]
+    bsz, _, d = q_in.shape if q_in.ndim == 3 else (0, 0, 0)  # any other rank fails below
     if (
         q_in.ndim != 3 or kv_in.ndim != 3 or kv_in.shape[::2] != (bsz, d)
         or any(w.shape != (d, d) for w in (w_q, w_k, w_v, w_o)) or not 1 <= heads <= d or d % heads
@@ -495,19 +500,17 @@ def _normal_cdf(x: Array, out: Array | None = None) -> Array:
     """The standard normal CDF, (1 + erf(x / sqrt 2)) / 2, in x's dtype,
     written into out (a new array when out is None).
 
-    float64 calls ``scipy.special.erf``, imported here so that a float32
-    model never loads scipy. float32 evaluates Eigen's rational erf in float32
-    on x / sqrt 2 clamped to +-_ERF_CLAMP. Over every float32 input it is
-    within 2.2e-7 of the exact CDF (2.15e-7 at worst, at x = 4.049), against
-    6e-8 for scipy's erf in float32, in about a third of the time: 0.8 against
-    2.5 ms on a (4, 144, 256) array, one core.
+    float64 calls ``math.erf`` per element, within 1 ulp of the exact erf;
+    only the audit and the tests take that path. float32 evaluates Eigen's
+    rational erf in float32 on x / sqrt 2 clamped to +-_ERF_CLAMP. Over every
+    float32 input it is within 2.2e-7 of the exact CDF (2.15e-7 at worst, at
+    x = 4.049), against 6e-8 for scipy's erf in float32, in about a third of
+    the time: 0.8 against 2.5 ms on a (4, 144, 256) array, one core.
     """
     out = np.empty_like(x) if out is None else out
     if x.dtype != np.float32:
-        from scipy.special import erf
-
         np.multiply(x, _INV_SQRT2, out=out)
-        erf(out, out=out)
+        _ERF64(out, out=out, casting="unsafe")  # object results back to float64
         out += 1.0
         out *= 0.5
         return out
@@ -530,7 +533,7 @@ _GELU_BLOCK = 1 << 16
 def gelu(t) -> Tensor:
     """Exact GELU, x * Phi(x) with Phi the standard normal CDF (not the tanh
     form). float32 computes Phi with a rational erf within 2.2e-7 of the
-    exact Phi; float64 with ``scipy.special.erf``. The backward is
+    exact Phi; float64 with ``math.erf``. The backward is
     Phi(x) + x phi(x) with the exact Gaussian density phi.
 
     Forward and backward run over _GELU_BLOCK-element slices of the flat

@@ -15,8 +15,8 @@ feature pyramid is float32 and enters the aggregator as it is; its waveforms
 hands its blend to the model in float32; ``grad_check`` audits the model
 through the store's float64 image, which casts the pyramid up. In
 float32 the GELU's normal CDF is a rational approximation within 2.2e-7 of
-the exact one, and building, training and predicting load no scipy module;
-the float64 audit computes it with ``scipy.special.erf``.
+the exact one; the float64 audit computes it with ``math.erf``. physkit
+needs only numpy and the standard library.
 
 ``evaluate`` scores the model by the heart rate ``estimate_hr`` reads from
 each predicted clip, for train's held-out report and ``eval --ckpt`` alike.

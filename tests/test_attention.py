@@ -145,7 +145,7 @@ def test_non_finite_input_raises():
     store, p = _params(dim=4, heads=2, seed=36)
     x = np.random.default_rng(37).standard_normal((1, 3, 4))
     x[0, 1, 2] = np.nan
-    with pytest.raises(NumericError, match="non-finite"):
+    with pytest.raises(NumericError, match="^attention received non-finite values$"):
         self_attention(x, p)
 
 
@@ -167,10 +167,12 @@ def test_single_token_self_attention():
 
 def test_shape_errors():
     store, p = _params(dim=4, heads=1)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=r"got \(1, 2, 6\), \(1, 2, 4\), \(4, 4\)"):
         cross_attention(np.zeros((1, 2, 6)), np.zeros((1, 2, 4)), p)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=r"got \(1, 2, 4\), \(2, 2, 4\), \(4, 4\)"):
         cross_attention(np.zeros((1, 2, 4)), np.zeros((2, 2, 4)), p)
+    with pytest.raises(ShapeError, match=r"got \(\), \(1, 2, 4\), \(4, 4\)"):
+        cross_attention(np.float64(0.0), np.zeros((1, 2, 4)), p)
     with pytest.raises(ContractError):
         _params(dim=6, heads=4)
 

@@ -93,9 +93,10 @@ def test_modalities_share_every_parameter():
 
 def test_adapter_init_is_independent_of_call_order():
     _, _, _, rep_a = _setup(seed=6, lengths=(4, 9))
-    _, _, _, rep_b = _setup(seed=6, lengths=(9, 4))
-    assert np.array_equal(rep_a.adapters[4].value, rep_b.adapters[4].value)
-    assert np.array_equal(rep_a.adapters[9].value, rep_b.adapters[9].value)
+    for lengths in ((9, 4), np.array([9, 4])):
+        _, _, _, rep_b = _setup(seed=6, lengths=lengths)
+        assert np.array_equal(rep_a.adapters[4].value, rep_b.adapters[4].value)
+        assert np.array_equal(rep_a.adapters[9].value, rep_b.adapters[9].value)
 
 
 def test_unknown_token_length_is_named():
