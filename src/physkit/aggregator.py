@@ -112,8 +112,7 @@ def project_level(f, p: AggregatorParams, level: int) -> nc.Tensor:
     if t != p.temporal.shape[0]:
         raise ShapeError(f"level has {t} frames, aggregator registered {p.temporal.shape[0]}")
     tokens = nc.matmul(nc.Tensor(f.reshape(b, t, h * w)), p.spatial[level].use())
-    compressed = nc.matmul(nc.transpose(tokens, (0, 2, 1)), p.temporal.use())
-    return nc.transpose(compressed, (0, 2, 1))
+    return nc.token_map(tokens, p.temporal.use())
 
 
 def aggregate(pyr: FeaturePyramid, p: AggregatorParams) -> nc.Tensor:

@@ -3,8 +3,8 @@ a position-free feed-forward block.
 
 Primitives return raw sub-layer outputs; residual composition is the
 caller's job so that fusion formulas upstream can be written literally.
-An attention is one ``numcore.attention`` node on the tape, with the
-softmax over transposed scores and a hand-written backward; the
+Every attention in the package, the cue compressor's too, is one
+``numcore.attention`` node on the tape with a hand-written backward; the
 feed-forward block is the three ops matmul, gelu, matmul.
 """
 

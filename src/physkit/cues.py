@@ -3,10 +3,10 @@
 Each cue is a plain-string caption: the task description is the constant
 ``TASK_CAPTION``, the scene context comes from ``vision_caption`` and the
 physiological statistics from ``signal_stats`` through ``stats_caption``.
-``tokenize`` hashes a caption into a tuple of vocabulary ids. A per-kind
-attentive compressor squeezes each caption's embeddings to a fixed prompt
-length, and learnable element-wise weights fuse the three streams. Streams,
-compressors and fusion weights are dicts keyed by ``CUE_KINDS``.
+``tokenize`` hashes a caption into a tuple of vocabulary ids. Learnable
+queries squeeze each kind's caption embeddings to a fixed prompt length
+through a one-head ``numcore.attention``; element-wise weights fuse the
+three streams. Streams, compressors and weights are keyed by ``CUE_KINDS``.
 """
 
 from __future__ import annotations
@@ -152,9 +152,9 @@ def tokenize(text: str, vocab_size: int) -> tuple[int, ...]:
 
 @dataclass
 class CompressorParams:
-    """Learnable queries that attend over caption tokens; single head, no
-    output projection, so one input token passes straight through its value
-    projection."""
+    """Learnable (prompt_len, dim) queries and the Q, K, V projections of a
+    single-head attention over caption tokens. It has no output projection,
+    so one input token passes straight through its value projection."""
 
     queries: nc.Parameter
     w_q: nc.Parameter
@@ -175,18 +175,12 @@ def init_compressor(
 
 
 def compress(tokens, p: CompressorParams) -> nc.Tensor:
-    """Reduce (batch, n, dim) caption embeddings to (batch, prompt_len, dim)."""
-    tokens = nc.as_tensor(tokens)
-    dim = p.w_k.shape[0]
-    if tokens.ndim != 3 or tokens.shape[-1] != dim:
-        raise ShapeError(f"compress expects (batch, n, {dim}), got {tokens.shape}")
-    if tokens.shape[1] < 1:
-        raise ContractError("compress needs at least one input token")
-    q = nc.matmul(p.queries.use(), p.w_q.use())  # (L, D), broadcast over batch
-    k = nc.matmul(tokens, p.w_k.use())
-    v = nc.matmul(tokens, p.w_v.use())
-    scores = nc.scale(nc.matmul(q, nc.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dim))
-    return nc.matmul(nc.softmax_rows(scores), v)
+    """(batch, n >= 1, dim) caption embeddings to (batch, prompt_len, dim) by a
+    one-head ``nc.attention`` of the queries, with the identity as its w_o."""
+    tokens, queries = nc.as_tensor(tokens), p.queries.use()
+    repeated = nc.add(np.zeros(tokens.shape[:1] + queries.shape, queries.data.dtype), queries)
+    identity = np.eye(queries.shape[1], dtype=queries.data.dtype)
+    return nc.attention(repeated, tokens, p.w_q.use(), p.w_k.use(), p.w_v.use(), identity, heads=1)
 
 
 # ---------------------------------------------------------------------------

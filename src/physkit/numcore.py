@@ -14,7 +14,8 @@ projections are 2-D GEMMs on (batch * tokens, width) rows, and it forms the
 scores transposed, K Q^T, so that the softmax reduces over axis -2. numpy
 reduces a stack of rows along the fast axis about three times faster than
 over short last-axis rows (0.2 against 0.6 ms for a max over a
-(8, 4, 144, 144) float32 array). Its backward is written out by hand.
+(8, 4, 144, 144) float32 array). Its backward is written out by hand, as is
+that of ``token_map``, the one-node linear map of a token axis.
 
 GELU's normal CDF is a rational erf evaluated in float32 for float32 data,
 and the standard library's ``math.erf`` per element for float64 data, so
@@ -350,6 +351,22 @@ def matmul(a, b) -> Tensor:
     return _emit(out, "matmul", (a, b), grad_fn)
 
 
+def token_map(x, w) -> Tensor:
+    """(B, T, D) tokens x mapped along T by a (T, N) weight w to (B, N, D):
+    out[b, n] = sum over t of w[t, n] x[b, t]. A constant gets no gradient."""
+    x, w = as_tensor(x), as_tensor(w)
+    if x.ndim != 3 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"token_map needs (B, T, D) and (T, N) operands, got {x.shape} and {w.shape}")
+    xd, wd, need_x, need_w = x.data, w.data, x.node is not None, w.node is not None
+
+    def grad_fn(g):
+        gx = np.matmul(wd, g) if need_x else None
+        gw = np.tensordot(xd, g, ((0, 2), (0, 2))) if need_w else None
+        return gx, gw
+
+    return _emit(np.matmul(wd.T, xd), "token_map", (x, w), grad_fn)
+
+
 def softmax_rows(t) -> Tensor:
     """Numerically stabilized softmax over the last axis."""
     t = as_tensor(t)
@@ -412,12 +429,12 @@ def attention(q_in, kv_in, w_q, w_k, w_v, w_o, heads: int) -> Tensor:
     q_in, kv_in, w_q, w_k, w_v, w_o = (as_tensor(t) for t in (q_in, kv_in, w_q, w_k, w_v, w_o))
     bsz, _, d = q_in.shape if q_in.ndim == 3 else (0, 0, 0)  # any other rank fails below
     if (
-        q_in.ndim != 3 or kv_in.ndim != 3 or kv_in.shape[::2] != (bsz, d)
+        q_in.ndim != 3 or kv_in.ndim != 3 or kv_in.shape[::2] != (bsz, d) or kv_in.shape[1] < 1
         or any(w.shape != (d, d) for w in (w_q, w_k, w_v, w_o)) or not 1 <= heads <= d or d % heads
     ):
         raise ShapeError(
-            f"attention needs (B, Lq, D) and (B, Lk, D) inputs, (D, D) weights and heads "
-            f"dividing D; got {q_in.shape}, {kv_in.shape}, {w_q.shape}, {heads} heads"
+            f"attention needs (B, Lq, D) and (B, Lk, D) inputs with Lk >= 1, (D, D) weights and "
+            f"heads dividing D; got {q_in.shape}, {kv_in.shape}, {w_q.shape}, {heads} heads"
         )
     xq, xkv = q_in.data.reshape(-1, d), kv_in.data.reshape(-1, d)
     q, k, v = (_heads(x, w.data, bsz, heads) for x, w in ((xq, w_q), (xkv, w_k), (xkv, w_v)))
@@ -618,17 +635,6 @@ def reshape(t, shape: Sequence[int]) -> Tensor:
     return _emit(out, "reshape", (t,), grad_fn)
 
 
-def transpose(t, axes: Sequence[int]) -> Tensor:
-    t = as_tensor(t)
-    axes = tuple(int(a) for a in axes)
-    inv = tuple(np.argsort(axes))
-
-    def grad_fn(g):
-        return (g.transpose(inv),)
-
-    return _emit(t.data.transpose(axes), "transpose", (t,), grad_fn)
-
-
 def concat(parts: Sequence, axis: int) -> Tensor:
     ts = [as_tensor(p) for p in parts]
     if not ts:
@@ -787,13 +793,15 @@ class ParamStore:
 
     def load_into(self, path) -> None:
         """Overwrite every parameter in place. The checkpoint must carry this
-        store's config, and its names, shapes and dtypes must match; a
-        checkpoint that fails a check leaves every value unchanged."""
+        store's config, name each parameter once, and match its shapes and
+        dtypes; a checkpoint that fails a check leaves every value unchanged."""
         records = {}
         with open(path, "rb") as fh:
             config = self._read_header(fh)
             for number, line in enumerate(iter(fh.readline, b""), start=1):
                 name = line.rstrip(b"\n").decode(errors="replace")
+                if name in records:
+                    raise ParseError(f"record {number} names parameter {name!r} a second time")
                 try:
                     records[name] = np.lib.format.read_array(fh, allow_pickle=False)
                 except ValueError as exc:  # numpy's EOF and format errors among them

@@ -139,9 +139,6 @@ def reprogram(x, prototypes, p: ReprogrammerParams) -> nc.Tensor:
     if prototypes.shape != bank:
         raise ShapeError(f"prototype bank must be {bank}, got {prototypes.shape}")
     x_self = self_attention(x, p.self_attn)
-    adapted = nc.transpose(
-        nc.matmul(nc.transpose(x_self, (0, 2, 1)), adapter.use()), (0, 2, 1)
-    )
-    fused = nc.add(adapted, prototypes)
+    fused = nc.add(nc.token_map(x_self, adapter.use()), prototypes)
     crossed = cross_attention(fused, x, p.cross_attn)
     return feed_forward(nc.add(fused, crossed), p.ffn)

@@ -173,6 +173,8 @@ def test_shape_errors():
         cross_attention(np.zeros((1, 2, 4)), np.zeros((2, 2, 4)), p)
     with pytest.raises(ShapeError, match=r"got \(\), \(1, 2, 4\), \(4, 4\)"):
         cross_attention(np.float64(0.0), np.zeros((1, 2, 4)), p)
+    with pytest.raises(ShapeError, match=r"got \(1, 2, 4\), \(1, 0, 4\), \(4, 4\)"):
+        cross_attention(np.zeros((1, 2, 4)), np.zeros((1, 0, 4)), p)
     with pytest.raises(ContractError):
         _params(dim=6, heads=4)
 

@@ -192,6 +192,20 @@ def test_compress_matches_attention_oracle():
     assert np.max(np.abs(out[0] - w @ v)) < 1e-12
 
 
+@pytest.mark.parametrize("shape", [(2, 0, 8), (2, 3, 6), (3, 8), ()])
+def test_compress_refuses_a_bad_token_shape_through_the_attention_op(shape):
+    store, p = _compressor()
+    with pytest.raises(ShapeError, match="attention needs"):
+        compress(np.zeros(shape), p)
+
+
+def test_compress_records_one_attention_node_after_one_broadcast_add():
+    store, p = _compressor(seed=8)
+    with nc.Tape() as tape:
+        compress(np.random.default_rng(9).standard_normal((3, 5, 8)), p)
+    assert [node.op for node in tape._nodes] == ["add", "attention"]
+
+
 def test_fuse_uniform_weights_average_streams():
     store = nc.ParamStore()
     w = init_fusion(store, "fuse", 4, 8)

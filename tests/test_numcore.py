@@ -642,3 +642,71 @@ def test_matmul_forms_no_gradient_for_a_constant_or_a_frozen_operand():
     assert ga is None and gb.shape == (3, 2)
     ga, gb = out.node.grad_fn(np.ones((5, 4)))
     assert ga.shape == (5, 2) and gb is None
+
+
+def test_token_map_is_the_token_axis_einsum():
+    rng = np.random.default_rng(30)
+    x, w = rng.standard_normal((3, 5, 4)), rng.standard_normal((5, 2))
+    out = nc.token_map(x, w).data
+    assert out.shape == (3, 2, 4)
+    assert np.max(np.abs(out - np.einsum("btd,tn->bnd", x, w))) < 1e-12
+
+
+def test_token_map_gradient_check_on_both_operands():
+    rng = np.random.default_rng(31)
+    store = nc.ParamStore()
+    x = store.add("x", rng.standard_normal((2, 5, 3)))
+    w = store.add("w", rng.standard_normal((5, 4)))
+    r = nc.Tensor(rng.standard_normal((2, 4, 3)))
+
+    def f():
+        out = nc.token_map(x.use(), w.use())
+        return nc.add(nc.mean_all(nc.mul(out, out)), nc.sum_all(nc.mul(out, r)))
+
+    # f is quadratic in each entry, where the five-point stencil is exact at any
+    # step: a large one only shrinks the round-off
+    assert nc.grad_check(f, store, eps=0.1) < 1e-10
+
+
+def test_token_map_keeps_float32_forward_and_backward():
+    rng = np.random.default_rng(32)
+    store = nc.ParamStore(dtype=np.float32)
+    x = store.add("x", rng.standard_normal((2, 5, 3)))
+    w = store.add("w", rng.standard_normal((5, 4)))
+    with nc.Tape():
+        out = nc.token_map(x.use(), w.use())
+        nc.backward(nc.sum_all(nc.mul(out, out)), store)
+    assert out.data.dtype == x.grad.dtype == w.grad.dtype == np.float32
+
+
+def test_token_map_forms_no_gradient_for_a_constant_or_a_frozen_operand():
+    store = nc.ParamStore()
+    w = store.add("w", np.ones((5, 2)))
+    frozen = store.add("frozen", np.ones((2, 4)), trainable=False)
+    with nc.Tape():
+        h = nc.token_map(np.ones((3, 5, 6)), w.use())
+        out = nc.token_map(h, frozen.use())
+    gx, gw = h.node.grad_fn(np.ones((3, 2, 6)))
+    assert gx is None and gw.shape == (5, 2)
+    gx, gw = out.node.grad_fn(np.ones((3, 4, 6)))
+    assert gx.shape == (3, 2, 6) and gw is None
+
+
+@pytest.mark.parametrize(
+    "x_shape, w_shape",
+    [((5, 4), (5, 2)), ((3, 5, 4), (5,)), ((3, 5, 4), (5, 2, 1)), ((3, 5, 4), (4, 2))],
+)
+def test_token_map_shape_errors_name_both_shapes(x_shape, w_shape):
+    with pytest.raises(ShapeError) as err:
+        nc.token_map(np.zeros(x_shape), np.zeros(w_shape))
+    assert str(x_shape) in str(err.value) and str(w_shape) in str(err.value)
+
+
+def test_paramstore_refuses_a_checkpoint_naming_a_parameter_twice(tmp_path):
+    path = tmp_path / "params.txt"
+    with open(path, "wb") as fh:
+        fh.write(f"{nc.ParamStore.MAGIC}\n{{}}\n".encode())
+        for name, value in (("a", 1.0), ("w", 2.0), ("a", 3.0)):
+            fh.write(f"{name}\n".encode())
+            np.lib.format.write_array(fh, np.full((2,) if name == "a" else (3, 4), value))
+    _load_fails_and_changes_nothing(path, ParseError, r"record 3 names parameter 'a' a second time")

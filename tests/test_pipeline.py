@@ -137,6 +137,21 @@ def test_frozen_vocabulary_gets_identically_zero_gradient():
     assert np.any(model.probe.grad != 0.0)
 
 
+def test_a_forward_pass_records_one_attention_op_and_one_token_axis_op():
+    # every attention, the cue compressors' too, is one node; every token-axis map is one node
+    model = build_pipeline(seed=0)
+    pyr, x_enc, scenes = batch_from_clips(_clips(4))
+    with nc.Tape() as tape:
+        model.forward(pyr, x_enc, scenes)
+    ops = [node.op for node in tape._nodes]
+    assert "transpose" not in ops and "softmax_rows" not in ops
+    # 2 LM layers, 2 in the aggregator, 2 per reprogram call (signal and vision), 3 cue compressors
+    assert ops.count("attention") == 11
+    # one per pyramid level (3) and one per reprogram call (2)
+    assert ops.count("token_map") == 5
+    assert len(ops) == 67
+
+
 def test_forward_rejects_mismatched_batches():
     model = build_pipeline(TINY, seed=8)
     pyr, x_enc, scenes = _tiny_inputs(batch=2, seed=9)
@@ -452,7 +467,7 @@ def test_every_op_of_a_float32_train_step_computes_in_float32(monkeypatch):
     monkeypatch.setattr(nc, "_emit", spy)
     train(_clips(4, base_seed=19), TrainConfig(steps=1), model=build_pipeline(seed=0))
     ops = {op for op, _ in dtypes}
-    assert {"matmul", "d matmul", "softmax_rows", "gelu", "d patches_1d", "attention", "d attention"} <= ops
+    assert {"matmul", "d matmul", "token_map", "d token_map", "gelu", "d patches_1d", "attention", "d attention"} <= ops
     assert {d for _, d in dtypes} == {"float32"}, sorted(dtypes)
 
 
