@@ -14,12 +14,16 @@ projections are 2-D GEMMs on (batch * tokens, width) rows, and it forms the
 scores transposed, K Q^T, so that the softmax reduces over axis -2. numpy
 reduces a stack of rows along the fast axis about three times faster than
 over short last-axis rows (0.2 against 0.6 ms for a max over a
-(8, 4, 144, 144) float32 array). Its backward is written out by hand, as is
-that of ``token_map``, the one-node linear map of a token axis.
+(8, 4, 144, 144) float32 array). The softmax's scale is folded into the Q
+projection and its normalisation is deferred to the (batch * tokens, width)
+output, so the forward makes four passes over the scores: max, shift, exp
+and sum. Its backward is written out by hand, as is that of
+``token_map``, the one-node linear map of a token axis.
 
-GELU's normal CDF is a rational erf evaluated in float32 for float32 data,
-and the standard library's ``math.erf`` per element for float64 data, so
-physkit needs only numpy and the standard library.
+GELU's normal CDF is (1 + tanh(x R(x^2))) / 2, R a degree-6 polynomial in
+x^2, evaluated in float32 for float32 data, and the standard library's
+``math.erf`` per element for float64 data, so physkit needs only numpy and
+the standard library.
 """
 
 from __future__ import annotations
@@ -401,18 +405,28 @@ def _merged(a: Array, b: Array) -> Array:
     return rows.reshape(bsz * n, heads * e)
 
 
+def _exp_scores_t(q: Array, k: Array) -> tuple[Array, Array]:
+    """exp(K Q^T - its column max) per head and its column sums: (B, H, Lk, Lq)
+    and (B, H, 1, Lq) from q (B, H, Lq, E), already scaled, and k (B, H, Lk,
+    E). Shift and exp run in place on the one K Q^T buffer. A score that is
+    NaN or overflows to +inf makes its column's sum NaN, so only the sums are
+    checked, and the floating-point warnings on the way are not raised."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        et = np.matmul(k, q.swapaxes(-1, -2))
+        et -= et.max(axis=-2, keepdims=True)
+        np.exp(et, out=et)
+        sums = et.sum(axis=-2, keepdims=True)
+    if not np.isfinite(sums).all():
+        raise NumericError("attention received non-finite values")
+    return et, sums
+
+
 def _attention_weights_t(q: Array, k: Array) -> Array:
     """softmax(Q K^T / sqrt(E)) per head, transposed: (B, H, Lk, Lq) from q
-    (B, H, Lq, E) and k (B, H, Lk, E), each column summing to 1. Scale,
-    shift, exp and normalisation run in place on the one K Q^T buffer."""
-    pt = np.matmul(k, q.swapaxes(-1, -2))
-    pt *= 1.0 / math.sqrt(q.shape[-1])
-    if not np.isfinite(pt).all():
-        raise NumericError("attention received non-finite values")
-    pt -= pt.max(axis=-2, keepdims=True)
-    np.exp(pt, out=pt)
-    pt /= pt.sum(axis=-2, keepdims=True)
-    return pt
+    (B, H, Lq, E) and k (B, H, Lk, E), each column summing to 1."""
+    et, sums = _exp_scores_t(q * (1.0 / math.sqrt(q.shape[-1])), k)
+    et /= sums
+    return et
 
 
 def attention(q_in, kv_in, w_q, w_k, w_v, w_o, heads: int) -> Tensor:
@@ -422,9 +436,13 @@ def attention(q_in, kv_in, w_q, w_k, w_v, w_o, heads: int) -> Tensor:
     heads divides D. Each head h attends with Q, K, V = q_in w_q, kv_in w_k,
     kv_in w_v restricted to its D/heads columns; the heads' outputs, side by
     side, are projected by w_o. Projections are 2-D GEMMs on (B*L, D) rows.
-    The backward is written out: each weight gradient is one 2-D GEMM, the
-    softmax backward runs in place, and an input without a node gets no
-    gradient.
+
+    The softmax's 1/sqrt(D/heads) is folded into w_q, and its normalisation
+    is deferred: the unnormalised weights mix V and the (B*Lq, D) mix is
+    divided by their column sums, so no pass over the (B, H, Lk, Lq) weights
+    scales or normalises them. The backward normalises them once, in place.
+    It is written out: each weight gradient is one 2-D GEMM, the softmax
+    backward runs in place, and an input without a node gets no gradient.
     """
     q_in, kv_in, w_q, w_k, w_v, w_o = (as_tensor(t) for t in (q_in, kv_in, w_q, w_k, w_v, w_o))
     bsz, _, d = q_in.shape if q_in.ndim == 3 else (0, 0, 0)  # any other rank fails below
@@ -437,13 +455,25 @@ def attention(q_in, kv_in, w_q, w_k, w_v, w_o, heads: int) -> Tensor:
             f"heads dividing D; got {q_in.shape}, {kv_in.shape}, {w_q.shape}, {heads} heads"
         )
     xq, xkv = q_in.data.reshape(-1, d), kv_in.data.reshape(-1, d)
-    q, k, v = (_heads(x, w.data, bsz, heads) for x, w in ((xq, w_q), (xkv, w_k), (xkv, w_v)))
-    pt = _attention_weights_t(q, k)
-    mixed = _merged(pt.swapaxes(-1, -2), v)
+    # an infinite input would make the score matmul warn before the sums are checked
+    if not (np.isfinite(xq).all() and np.isfinite(xkv).all()):
+        raise NumericError("attention received non-finite values")
+    scale = 1.0 / math.sqrt(d // heads)
+    q = _heads(xq, w_q.data * scale, bsz, heads)
+    k, v = (_heads(xkv, w.data, bsz, heads) for w in (w_k, w_v))
+    et, sums = _exp_scores_t(q, k)
+    mixed = _merged(et.swapaxes(-1, -2), v)
+    per_head = mixed.reshape(bsz, -1, heads, d // heads)  # a view of mixed
+    per_head /= sums.reshape(bsz, heads, -1, 1).swapaxes(1, 2)
     out = (mixed @ w_o.data).reshape(q_in.shape)
     need_q, need_kv, *need_w = (t.node is not None for t in (q_in, kv_in, w_q, w_k, w_v, w_o))
 
     def grad_fn(g):
+        nonlocal sums
+        if sums is not None:  # the weights P^T, normalised in place on the first call
+            np.divide(et, sums, out=et)
+            sums = None
+        pt = et
         g = g.reshape(-1, d)
         g_heads = (g @ w_o.data.T).reshape(bsz, -1, heads, d // heads).transpose(0, 2, 1, 3)
         g_v = _merged(pt, g_heads)
@@ -451,8 +481,8 @@ def attention(q_in, kv_in, w_q, w_k, w_v, w_o, heads: int) -> Tensor:
         g_s = np.matmul(v, g_heads.swapaxes(-1, -2))
         g_s -= np.einsum("...ji,...ji->...i", g_s, pt)[..., None, :]
         g_s *= pt
-        g_s *= 1.0 / math.sqrt(d // heads)
         g_q, g_k = _merged(g_s.swapaxes(-1, -2), k), _merged(g_s, q)
+        g_q *= scale
         g_q_in = (g_q @ w_q.data.T).reshape(q_in.shape) if need_q else None
         g_kv_in = (g_k @ w_k.data.T + g_v @ w_v.data.T).reshape(kv_in.shape) if need_kv else None
         rows = zip((xq, xkv, xkv, mixed), (g_q, g_k, g_v, g), need_w)
@@ -471,23 +501,16 @@ def sigmoid(t) -> Tensor:
     return _emit(out, "sigmoid", (t,), grad_fn)
 
 
-# Eigen's float32 erf (generic_fast_erf_float; XLA's ErfImpl32 has the same
-# coefficients): erf(z) ~ z P(z^2) / Q(z^2) on |z| <= 4, with P of degree 6
-# and Q of degree 4 in z^2, coefficients from the highest power down.
-# Eigen clamps z to +-4; here the clamp is _ERF_CLAMP.
-_ERF_P = tuple(np.float32(c) for c in (
-    -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
-    -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
-    -1.60960333262415e-02,
+# Phi(x) ~ (1 + tanh(x R(x^2))) / 2 with R of degree 6 in x^2, coefficients
+# from the highest power down: a sech^2-weighted fit of atanh(erf(x / sqrt 2)) / x
+# on [0, 4]. At the clamp, x R(x^2) is about 257, so Phi is exactly 0 and 1
+# in float32 beyond it.
+_PHI_R = tuple(np.float32(c) for c in (
+    1.7197759462698114e-09, -1.3126181120846379e-07, 3.9549800405698455e-06,
+    -5.5264517288715814e-05, -3.267292923042656e-05, 0.03633314012487924,
+    0.7978849315781761,
 ))
-_ERF_Q = tuple(np.float32(c) for c in (
-    -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
-    -7.37332916720468e-03, -1.42647390514189e-02,
-))
-# One float32 ulp below erf^-1(1 - half an ulp) = 3.832506856900711, where
-# erf rounds to 1: the largest z at which the float32 rational is exactly 1,
-# so Phi is exactly 0 and 1 beyond the clamp.
-_ERF_CLAMP = np.float32(3.8325067)
+_PHI_CLAMP = np.float32(8.0)
 
 
 def _horner(w: Array, coefs: Sequence, out: Array) -> Array:
@@ -501,28 +524,16 @@ def _horner(w: Array, coefs: Sequence, out: Array) -> Array:
     return out
 
 
-def _even_odd(y: Array, w: Array, coefs: Sequence, out: Array, scratch: Array) -> Array:
-    """The polynomial at y by second-order Horner, w = y*y: its even and odd
-    halves are two chains of half the length. With plain Horner the normal
-    CDF's worst float32 error is 2.52e-7; with this form and _ERF_CLAMP it
-    is 2.15e-7."""
-    _horner(w, coefs[0::2], out)
-    _horner(w, coefs[1::2], scratch)
-    scratch *= y
-    out += scratch
-    return out
-
-
 def _normal_cdf(x: Array, out: Array | None = None) -> Array:
     """The standard normal CDF, (1 + erf(x / sqrt 2)) / 2, in x's dtype,
     written into out (a new array when out is None).
 
     float64 calls ``math.erf`` per element, within 1 ulp of the exact erf;
-    only the audit and the tests take that path. float32 evaluates Eigen's
-    rational erf in float32 on x / sqrt 2 clamped to +-_ERF_CLAMP. Over every
-    float32 input it is within 2.2e-7 of the exact CDF (2.15e-7 at worst, at
-    x = 4.049), against 6e-8 for scipy's erf in float32, in about a third of
-    the time: 0.8 against 2.5 ms on a (4, 144, 256) array, one core.
+    only the audit and the tests take that path. float32 evaluates the tanh
+    form (1 + tanh(x R(x^2))) / 2 in float32 on x clamped to +-_PHI_CLAMP:
+    18 elementwise passes. On a dense grid over [-10, 10] it is within
+    9.6e-8 of the exact CDF, against 6e-8 for scipy's erf in float32, and
+    it is non-decreasing there. NaN stays NaN.
     """
     out = np.empty_like(x) if out is None else out
     if x.dtype != np.float32:
@@ -531,27 +542,23 @@ def _normal_cdf(x: Array, out: Array | None = None) -> Array:
         out += 1.0
         out *= 0.5
         return out
-    z = x * np.float32(_INV_SQRT2)
-    np.clip(z, -_ERF_CLAMP, _ERF_CLAMP, out=z)
-    y = z * z
-    w = y * y
-    scratch = np.empty_like(z)
-    cdf = _even_odd(y, w, _ERF_P, out, scratch)
-    cdf *= z
-    cdf /= _even_odd(y, w, _ERF_Q, z, scratch)
-    cdf *= 0.5
-    cdf += 0.5
-    return cdf
+    y = np.clip(x, -_PHI_CLAMP, _PHI_CLAMP)
+    _horner(np.multiply(y, y), _PHI_R, out)
+    out *= y
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 _GELU_BLOCK = 1 << 16
 
 
 def gelu(t) -> Tensor:
-    """Exact GELU, x * Phi(x) with Phi the standard normal CDF (not the tanh
-    form). float32 computes Phi with a rational erf within 2.2e-7 of the
-    exact Phi; float64 with ``math.erf``. The backward is
-    Phi(x) + x phi(x) with the exact Gaussian density phi.
+    """GELU, x * Phi(x) with Phi the standard normal CDF. float32 computes
+    Phi in a tanh form within 9.6e-8 of the exact Phi (not GELU's cubic tanh
+    approximation, which is off by up to 1.8e-4); float64 with ``math.erf``.
+    The backward is Phi(x) + x phi(x) with the exact Gaussian density phi.
 
     Forward and backward run over _GELU_BLOCK-element slices of the flat
     input: only Phi, the output and the input gradient are full-size arrays.

@@ -14,9 +14,10 @@ feature pyramid is float32 and enters the aggregator as it is; its waveforms
 ``x_enc`` and ``bvp`` are float64. The stationarizer smooths in float64 and
 hands its blend to the model in float32; ``grad_check`` audits the model
 through the store's float64 image, which casts the pyramid up. In
-float32 the GELU's normal CDF is a rational approximation within 2.2e-7 of
-the exact one; the float64 audit computes it with ``math.erf``. physkit
-needs only numpy and the standard library.
+float32 the GELU's normal CDF is a tanh form, (1 + tanh(x R(x^2))) / 2
+with R a polynomial, within 9.6e-8 of the exact one; the float64 audit
+computes it with ``math.erf``. physkit needs only numpy and the standard
+library.
 
 ``evaluate`` scores the model by the heart rate ``estimate_hr`` reads from
 each predicted clip, for train's held-out report and ``eval --ckpt`` alike.
@@ -220,15 +221,15 @@ class Pipeline:
         captions = {
             "task": [TASK_CAPTION] * len(scenes),
             "vision": [vision_caption(scene) for scene in scenes],
-            "stats": [stats_caption(signal_stats(row)) for row in x_enc],
+            "stats": [stats_caption(stats) for stats in signal_stats(x_enc)],
         }
         streams = {}
         for kind, texts in captions.items():
-            rows = [self.vocab.rows(tokenize(text, self.vocab.vocab_size)) for text in texts]
-            lengths = {r.shape[0] for r in rows}
+            ids = [tokenize(text, self.vocab.vocab_size) for text in texts]
+            lengths = {len(i) for i in ids}
             if len(lengths) > 1:
                 raise ContractError(f"{kind} captions disagree on token count: {sorted(lengths)}")
-            streams[kind] = compress(nc.Tensor(np.stack(rows)), self.compressors[kind])
+            streams[kind] = compress(nc.Tensor(self.vocab.rows(ids)), self.compressors[kind])
         return fuse_cues(streams, self.fusion)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +152,17 @@ def require_hr_length(n_samples: int, fs: float) -> None:
         raise ContractError(f"need at least 4 s of samples ({int(4 * fs)}), got {n_samples}")
 
 
+@lru_cache(maxsize=32)
+def _welch_plan(nperseg: int, nfft: int, fs: float) -> tuple[np.ndarray, float, np.ndarray]:
+    """The periodic Hann window, its power and the one-sided frequency grid
+    of ``welch_psd``, built once per (nperseg, nfft, fs); the arrays are
+    read-only because every call shares them."""
+    window = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(nperseg) / nperseg)
+    freqs = np.fft.rfftfreq(nfft, 1.0 / fs)
+    window.flags.writeable = freqs.flags.writeable = False
+    return window, float(window @ window), freqs
+
+
 def welch_psd(x: np.ndarray, fs: float, nperseg: int, nfft: int) -> tuple[np.ndarray, np.ndarray]:
     """Welch's one-sided power spectral density of a 1-d array: (freqs, psd).
 
@@ -158,15 +170,16 @@ def welch_psd(x: np.ndarray, fs: float, nperseg: int, nfft: int) -> tuple[np.nda
     tail too short for one more is dropped), are multiplied by a periodic Hann
     window and zero padded to nfft; their periodograms are averaged with
     density scaling. This is ``scipy.signal.welch(x, fs, "hann", nperseg,
-    nperseg // 2, nfft, detrend=False)`` to rounding, in numpy alone.
+    nperseg // 2, nfft, detrend=False)`` to rounding, in numpy alone. The
+    returned freqs are read-only.
     """
-    window = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(nperseg) / nperseg)
+    window, power, freqs = _welch_plan(nperseg, nfft, fs)
     segments = np.lib.stride_tricks.sliding_window_view(x, nperseg)[:: nperseg - nperseg // 2]
     psd = np.mean(np.abs(np.fft.rfft(segments * window, nfft)) ** 2, axis=0)
-    psd /= fs * float(window @ window)
+    psd /= fs * power
     # fold the negative frequencies onto every bin but DC and, for even nfft, Nyquist
     psd[1 : (nfft + 1) // 2] *= 2.0
-    return np.fft.rfftfreq(nfft, 1.0 / fs), psd
+    return freqs, psd
 
 
 def estimate_hr(waveform, fs: float) -> HrEstimate:

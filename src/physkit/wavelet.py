@@ -77,9 +77,9 @@ class Decomposition:
 
 def _analyze_step(x: np.ndarray, basis: WaveletBasis) -> tuple[np.ndarray, np.ndarray]:
     # band[..., h] = sum_k tap[k] * x[..., (2h + k) mod n], read as strided
-    # slices of x extended periodically by taps - 2 samples
+    # slices of x extended periodically by taps - 2 samples (none for Haar)
     taps, half = basis.lo.size, x.shape[-1] // 2
-    ext = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, taps - 2)], mode="wrap")
+    ext = x if taps == 2 else np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, taps - 2)], mode="wrap")
     approx = np.zeros(x.shape[:-1] + (half,))
     detail = np.zeros_like(approx)
     for k in range(taps):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,31 @@ def test_non_finite_input_raises():
     x[0, 1, 2] = np.nan
     with pytest.raises(NumericError, match="^attention received non-finite values$"):
         self_attention(x, p)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, 1e20])
+def test_infinite_or_overflowing_input_raises_before_any_warning(bad):
+    store, p = _params(dim=4, heads=2, seed=36)
+    x = np.random.default_rng(37).standard_normal((1, 3, 4)).astype(np.float32)
+    x[0, 1, 2] = bad
+    params = [nc.as_tensor(w.value.astype(np.float32)) for w in (p.w_q, p.w_k, p.w_v, p.w_o)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="^attention received non-finite values$"):
+            nc.attention(x, x, *params, heads=p.heads)
+
+
+def test_float32_attention_is_within_float32_rounding_of_a_float64_softmax():
+    store, p = _params(dim=16, heads=4, seed=38)
+    rng = np.random.default_rng(39)
+    q_in, kv_in = (rng.standard_normal((3, n, 16)).astype(np.float32) for n in (7, 11))
+    weights = [w.value.astype(np.float32) for w in (p.w_q, p.w_k, p.w_v, p.w_o)]
+    out = nc.attention(q_in, kv_in, *weights, heads=4).data
+    for w, w32 in zip((p.w_q, p.w_k, p.w_v, p.w_o), weights):
+        w.value = w32.astype(np.float64)  # the oracle sees the float32 values exactly
+    want = oracle_op_chain(q_in.astype(np.float64), kv_in.astype(np.float64), p)
+    assert out.dtype == np.float32
+    assert np.max(np.abs(out - want)) <= 8 * np.finfo(np.float32).eps * np.max(np.abs(want))
 
 
 def test_permutation_equivariance_of_self_attention():

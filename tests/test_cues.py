@@ -19,6 +19,7 @@ from physkit.cues import (
     vision_caption,
 )
 from physkit.errors import ContractError, ShapeError
+from physkit.stationarize import normalized_autocorr
 
 # ---------------------------------------------------------------------------
 # brute-force oracle: naive loops, no numpy vectorization
@@ -96,6 +97,41 @@ def test_short_lag_range_returns_fewer_lags():
     assert all(1 <= l <= 2 for l in s.top_lags)
 
 
+def per_row_stats(x):
+    """The per-row reference: one dot product per lag."""
+    r = normalized_autocorr(x, x.size // 2)
+    trend = float(np.sum(np.diff(x)))
+    return StatSummary(
+        minimum=float(x.min()),
+        maximum=float(x.max()),
+        median=float(np.median(x)),
+        trend=trend,
+        direction=int(np.sign(trend)),
+        top_lags=tuple(int(i) + 1 for i in np.argsort(-np.abs(r), kind="stable")[:5]),
+    )
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 64, 128])
+def test_batched_stats_equal_the_per_row_reference(n):
+    rng = np.random.default_rng(n)
+    rows = np.concatenate([
+        rng.standard_normal((20, n)) * rng.uniform(0.01, 100.0, (20, 1)),
+        np.full((1, n), 2.5),  # constant: every autocorrelation is 0, so lags 1, 2, ...
+        np.where(np.arange(n) % 2, -1.0, 1.0)[None],  # alternating, exact in float64
+    ])
+    got = signal_stats(rows)
+    assert got == [per_row_stats(row) for row in rows]
+    assert got[-2].top_lags == tuple(range(1, min(5, n // 2) + 1))
+
+
+def test_lags_that_tie_exactly_go_to_the_smaller_lag():
+    # period 4: r(1) = r(3) = r(5) = r(7) = 0 exactly; |r(2)| > |r(4)| > |r(6)|
+    x = np.tile([1.0, 0.0, -1.0, 0.0], 4)
+    s = signal_stats(x[None])[0]
+    assert s.top_lags == (2, 4, 6, 8, 1)
+    assert s == per_row_stats(x)
+
+
 def test_signal_stats_rejects_short_input():
     with pytest.raises(ContractError):
         signal_stats([1.0, 2.0, 3.0])
@@ -141,6 +177,15 @@ def test_tokenize_deterministic_and_in_range():
         if not any(ch.isalnum() for ch in text):
             continue
         assert all(0 <= i < 257 for i in tokenize(text, 257))
+
+
+def test_tokenize_memo_is_bounded_and_changes_no_id():
+    from physkit.cues import _fnv1a64
+
+    text = " ".join(str(i) for i in range(6000))
+    assert tokenize(text, 1000) == tuple(_fnv1a64.__wrapped__(str(i)) % 1000 for i in range(6000))
+    info = _fnv1a64.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 def test_tokenize_piece_count():

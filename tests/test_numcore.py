@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -558,6 +559,21 @@ def test_float32_normal_cdf_is_within_2_2e_7_of_the_exact_one():
     # beyond the clamp the CDF is exactly 0 and 1, so GELU of a large negative input is 0
     assert nc._normal_cdf(np.array([-1e4, -6.0, 6.0, 1e4], dtype=np.float32)).tolist() == [0, 0, 1, 1]
     assert nc.gelu(np.array([-1e4], dtype=np.float32)).data[0] == 0.0
+
+
+def test_float32_normal_cdf_is_non_decreasing_on_the_accuracy_grid():
+    x = np.linspace(-10.0, 10.0, 2_000_001, dtype=np.float32)
+    assert np.all(np.diff(nc._normal_cdf(x)) >= 0)
+
+
+def test_float32_normal_cdf_saturates_exactly_and_keeps_nan_without_a_warning():
+    big = np.float32(3.4e38)
+    x = np.array([-np.inf, -big, -1e4, -8.0, 8.0, 1e4, big, np.inf, np.nan], dtype=np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cdf = nc._normal_cdf(x)
+    assert cdf.dtype == np.float32
+    assert cdf[:-1].tolist() == [0, 0, 0, 0, 1, 1, 1, 1] and np.isnan(cdf[-1])
 
 
 def test_float32_gelu_stays_float32_and_its_backward_matches_the_exact_derivative():
