@@ -3,7 +3,7 @@
 Each cue is a plain-string caption: the task description is the constant
 ``TASK_CAPTION``, the scene context comes from ``vision_caption`` and the
 physiological statistics from ``signal_stats`` through ``stats_caption``.
-``signal_stats`` summarises a whole batch of rows in one pass. ``tokenize``
+``signal_stats`` summarises a whole batch of rows in one call. ``tokenize``
 hashes a caption into a tuple of vocabulary ids; the hash of each piece is
 memoised in a bounded cache. Learnable queries squeeze each kind's caption
 embeddings to a fixed prompt length through a one-head
@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import numcore as nc
 from .errors import ContractError, ShapeError
+from .stationarize import normalized_autocorr
 
 CUE_KINDS = ("task", "vision", "stats")
 
@@ -55,24 +55,17 @@ def signal_stats(x):
     """Order statistics, trend, and the 5 strongest autocorrelation lags of
     one sequence (T,), or of each row of a batch (rows, T) as a list.
 
-    Lags are searched over [1, T/2], ranked by the magnitude of the biased
-    autocorrelation normalized by r(0) (zero for a constant row), ties
+    Lags are searched over [1, T/2], ranked by the magnitude of
+    ``stationarize.normalized_autocorr`` (zero for a constant row), ties
     broken toward the smaller lag. Fewer than 5 lags are returned when
-    T/2 < 5. A batch is one pass: every lag's products come from one einsum
-    over a zero-padded sliding window of the centered rows.
+    T/2 < 5. A batch is one call, with no loop over its rows.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] < 4:
         raise ContractError(f"signal_stats needs (T,) or (rows, T) with T >= 4, got {x.shape}")
     rows = x.reshape(-1, x.shape[-1])
-    n, max_lag = rows.shape[1], rows.shape[1] // 2
     trend = np.diff(rows, axis=1).sum(axis=1)
-    centered = rows - rows.mean(axis=1, keepdims=True)
-    # lagged[:, k - 1, i] = centered[:, i + k], zero past the end
-    lagged = sliding_window_view(np.pad(centered, ((0, 0), (0, max_lag))), n, axis=1)[:, 1:]
-    r = np.einsum("bi,bki->bk", centered, lagged)
-    denom = np.einsum("bi,bi->b", centered, centered)[:, None]
-    r = np.divide(r, denom, out=np.zeros_like(r), where=denom != 0.0)
+    r = normalized_autocorr(rows, rows.shape[1] // 2)
     # descending magnitude; the stable sort lets the smaller lag win ties
     top = np.argsort(-np.abs(r), axis=1, kind="stable")[:, :5] + 1
     order_stats = zip(rows.min(axis=1), rows.max(axis=1), np.median(rows, axis=1))

@@ -421,12 +421,17 @@ def _exp_scores_t(q: Array, k: Array) -> tuple[Array, Array]:
     return et, sums
 
 
+def _normalized_t(et: Array, sums: Array) -> Array:
+    """The attention weights P^T from ``_exp_scores_t``'s output: et divided
+    by its column sums in place, so each column sums to 1."""
+    return np.divide(et, sums, out=et)
+
+
 def _attention_weights_t(q: Array, k: Array) -> Array:
     """softmax(Q K^T / sqrt(E)) per head, transposed: (B, H, Lk, Lq) from q
-    (B, H, Lq, E) and k (B, H, Lk, E), each column summing to 1."""
-    et, sums = _exp_scores_t(q * (1.0 / math.sqrt(q.shape[-1])), k)
-    et /= sums
-    return et
+    (B, H, Lq, E) and k (B, H, Lk, E), each column summing to 1. q is not
+    yet scaled here; the normalisation is the attention backward's."""
+    return _normalized_t(*_exp_scores_t(q * (1.0 / math.sqrt(q.shape[-1])), k))
 
 
 def attention(q_in, kv_in, w_q, w_k, w_v, w_o, heads: int) -> Tensor:
@@ -441,7 +446,9 @@ def attention(q_in, kv_in, w_q, w_k, w_v, w_o, heads: int) -> Tensor:
     is deferred: the unnormalised weights mix V and the (B*Lq, D) mix is
     divided by their column sums, so no pass over the (B, H, Lk, Lq) weights
     scales or normalises them. The backward normalises them once, in place.
-    It is written out: each weight gradient is one 2-D GEMM, the softmax
+    A non-finite input raises NumericError, and so does an overflow that
+    would reach the output as inf or NaN; neither warns first. The backward
+    is written out: each weight gradient is one 2-D GEMM, the softmax
     backward runs in place, and an input without a node gets no gradient.
     """
     q_in, kv_in, w_q, w_k, w_v, w_o = (as_tensor(t) for t in (q_in, kv_in, w_q, w_k, w_v, w_o))
@@ -459,10 +466,15 @@ def attention(q_in, kv_in, w_q, w_k, w_v, w_o, heads: int) -> Tensor:
     if not (np.isfinite(xq).all() and np.isfinite(xkv).all()):
         raise NumericError("attention received non-finite values")
     scale = 1.0 / math.sqrt(d // heads)
-    q = _heads(xq, w_q.data * scale, bsz, heads)
-    k, v = (_heads(xkv, w.data, bsz, heads) for w in (w_k, w_v))
-    et, sums = _exp_scores_t(q, k)
-    mixed = _merged(et.swapaxes(-1, -2), v)
+    # a projection that overflows reaches the column sums (Q, K) or the mix
+    # (V) as inf or NaN, where it is caught without the warnings on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = _heads(xq, w_q.data * scale, bsz, heads)
+        k, v = (_heads(xkv, w.data, bsz, heads) for w in (w_k, w_v))
+        et, sums = _exp_scores_t(q, k)
+        mixed = _merged(et.swapaxes(-1, -2), v)
+    if not np.isfinite(mixed).all():
+        raise NumericError("attention received non-finite values")
     per_head = mixed.reshape(bsz, -1, heads, d // heads)  # a view of mixed
     per_head /= sums.reshape(bsz, heads, -1, 1).swapaxes(1, 2)
     out = (mixed @ w_o.data).reshape(q_in.shape)
@@ -471,7 +483,7 @@ def attention(q_in, kv_in, w_q, w_k, w_v, w_o, heads: int) -> Tensor:
     def grad_fn(g):
         nonlocal sums
         if sums is not None:  # the weights P^T, normalised in place on the first call
-            np.divide(et, sums, out=et)
+            _normalized_t(et, sums)
             sums = None
         pt = et
         g = g.reshape(-1, d)

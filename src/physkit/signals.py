@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -152,17 +151,6 @@ def require_hr_length(n_samples: int, fs: float) -> None:
         raise ContractError(f"need at least 4 s of samples ({int(4 * fs)}), got {n_samples}")
 
 
-@lru_cache(maxsize=32)
-def _welch_plan(nperseg: int, nfft: int, fs: float) -> tuple[np.ndarray, float, np.ndarray]:
-    """The periodic Hann window, its power and the one-sided frequency grid
-    of ``welch_psd``, built once per (nperseg, nfft, fs); the arrays are
-    read-only because every call shares them."""
-    window = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(nperseg) / nperseg)
-    freqs = np.fft.rfftfreq(nfft, 1.0 / fs)
-    window.flags.writeable = freqs.flags.writeable = False
-    return window, float(window @ window), freqs
-
-
 def welch_psd(x: np.ndarray, fs: float, nperseg: int, nfft: int) -> tuple[np.ndarray, np.ndarray]:
     """Welch's one-sided power spectral density of a 1-d array: (freqs, psd).
 
@@ -170,16 +158,15 @@ def welch_psd(x: np.ndarray, fs: float, nperseg: int, nfft: int) -> tuple[np.nda
     tail too short for one more is dropped), are multiplied by a periodic Hann
     window and zero padded to nfft; their periodograms are averaged with
     density scaling. This is ``scipy.signal.welch(x, fs, "hann", nperseg,
-    nperseg // 2, nfft, detrend=False)`` to rounding, in numpy alone. The
-    returned freqs are read-only.
+    nperseg // 2, nfft, detrend=False)`` to rounding, in numpy alone.
     """
-    window, power, freqs = _welch_plan(nperseg, nfft, fs)
+    window = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(nperseg) / nperseg)
     segments = np.lib.stride_tricks.sliding_window_view(x, nperseg)[:: nperseg - nperseg // 2]
     psd = np.mean(np.abs(np.fft.rfft(segments * window, nfft)) ** 2, axis=0)
-    psd /= fs * power
+    psd /= fs * float(window @ window)
     # fold the negative frequencies onto every bin but DC and, for even nfft, Nyquist
     psd[1 : (nfft + 1) // 2] *= 2.0
-    return freqs, psd
+    return np.fft.rfftfreq(nfft, 1.0 / fs), psd
 
 
 def estimate_hr(waveform, fs: float) -> HrEstimate:

@@ -215,15 +215,24 @@ class StationarityReport:
 
 
 def normalized_autocorr(x: np.ndarray, max_lag: int) -> np.ndarray:
-    """Biased sample autocorrelation r(1..max_lag), normalized by r(0)."""
+    """Biased sample autocorrelation r(1..max_lag), normalized by r(0), of a
+    series (T,) or of each row of (rows, T); zero for a constant series.
+
+    Each lag is one batched matmul of BLAS dot products over all rows. On
+    the dds benchmark's single 8192-65536-sample series this measured
+    faster, and with a lower peak RSS, than one matmul over zero-padded
+    sliding windows that covers every lag at once.
+    """
     x = np.asarray(x, dtype=np.float64)
-    centered = x - x.mean()
-    denom = float(centered @ centered)
-    if denom == 0.0:
-        return np.zeros(max_lag)
-    return np.array(
-        [float(centered[:-k] @ centered[k:]) / denom for k in range(1, max_lag + 1)]
-    )
+    rows = x.reshape(-1, x.shape[-1])
+    n = rows.shape[1]
+    centered = (rows - rows.mean(axis=1, keepdims=True))[:, None, :]  # (rows, 1, T)
+    r = np.zeros((len(rows), max_lag + 1))
+    for k in range(min(max_lag, n - 1) + 1):  # longer lags correlate nothing
+        r[:, k] = (centered[..., : n - k] @ centered[..., k:].swapaxes(-1, -2))[:, 0, 0]
+    denom = r[:, :1]
+    r = np.divide(r[:, 1:], denom, out=np.zeros((len(rows), max_lag)), where=denom != 0.0)
+    return r.reshape(x.shape[:-1] + (max_lag,))
 
 
 def stationarity_report(z, max_lag: int, alpha: float) -> StationarityReport:

@@ -150,12 +150,22 @@ def test_non_finite_input_raises():
         self_attention(x, p)
 
 
-@pytest.mark.parametrize("bad", [np.inf, -np.inf, 1e20])
-def test_infinite_or_overflowing_input_raises_before_any_warning(bad):
+@pytest.mark.parametrize("bad, weights", [
+    (np.inf, "drawn"), (-np.inf, "drawn"),
+    (1e20, "drawn"),  # finite projections whose scores overflow
+    (1e37, "100I"),  # Q, K and V projections overflow
+    (1e37, "V only"),  # only the V projection overflows: Q = K = 0
+])
+def test_infinite_or_overflowing_input_raises_before_any_warning(bad, weights):
     store, p = _params(dim=4, heads=2, seed=36)
     x = np.random.default_rng(37).standard_normal((1, 3, 4)).astype(np.float32)
     x[0, 1, 2] = bad
-    params = [nc.as_tensor(w.value.astype(np.float32)) for w in (p.w_q, p.w_k, p.w_v, p.w_o)]
+    params = [w.value.astype(np.float32) for w in (p.w_q, p.w_k, p.w_v, p.w_o)]
+    if weights == "100I":
+        params = [100.0 * np.eye(4, dtype=np.float32)] * 4
+    elif weights == "V only":
+        params[0] = params[1] = np.zeros((4, 4), np.float32)
+        params[2] = 100.0 * np.eye(4, dtype=np.float32)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match="^attention received non-finite values$"):

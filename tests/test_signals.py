@@ -133,24 +133,6 @@ def test_welch_psd_and_estimate_match_scipy_welch(n, fs):
     assert estimate_hr(x, fs).bpm == 60.0 * float(want_f[band][np.argmax(want_psd[band])])
 
 
-def test_welch_plan_is_shared_read_only_and_repeats_bit_for_bit():
-    from physkit.signals import _welch_plan
-
-    rng = np.random.default_rng(7)
-    waves = [rng.standard_normal(600) for _ in range(3)]
-    first = [(welch_psd(w, 29.0, 247, 988), estimate_hr(w, 29.0)) for w in waves]
-    again = [(welch_psd(w, 29.0, 247, 988), estimate_hr(w, 29.0)) for w in waves]
-    for ((f1, p1), e1), ((f2, p2), e2) in zip(first, again):
-        assert f1 is f2 and np.array_equal(p1, p2) and e1 == e2
-    window, power, freqs = _welch_plan(247, 988, 29.0)
-    assert np.array_equal(window, 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(247) / 247))
-    assert power == float(window @ window) and np.array_equal(freqs, np.fft.rfftfreq(988, 1.0 / 29.0))
-    for array in (window, freqs):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[0] = 1.0
-
-
 def test_importing_physkit_leaves_scipy_signal_unloaded():
     # scipy.signal takes most of a second to import and physkit has no use for it
     code = "import sys, physkit; print('scipy.signal' in sys.modules)"

@@ -177,6 +177,20 @@ def test_normalized_autocorr_of_periodic_signal_ranks_period_highly():
     assert top5 & {25, 50, 75, 100}
 
 
+def test_normalized_autocorr_of_rows_matches_per_lag_dot_products():
+    rng = np.random.default_rng(9)
+    rows = np.concatenate([rng.standard_normal((4, 40)) * 7.0, np.full((1, 40), -1.5)])
+    for max_lag in (1, 5, 20, 39, 45):  # lags past the end correlate nothing
+        got = normalized_autocorr(rows, max_lag)
+        assert got.shape == (5, max_lag)
+        for row, r in zip(rows, got):
+            assert np.array_equal(normalized_autocorr(row, max_lag), r)
+            c = row - row.mean()
+            want = [sum(c[i] * c[i + k] for i in range(40 - k)) / sum(c * c) if c.any() else 0.0
+                    for k in range(1, max_lag + 1)]
+            assert np.max(np.abs(r - want)) < 1e-13
+
+
 def test_blend_gradient_matches_finite_differences():
     rng = np.random.default_rng(6)
     x = rng.standard_normal(64)
