@@ -17,7 +17,7 @@ pyr = FeaturePyramid([level[None] for level in clip.pyramid])  # batch of one
 
 store = ParamStore()
 params = init_aggregator(
-    store, "va", level_shapes=((8, 8), (6, 6), (4, 4)), chunk_len=128,
+    store, level_shapes=((8, 8), (6, 6), (4, 4)), chunk_len=128,
     target_len=32, dim=64, heads=4, rng=np.random.default_rng(0),
 )
 

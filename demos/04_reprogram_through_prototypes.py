@@ -23,7 +23,7 @@ store = ParamStore()
 vocab = init_vocab(store, vocab_size=1024, dim=64, seed=0)
 probe = init_probe(store, vocab_size=1024, n_prototypes=64, rng=np.random.default_rng(1))
 lengths = (15, 32, 128)  # every input length this instance will serve
-rep = init_reprogrammer(store, "reprog", dim=64, heads=4, n_prototypes=64,
+rep = init_reprogrammer(store, dim=64, heads=4, n_prototypes=64,
                         rng=np.random.default_rng(2), lengths=lengths, seed=0)
 
 bank = derive_prototypes(vocab, probe)

@@ -47,6 +47,6 @@ for seed, (kind, text) in enumerate(captions.items()):
     streams[kind] = compress(vocab.rows(ids)[None], comp)
     print(f"{kind:6s}| {len(ids)} token ids -> {streams[kind].shape[1]} prompt tokens")
 
-weights = init_fusion(store, "fuse", prompt_len=16, dim=64)
+weights = init_fusion(store, prompt_len=16, dim=64)
 prompt = fuse_cues(streams, weights)
 print("fused prompt:", prompt.shape)

@@ -61,7 +61,6 @@ class AggregatorParams:
 
 def init_aggregator(
     store: nc.ParamStore,
-    prefix: str,
     level_shapes: tuple[tuple[int, int], ...],
     chunk_len: int,
     target_len: int,
@@ -69,23 +68,24 @@ def init_aggregator(
     heads: int,
     rng: np.random.Generator,
 ) -> AggregatorParams:
+    """Parameters named under the fixed prefix ``va.``: a model builds one aggregator."""
     if len(level_shapes) < 2:
         raise ContractError(f"need at least 2 pyramid levels, got {len(level_shapes)}")
     spatial = [
         store.add(
-            f"{prefix}.spatial{i}",
+            f"va.spatial{i}",
             rng.standard_normal((h * w, dim)) / math.sqrt(h * w),
         )
         for i, (h, w) in enumerate(level_shapes)
     ]
     temporal = store.add(
-        f"{prefix}.temporal", rng.standard_normal((chunk_len, target_len)) / math.sqrt(chunk_len)
+        "va.temporal", rng.standard_normal((chunk_len, target_len)) / math.sqrt(chunk_len)
     )
-    cross = init_attention(store, f"{prefix}.cross", dim, heads, rng)
-    self_attn = init_attention(store, f"{prefix}.self", dim, heads, rng)
+    cross = init_attention(store, "va.cross", dim, heads, rng)
+    self_attn = init_attention(store, "va.self", dim, heads, rng)
     # zero gates make the module start as identity on the deepest level
-    gate_inner = store.add(f"{prefix}.gate_inner", np.zeros(dim))
-    gate_outer = store.add(f"{prefix}.gate_outer", np.zeros(dim))
+    gate_inner = store.add("va.gate_inner", np.zeros(dim))
+    gate_outer = store.add("va.gate_outer", np.zeros(dim))
     return AggregatorParams(
         spatial=spatial,
         temporal=temporal,

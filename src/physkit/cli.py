@@ -7,8 +7,8 @@ default is that field's default. Flags may also be read from a file named as
 an earlier one, so `train @base.txt --alpha 0.9` changes one value. Every
 command is deterministic given its flags: outputs carry no timestamps, and
 synth, train and gradcheck draw all randomness from one root seed (--seed)
-split by fixed labels. No other command takes --seed, except dds, which
-ignores it. synth writes the clips train and eval remake from its manifest.
+split by fixed labels. No other command takes --seed. synth writes the
+clips train and eval remake from its manifest.
 `eval --ckpt` scores with train's scorer, ``pipeline.evaluate``, and takes no
 model flags: the model comes from the checkpoint. Its two text lines, a magic
 line and the trained config as JSON keyed by train's flag dests, precede a
@@ -179,7 +179,7 @@ def _gradcheck_modules(seed: int) -> dict[str, float]:
     results["dds"] = nc.grad_check(f_smoother, store)
 
     store = nc.ParamStore()
-    agg = init_aggregator(store, "va", ((3, 3), (2, 2)), 16, 8, 8, 2, nc.rng(seed, "gc-agg"))
+    agg = init_aggregator(store, ((3, 3), (2, 2)), 16, 8, 8, 2, nc.rng(seed, "gc-agg"))
     agg.gate_inner.value = rng.standard_normal(8) * 0.5
     agg.gate_outer.value = rng.standard_normal(8) * 0.5
     pyr = FeaturePyramid([rng.standard_normal((1, 16, h, w)) for h, w in ((3, 3), (2, 2))])
@@ -195,7 +195,7 @@ def _gradcheck_modules(seed: int) -> dict[str, float]:
     store = nc.ParamStore()
     vocab = init_vocab(store, vocab_size=64, dim=8, seed=seed)
     probe = init_probe(store, 64, 8, nc.rng(seed, "gc-probe"))
-    rep = init_reprogrammer(store, "reprog", 8, 2, 8, nc.rng(seed, "gc-rep"), lengths=(5,), seed=seed)
+    rep = init_reprogrammer(store, 8, 2, 8, nc.rng(seed, "gc-rep"), lengths=(5,), seed=seed)
     x_tok = nc.Tensor(rng.standard_normal((1, 5, 8)))
 
     def f_rep():
@@ -208,7 +208,7 @@ def _gradcheck_modules(seed: int) -> dict[str, float]:
 
     store = nc.ParamStore()
     comps = [init_compressor(store, f"cue.{k}", 3, 8, nc.rng(seed, f"gc-{k}")) for k in ("t", "v", "s")]
-    fusion = init_fusion(store, "cue.fuse", 3, 8)
+    fusion = init_fusion(store, 3, 8)
     streams = [nc.Tensor(rng.standard_normal((1, n, 8))) for n in (2, 6, 4)]
 
     def f_cue():
@@ -321,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_smoother_flags(p)
     p.add_argument("--beta", type=float, help="pin the time/frequency blend weight in [0, 1]")
     p.add_argument("--max-lag", type=int, default=8, help="lags to report")
-    p.add_argument("--seed", type=int, default=0, help="ignored: dds draws no random numbers")
 
     p = _command(sub, "train", cmd_train, "train the toy pipeline on a dataset")
     p.add_argument("--seed", type=int, help="root seed")

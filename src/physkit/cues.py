@@ -196,10 +196,11 @@ def compress(tokens, p: CompressorParams) -> nc.Tensor:
 # ---------------------------------------------------------------------------
 
 
-def init_fusion(store: nc.ParamStore, prefix: str, prompt_len: int, dim: int) -> dict[str, nc.Parameter]:
+def init_fusion(store: nc.ParamStore, prompt_len: int, dim: int) -> dict[str, nc.Parameter]:
     """One (prompt_len, dim) weight per kind, keyed and added in ``CUE_KINDS``
-    order. Every weight starts at 1/3: the fused stream is the streams' mean."""
-    return {kind: store.add(f"{prefix}.{kind}", np.full((prompt_len, dim), 1.0 / 3.0)) for kind in CUE_KINDS}
+    order and named ``cue.fuse.<kind>``: a model builds one fusion. Every
+    weight starts at 1/3: the fused stream is the streams' mean."""
+    return {kind: store.add(f"cue.fuse.{kind}", np.full((prompt_len, dim), 1.0 / 3.0)) for kind in CUE_KINDS}
 
 
 def fuse_cues(streams: dict, weights: dict[str, nc.Parameter]) -> nc.Tensor:

@@ -251,12 +251,11 @@ def build_pipeline(cfg: ModelConfig | None = None, seed: int = 0) -> Pipeline:
     vocab = init_vocab(store, cfg.vocab_size, cfg.dim, seed=seed)
     probe = init_probe(store, cfg.vocab_size, cfg.n_prototypes, nc.rng(seed, "probe"))
     reprogrammer = init_reprogrammer(
-        store, "reprog", cfg.dim, cfg.heads, cfg.n_prototypes, nc.rng(seed, "reprog"),
+        store, cfg.dim, cfg.heads, cfg.n_prototypes, nc.rng(seed, "reprog"),
         lengths=(cfg.n_signal_tokens, cfg.target_len), seed=seed,
     )
     aggregator_params = init_aggregator(
         store,
-        "va",
         cfg.level_shapes,
         cfg.chunk_len,
         cfg.target_len,
@@ -269,7 +268,7 @@ def build_pipeline(cfg: ModelConfig | None = None, seed: int = 0) -> Pipeline:
         kind: init_compressor(store, f"cue.{kind}", cfg.prompt_len, cfg.dim, nc.rng(seed, f"cue-{kind}"))
         for kind in CUE_KINDS
     }
-    fusion = init_fusion(store, "cue.fuse", cfg.prompt_len, cfg.dim)
+    fusion = init_fusion(store, cfg.prompt_len, cfg.dim)
     patch_embed = store.add(
         "signal.patch_embed",
         nc.rng(seed, "patch").standard_normal((cfg.patch_len, cfg.dim))

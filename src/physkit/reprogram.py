@@ -94,7 +94,6 @@ class ReprogrammerParams:
 
 def init_reprogrammer(
     store: nc.ParamStore,
-    prefix: str,
     dim: int,
     heads: int,
     n_prototypes: int,
@@ -102,16 +101,17 @@ def init_reprogrammer(
     lengths: Iterable[int],
     seed: int = 0,
 ) -> ReprogrammerParams:
+    """Parameters named under the fixed prefix ``reprog.``: a model builds one reprogrammer."""
     params = ReprogrammerParams(
-        self_attn=init_attention(store, f"{prefix}.self", dim, heads, rng),
-        cross_attn=init_attention(store, f"{prefix}.cross", dim, heads, rng),
-        ffn=init_feed_forward(store, f"{prefix}.ffn", dim, rng),
+        self_attn=init_attention(store, "reprog.self", dim, heads, rng),
+        cross_attn=init_attention(store, "reprog.cross", dim, heads, rng),
+        ffn=init_feed_forward(store, "reprog.ffn", dim, rng),
         adapters={},
     )
     for length in sorted(set(lengths)):
         adapter_rng = nc.rng(seed, 0xADA, length)
         params.adapters[length] = store.add(
-            f"{prefix}.adapt.len{length}",
+            f"reprog.adapt.len{length}",
             adapter_rng.standard_normal((length, n_prototypes)) / math.sqrt(length),
         )
     return params

@@ -73,7 +73,7 @@ def test_criterion_4_structural_identities():
         rng = np.random.default_rng(0)
         # zero outer gate leaves the deepest level untouched
         store = nc.ParamStore()
-        agg = init_aggregator(store, "va", ((3, 3), (2, 2)), 16, 8, 8, 2, rng)
+        agg = init_aggregator(store, ((3, 3), (2, 2)), 16, 8, 8, 2, rng)
         pyr = FeaturePyramid([rng.standard_normal((2, 16, h, w)) for h, w in ((3, 3), (2, 2))])
         fused = aggregate(pyr, agg)
         deep = project_level(pyr.levels[-1], agg, level=1)
@@ -100,7 +100,7 @@ def test_criterion_4_structural_identities():
         store = nc.ParamStore()
         vocab = init_vocab(store, 64, 8, seed=0)
         probe = init_probe(store, 64, 8, rng)
-        rep = init_reprogrammer(store, "rep", 8, 2, 8, rng, lengths=(4,))
+        rep = init_reprogrammer(store, 8, 2, 8, rng, lengths=(4,))
         with nc.Tape():
             out = reprogram(rng.standard_normal((1, 4, 8)), derive_prototypes(vocab, probe), rep)
             nc.backward(nc.mean_all(nc.mul(out, out)), store)
@@ -185,7 +185,7 @@ def test_criterion_8_cli_determinism(tmp_path):
         wave = tmp_path / "wave.csv"
         save_waveform(wave, np.random.default_rng(5).standard_normal(512), fs=30.0)
         for d in ("z1.csv", "z2.csv"):
-            assert main(["dds", "--in", str(wave), "--out", str(tmp_path / d), "--seed", "1"]) == 0
+            assert main(["dds", "--in", str(wave), "--out", str(tmp_path / d)]) == 0
         assert (tmp_path / "z1.csv").read_bytes() == (tmp_path / "z2.csv").read_bytes()
         # train (short run, identical config + seed)
         manifest = str(tmp_path / "s1" / "manifest.jsonl")

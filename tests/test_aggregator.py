@@ -12,7 +12,7 @@ SHAPES = ((4, 4), (3, 3), (2, 2))
 def _setup(seed=0, chunk=16, target=8, dim=8, heads=2, shapes=SHAPES, store=None):
     store = store if store is not None else nc.ParamStore()
     rng = np.random.default_rng(seed)
-    params = init_aggregator(store, "va", shapes, chunk, target, dim, heads, rng)
+    params = init_aggregator(store, shapes, chunk, target, dim, heads, rng)
     return store, params
 
 
@@ -100,7 +100,7 @@ def test_output_shape_fixed_regardless_of_spatial_sizes():
     shapes = ((7, 5), (2, 9), (3, 3))
     store = nc.ParamStore()
     rng = np.random.default_rng(12)
-    p = init_aggregator(store, "va", shapes, 16, 8, 8, 2, rng)
+    p = init_aggregator(store, shapes, 16, 8, 8, 2, rng)
     pyr = _pyramid(13, shapes=shapes)
     assert aggregate(pyr, p).shape == (2, 8, 8)
 
@@ -129,7 +129,7 @@ def test_aggregate_rejects_shallow_pyramids():
     store = nc.ParamStore()
     rng = np.random.default_rng(18)
     with pytest.raises(ContractError):
-        init_aggregator(store, "va", ((4, 4),), 16, 8, 8, 2, rng)
+        init_aggregator(store, ((4, 4),), 16, 8, 8, 2, rng)
     _, p = _setup(seed=19)
     with pytest.raises(ContractError):
         aggregate(FeaturePyramid([np.zeros((1, 16, 4, 4))]), p)

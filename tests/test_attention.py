@@ -63,9 +63,10 @@ def test_attention_weight_rows_are_stochastic():
     store, p = _params(dim=8, heads=2, seed=7)
     rng = np.random.default_rng(8)
     q_in, kv_in = (rng.standard_normal((2, n, 8)) for n in (5, 9))
-    q = nc._heads(q_in.reshape(-1, 8), p.w_q.value, 2, p.heads)
+    # the weights the backward uses: Q from w_q scaled by 1/sqrt(E), as attention builds it
+    q = nc._heads(q_in.reshape(-1, 8), p.w_q.value * (1.0 / math.sqrt(8 // 2)), 2, p.heads)
     k = nc._heads(kv_in.reshape(-1, 8), p.w_k.value, 2, p.heads)
-    w = nc._attention_weights_t(q, k).swapaxes(-1, -2)
+    w = nc._normalized_t(*nc._exp_scores_t(q, k)).swapaxes(-1, -2)
     assert w.shape == (2, 2, 5, 9)
     assert np.max(np.abs(w.sum(axis=-1) - 1.0)) < 1e-12
     assert np.all(w >= 0)

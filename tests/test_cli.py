@@ -225,11 +225,13 @@ def test_hr_command_recovers_clean_tone(tmp_path, capsys):
     assert abs(bpm - 72.0) <= 60.0 * (30.0 / 1024.0)
 
 
-def test_hr_takes_no_seed(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["hr", "dds"])
+def test_hr_and_dds_take_no_seed(tmp_path, capsys, command):
     path = tmp_path / "tone.csv"
     save_waveform(path, np.sin(2 * np.pi * 1.2 * np.arange(512) / 30.0), fs=30.0)
+    argv = {"hr": ["hr", str(path)], "dds": ["dds", "--in", str(path)]}[command]
     with pytest.raises(SystemExit) as exc:
-        main(["hr", "--seed", "1", str(path)])
+        main(argv + ["--seed", "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
 

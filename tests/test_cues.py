@@ -244,7 +244,7 @@ def test_compress_records_one_attention_node_after_one_broadcast_add():
 
 def test_fuse_uniform_weights_average_streams():
     store = nc.ParamStore()
-    w = init_fusion(store, "fuse", 4, 8)
+    w = init_fusion(store, 4, 8)
     rng = np.random.default_rng(8)
     a, b, c = (rng.standard_normal((2, 4, 8)) for _ in range(3))
     out = fuse_cues({"task": a, "vision": b, "stats": c}, w).data
@@ -253,7 +253,7 @@ def test_fuse_uniform_weights_average_streams():
 
 def test_fuse_masking_keeps_single_stream():
     store = nc.ParamStore()
-    w = init_fusion(store, "fuse", 4, 8)
+    w = init_fusion(store, 4, 8)
     w["task"].value = np.full((4, 8), 0.7)
     w["vision"].value = np.zeros((4, 8))
     w["stats"].value = np.zeros((4, 8))
@@ -265,7 +265,7 @@ def test_fuse_masking_keeps_single_stream():
 
 def test_fuse_matches_elementwise_oracle():
     store = nc.ParamStore()
-    w = init_fusion(store, "fuse", 3, 4)
+    w = init_fusion(store, 3, 4)
     rng = np.random.default_rng(10)
     w["task"].value, w["vision"].value, w["stats"].value = (
         rng.standard_normal((3, 4)) for _ in range(3)
@@ -277,7 +277,7 @@ def test_fuse_matches_elementwise_oracle():
 
 def test_fuse_shape_errors():
     store = nc.ParamStore()
-    w = init_fusion(store, "fuse", 4, 8)
+    w = init_fusion(store, 4, 8)
     with pytest.raises(ShapeError):
         fuse_cues({kind: np.zeros((1, n, 8)) for kind, n in zip(CUE_KINDS, (4, 3, 4))}, w)
     with pytest.raises(ShapeError):
@@ -288,7 +288,7 @@ def test_compress_and_fuse_gradient_check():
     store = nc.ParamStore()
     rng = np.random.default_rng(11)
     comps = [init_compressor(store, f"comp.{k}", 3, 4, rng) for k in CUE_KINDS]
-    w = init_fusion(store, "fuse", 3, 4)
+    w = init_fusion(store, 3, 4)
     xs = [nc.Tensor(rng.standard_normal((1, n, 4))) for n in (2, 5, 3)]
 
     def f():

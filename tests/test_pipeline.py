@@ -172,6 +172,77 @@ def test_train_zero_learning_rate_is_a_noop_on_values():
         assert np.array_equal(p.value, before[p.name]), p.name
 
 
+# the default model's parameters in store order, every one float32: a checkpoint
+# stores them by name in this order, so a rename or a reorder breaks every saved one
+DEFAULT_PARAMETERS = [
+    ("vocab.embedding", (1024, 64)),
+    ("probe.weight", (64, 1024)),
+    ("reprog.self.w_q", (64, 64)),
+    ("reprog.self.w_k", (64, 64)),
+    ("reprog.self.w_v", (64, 64)),
+    ("reprog.self.w_o", (64, 64)),
+    ("reprog.cross.w_q", (64, 64)),
+    ("reprog.cross.w_k", (64, 64)),
+    ("reprog.cross.w_v", (64, 64)),
+    ("reprog.cross.w_o", (64, 64)),
+    ("reprog.ffn.w_in", (64, 256)),
+    ("reprog.ffn.w_out", (256, 64)),
+    ("reprog.adapt.len15", (15, 64)),
+    ("reprog.adapt.len32", (32, 64)),
+    ("va.spatial0", (64, 64)),
+    ("va.spatial1", (36, 64)),
+    ("va.spatial2", (16, 64)),
+    ("va.temporal", (128, 32)),
+    ("va.cross.w_q", (64, 64)),
+    ("va.cross.w_k", (64, 64)),
+    ("va.cross.w_v", (64, 64)),
+    ("va.cross.w_o", (64, 64)),
+    ("va.self.w_q", (64, 64)),
+    ("va.self.w_k", (64, 64)),
+    ("va.self.w_v", (64, 64)),
+    ("va.self.w_o", (64, 64)),
+    ("va.gate_inner", (64,)),
+    ("va.gate_outer", (64,)),
+    ("smoother.blend_raw", ()),
+    ("cue.task.queries", (16, 64)),
+    ("cue.task.w_q", (64, 64)),
+    ("cue.task.w_k", (64, 64)),
+    ("cue.task.w_v", (64, 64)),
+    ("cue.vision.queries", (16, 64)),
+    ("cue.vision.w_q", (64, 64)),
+    ("cue.vision.w_k", (64, 64)),
+    ("cue.vision.w_v", (64, 64)),
+    ("cue.stats.queries", (16, 64)),
+    ("cue.stats.w_q", (64, 64)),
+    ("cue.stats.w_k", (64, 64)),
+    ("cue.stats.w_v", (64, 64)),
+    ("cue.fuse.task", (16, 64)),
+    ("cue.fuse.vision", (16, 64)),
+    ("cue.fuse.stats", (16, 64)),
+    ("signal.patch_embed", (16, 64)),
+    ("lm.positions", (144, 64)),
+    ("lm.layer0.attn.w_q", (64, 64)),
+    ("lm.layer0.attn.w_k", (64, 64)),
+    ("lm.layer0.attn.w_v", (64, 64)),
+    ("lm.layer0.attn.w_o", (64, 64)),
+    ("lm.layer0.ffn.w_in", (64, 256)),
+    ("lm.layer0.ffn.w_out", (256, 64)),
+    ("lm.layer1.attn.w_q", (64, 64)),
+    ("lm.layer1.attn.w_k", (64, 64)),
+    ("lm.layer1.attn.w_v", (64, 64)),
+    ("lm.layer1.attn.w_o", (64, 64)),
+    ("lm.layer1.ffn.w_in", (64, 256)),
+    ("lm.layer1.ffn.w_out", (256, 64)),
+    ("lm.head", (64, 128)),
+    ("lm.head_skip", (128, 128)),
+]
+
+
+def test_the_default_parameter_table_is_pinned():
+    table = [(p.name, p.shape, p.value.dtype) for p in build_pipeline().store]
+    assert table == [(name, shape, np.float32) for name, shape in DEFAULT_PARAMETERS]
+
+
 def test_every_parameter_exists_once_built():
     model = build_pipeline(seed=0)
     names = model.store.names()

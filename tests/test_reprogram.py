@@ -18,7 +18,7 @@ def _setup(dim=8, heads=2, vocab=64, protos=8, seed=0, lengths=(4, 5)):
     rng = np.random.default_rng(seed)
     vocab_emb = init_vocab(store, vocab_size=vocab, dim=dim, seed=seed)
     probe = init_probe(store, vocab, protos, rng)
-    rep = init_reprogrammer(store, "reprog", dim, heads, protos, rng, lengths=lengths, seed=seed)
+    rep = init_reprogrammer(store, dim, heads, protos, rng, lengths=lengths, seed=seed)
     return store, vocab_emb, probe, rep
 
 
