@@ -27,7 +27,7 @@ rep = init_reprogrammer(store, dim=64, heads=4, n_prototypes=64,
                         rng=np.random.default_rng(2), lengths=lengths, seed=0)
 
 bank = derive_prototypes(vocab, probe)
-print("prototype bank:", bank.shape, "probed from", vocab.param.shape, "frozen rows")
+print("prototype bank:", bank.shape, "probed from", vocab.shape, "frozen rows")
 
 rng = np.random.default_rng(3)
 for length in lengths:

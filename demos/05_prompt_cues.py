@@ -41,10 +41,10 @@ store = ParamStore()
 vocab = init_vocab(store, vocab_size=1024, dim=64, seed=0)
 streams = {}
 for seed, (kind, text) in enumerate(captions.items()):
-    ids = tokenize(text, vocab.vocab_size)
+    ids = tokenize(text, vocab.shape[0])
     comp = init_compressor(store, f"cue.{kind}", prompt_len=16, dim=64,
                            rng=np.random.default_rng(seed))
-    streams[kind] = compress(vocab.rows(ids)[None], comp)
+    streams[kind] = compress(vocab.value[np.array(ids)][None], comp)
     print(f"{kind:6s}| {len(ids)} token ids -> {streams[kind].shape[1]} prompt tokens")
 
 weights = init_fusion(store, prompt_len=16, dim=64)

@@ -45,7 +45,6 @@ from .attention import (
 from .aggregator import AggregatorParams, FeaturePyramid, aggregate, init_aggregator, project_level
 from .reprogram import (
     ReprogrammerParams,
-    VocabEmbedding,
     derive_prototypes,
     init_probe,
     init_reprogrammer,

@@ -117,8 +117,6 @@ def project_level(f, p: AggregatorParams, level: int) -> nc.Tensor:
 
 def aggregate(pyr: FeaturePyramid, p: AggregatorParams) -> nc.Tensor:
     """Gated cross/self-attention fusion of all levels onto the deepest one."""
-    if pyr.depth < 2:
-        raise ContractError(f"aggregation needs >= 2 levels, got {pyr.depth}")
     if pyr.depth != len(p.level_shapes):
         raise ShapeError(f"pyramid has {pyr.depth} levels, aggregator registered {len(p.level_shapes)}")
     projected = [project_level(f, p, level=i) for i, f in enumerate(pyr.levels)]

@@ -78,7 +78,7 @@ def cross_attention(q_in, kv_in, p: AttentionParams) -> nc.Tensor:
 
     Queries come from q_in, keys and values from kv_in; both are
     (batch, tokens, width) with the width matching the parameters, which
-    ``nc.attention`` checks.
+    ``nc.attention`` checks; it checks finiteness once, on its output.
     """
     weights = (p.w_q.use(), p.w_k.use(), p.w_v.use(), p.w_o.use())
     return nc.attention(q_in, kv_in, *weights, p.heads)

@@ -21,7 +21,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from . import numcore as nc
-from .errors import ContractError, ShapeError
+from .errors import ContractError, NumericError, ShapeError
 from .stationarize import normalized_autocorr
 
 CUE_KINDS = ("task", "vision", "stats")
@@ -58,12 +58,16 @@ def signal_stats(x):
     Lags are searched over [1, T/2], ranked by the magnitude of
     ``stationarize.normalized_autocorr`` (zero for a constant row), ties
     broken toward the smaller lag. Fewer than 5 lags are returned when
-    T/2 < 5. A batch is one call, with no loop over its rows.
+    T/2 < 5. A batch is one call, with no loop over its rows. A row that
+    holds NaN or an infinity raises NumericError naming the first such row.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] < 4:
         raise ContractError(f"signal_stats needs (T,) or (rows, T) with T >= 4, got {x.shape}")
     rows = x.reshape(-1, x.shape[-1])
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise NumericError(f"signal_stats received non-finite values in row {int(np.argmin(finite))}")
     trend = np.diff(rows, axis=1).sum(axis=1)
     r = normalized_autocorr(rows, rows.shape[1] // 2)
     # descending magnitude; the stable sort lets the smaller lag win ties

@@ -17,8 +17,9 @@ over short last-axis rows (0.2 against 0.6 ms for a max over a
 (8, 4, 144, 144) float32 array). The softmax's scale is folded into the Q
 projection and its normalisation is deferred to the (batch * tokens, width)
 output, so the forward makes four passes over the scores: max, shift, exp
-and sum. Its backward is written out by hand, as is that of
-``token_map``, the one-node linear map of a token axis.
+and sum. It checks finiteness once, on its output, which any non-finite
+input or overflow on the way reaches. Its backward is written out by hand,
+as is that of ``token_map``, the one-node linear map of a token axis.
 
 GELU's normal CDF is (1 + tanh(x R(x^2))) / 2, R a degree-6 polynomial in
 x^2, evaluated in float32 for float32 data, and the standard library's
@@ -414,16 +415,12 @@ def _exp_scores_t(q: Array, k: Array) -> tuple[Array, Array]:
     """exp(K Q^T - its column max) per head and its column sums: (B, H, Lk, Lq)
     and (B, H, 1, Lq) from q (B, H, Lq, E), already scaled, and k (B, H, Lk,
     E). Shift and exp run in place on the one K Q^T buffer. A score that is
-    NaN or overflows to +inf makes its column's sum NaN, so only the sums are
-    checked, and the floating-point warnings on the way are not raised."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        et = np.matmul(k, q.swapaxes(-1, -2))
-        et -= et.max(axis=-2, keepdims=True)
-        np.exp(et, out=et)
-        sums = et.sum(axis=-2, keepdims=True)
-    if not np.isfinite(sums).all():
-        raise NumericError("attention received non-finite values")
-    return et, sums
+    NaN or overflows to +inf makes its column's sum NaN; nothing is checked
+    here."""
+    et = np.matmul(k, q.swapaxes(-1, -2))
+    et -= et.max(axis=-2, keepdims=True)
+    np.exp(et, out=et)
+    return et, et.sum(axis=-2, keepdims=True)
 
 
 def _normalized_t(et: Array, sums: Array) -> Array:
@@ -444,8 +441,9 @@ def attention(q_in, kv_in, w_q, w_k, w_v, w_o, heads: int) -> Tensor:
     is deferred: the unnormalised weights mix V and the (B*Lq, D) mix is
     divided by their column sums, so no pass over the (B, H, Lk, Lq) weights
     scales or normalises them. The backward normalises them once, in place.
-    A non-finite input raises NumericError, and so does an overflow that
-    would reach the output as inf or NaN; neither warns first. The backward
+    Finiteness is checked once, on the output: a non-finite input, or a
+    projection, score or mix that overflows, reaches it as inf or NaN and
+    raises NumericError, with no floating-point warning first. The backward
     is written out: each weight gradient is one 2-D GEMM, the softmax
     backward runs in place, and an input without a node gets no gradient.
     """
@@ -460,22 +458,19 @@ def attention(q_in, kv_in, w_q, w_k, w_v, w_o, heads: int) -> Tensor:
             f"heads dividing D; got {q_in.shape}, {kv_in.shape}, {w_q.shape}, {heads} heads"
         )
     xq, xkv = q_in.data.reshape(-1, d), kv_in.data.reshape(-1, d)
-    # an infinite input would make the score matmul warn before the sums are checked
-    if not (np.isfinite(xq).all() and np.isfinite(xkv).all()):
-        raise NumericError("attention received non-finite values")
     scale = 1.0 / math.sqrt(d // heads)
-    # a projection that overflows reaches the column sums (Q, K) or the mix
-    # (V) as inf or NaN, where it is caught without the warnings on the way
+    # a non-finite input, or a projection, score or mix that overflows,
+    # reaches the output as inf or NaN: one check there, no warning on the way
     with np.errstate(over="ignore", invalid="ignore"):
         q = _heads(xq, w_q.data * scale, bsz, heads)
         k, v = (_heads(xkv, w.data, bsz, heads) for w in (w_k, w_v))
         et, sums = _exp_scores_t(q, k)
         mixed = _merged(et.swapaxes(-1, -2), v)
-    if not np.isfinite(mixed).all():
+        per_head = mixed.reshape(bsz, -1, heads, d // heads)  # a view of mixed
+        per_head /= sums.reshape(bsz, heads, -1, 1).swapaxes(1, 2)
+        out = (mixed @ w_o.data).reshape(q_in.shape)
+    if not np.isfinite(out).all():
         raise NumericError("attention received non-finite values")
-    per_head = mixed.reshape(bsz, -1, heads, d // heads)  # a view of mixed
-    per_head /= sums.reshape(bsz, heads, -1, 1).swapaxes(1, 2)
-    out = (mixed @ w_o.data).reshape(q_in.shape)
     need_q, need_kv, *need_w = (t.node is not None for t in (q_in, kv_in, w_q, w_k, w_v, w_o))
 
     def grad_fn(g):
@@ -708,7 +703,8 @@ class Parameter:
     """Named trainable value with a gradient buffer and Adam moments.
 
     The value is float32 or float64 as given (anything else becomes float64),
-    and keeps that dtype: a value assigned later is cast to it.
+    and keeps that dtype and shape: a value assigned later is cast to the
+    dtype, and one of another shape is refused.
     """
 
     __slots__ = ("name", "_value", "grad", "trainable", "m", "v", "node")
@@ -729,7 +725,10 @@ class Parameter:
     @value.setter
     def value(self, value) -> None:
         # a copy: adam_step writes into the value, never into the caller's array
-        self._value = np.array(value, dtype=self._value.dtype)
+        value = np.array(value, dtype=self._value.dtype)
+        if value.shape != self._value.shape:
+            raise ShapeError(f"parameter {self.name!r} is {self._value.shape}, got a value of shape {value.shape}")
+        self._value = value
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -58,7 +58,6 @@ from .cues import (
 from .errors import ContractError, ParseError, PhyskitError, ShapeError
 from .reprogram import (
     ReprogrammerParams,
-    VocabEmbedding,
     derive_prototypes,
     init_probe,
     init_reprogrammer,
@@ -164,7 +163,7 @@ class TrainConfig:
 class Pipeline:
     cfg: ModelConfig
     store: nc.ParamStore
-    vocab: VocabEmbedding
+    vocab: nc.Parameter
     probe: nc.Parameter
     reprogrammer: ReprogrammerParams
     aggregator: AggregatorParams
@@ -225,11 +224,11 @@ class Pipeline:
         }
         streams = {}
         for kind, texts in captions.items():
-            ids = [tokenize(text, self.vocab.vocab_size) for text in texts]
+            ids = [tokenize(text, self.cfg.vocab_size) for text in texts]
             lengths = {len(i) for i in ids}
             if len(lengths) > 1:
                 raise ContractError(f"{kind} captions disagree on token count: {sorted(lengths)}")
-            streams[kind] = compress(nc.Tensor(self.vocab.rows(ids)), self.compressors[kind])
+            streams[kind] = compress(nc.Tensor(self.vocab.value[np.array(ids)]), self.compressors[kind])
         return fuse_cues(streams, self.fusion)
 
 

@@ -1,14 +1,14 @@
 """Reprogram continuous token sequences through a small bank of text
 prototypes probed from a frozen vocabulary embedding.
 
-The vocabulary matrix stands in for a language model's word embeddings: a
-fixed-seed Gaussian table that never receives gradient. The probe, one
-trainable (n_prototypes, vocab_size) ``Parameter`` as in Time-LLM (Jin et
-al., ICLR 2024), mixes its rows down to a much smaller prototype bank, and
-incoming visual or signal tokens are fused with that bank through
-self-attention, a token-count adapter, cross-attention, and a feed-forward
-block. Output token count always equals the prototype count, whatever the
-input length.
+The vocabulary stands in for a language model's word embeddings: a
+fixed-seed Gaussian table held in one frozen ``Parameter``, which never
+receives gradient. The probe, one trainable (n_prototypes, vocab_size)
+``Parameter`` as in Time-LLM (Jin et al., ICLR 2024), mixes its rows down
+to a much smaller prototype bank, and incoming visual or signal tokens are
+fused with that bank through self-attention, a token-count adapter,
+cross-attention, and a feed-forward block. Output token count always equals
+the prototype count, whatever the input length.
 
 One instance is meant to serve several modalities; everything is shared
 except the token-count adapters (a fixed linear map over the token axis
@@ -40,29 +40,13 @@ from .attention import (
 from .errors import ContractError, ShapeError
 
 
-@dataclass
-class VocabEmbedding:
-    """Frozen (vocab_size, dim) table; rows are the fixed semantic anchors."""
-
-    param: nc.Parameter
-
-    @property
-    def vocab_size(self) -> int:
-        return self.param.shape[0]
-
-    def rows(self, ids) -> np.ndarray:
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.vocab_size):
-            raise ContractError(f"token id out of range [0, {self.vocab_size})")
-        return self.param.value[ids]
-
-
 def init_vocab(
     store: nc.ParamStore, vocab_size: int = 1024, dim: int = 64, seed: int = 0
-) -> VocabEmbedding:
-    rng = nc.rng(seed, 0x56C4B)
-    table = rng.standard_normal((vocab_size, dim))
-    return VocabEmbedding(param=store.add("vocab.embedding", table, trainable=False))
+) -> nc.Parameter:
+    """The frozen (vocab_size, dim) table ``vocab.embedding``; its rows are the
+    fixed semantic anchors."""
+    table = nc.rng(seed, 0x56C4B).standard_normal((vocab_size, dim))
+    return store.add("vocab.embedding", table, trainable=False)
 
 
 def init_probe(
@@ -78,9 +62,9 @@ def init_probe(
     )
 
 
-def derive_prototypes(vocab: VocabEmbedding, probe: nc.Parameter) -> nc.Tensor:
+def derive_prototypes(vocab: nc.Parameter, probe: nc.Parameter) -> nc.Tensor:
     """Prototype bank = probe @ vocabulary, shaped (n_prototypes, dim)."""
-    return nc.matmul(probe.use(), vocab.param.use())
+    return nc.matmul(probe.use(), vocab.use())
 
 
 @dataclass

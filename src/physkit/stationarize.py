@@ -30,13 +30,21 @@ from .wavelet import HAAR, WaveletBasis, dwt, idwt
 DEFAULT_EPS = 1e-5
 
 
+def _series(x, op: str) -> np.ndarray:
+    """x as a float64 array (..., time); refused unless time has a sample."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 0 or x.shape[-1] == 0:
+        raise ContractError(f"{op} needs an input (..., time) with at least one sample, got shape {x.shape}")
+    return x
+
+
 def standardize(x, eps: float = DEFAULT_EPS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Center by the mean and scale by the (population) std along the last axis.
 
     Returns (standardized, mean, std); mean and std keep that axis as 1. The
     eps in the denominator rescues constant rows, which map to all zeros.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _series(x, "standardize")
     mu = x.mean(axis=-1, keepdims=True)
     sigma = np.sqrt(np.mean((x - mu) ** 2, axis=-1, keepdims=True))
     return (x - mu) / (sigma + eps), mu, sigma
@@ -57,7 +65,7 @@ def ema_smooth(x, alpha: float) -> np.ndarray:
     """
     if not 0.0 < alpha <= 1.0:
         raise ContractError(f"smoothing factor must be in (0, 1], got {alpha}")
-    x = np.asarray(x, dtype=np.float64)
+    x = _series(x, "ema_smooth")
     z = alpha * x
     z[..., 0] = x[..., 0]
     shift, c = 1, 1.0 - alpha

@@ -104,7 +104,7 @@ def test_criterion_4_structural_identities():
         with nc.Tape():
             out = reprogram(rng.standard_normal((1, 4, 8)), derive_prototypes(vocab, probe), rep)
             nc.backward(nc.mean_all(nc.mul(out, out)), store)
-        assert np.array_equal(vocab.param.grad, np.zeros_like(vocab.param.value))
+        assert np.array_equal(vocab.grad, np.zeros_like(vocab.value))
 
 
 def test_criterion_5_statistical_cue_oracle():

@@ -156,6 +156,7 @@ def test_non_finite_input_raises():
     (1e20, "drawn"),  # finite projections whose scores overflow
     (1e37, "100I"),  # Q, K and V projections overflow
     (1e37, "V only"),  # only the V projection overflows: Q = K = 0
+    (1e5, "W_o only"),  # finite Q, K, V and mix; only the output projection overflows
 ])
 def test_infinite_or_overflowing_input_raises_before_any_warning(bad, weights):
     store, p = _params(dim=4, heads=2, seed=36)
@@ -167,6 +168,10 @@ def test_infinite_or_overflowing_input_raises_before_any_warning(bad, weights):
     elif weights == "V only":
         params[0] = params[1] = np.zeros((4, 4), np.float32)
         params[2] = 100.0 * np.eye(4, dtype=np.float32)
+    elif weights == "W_o only":
+        params[0] = params[1] = np.zeros((4, 4), np.float32)
+        params[2] = 1e5 * np.eye(4, dtype=np.float32)
+        params[3] = 1e30 * np.eye(4, dtype=np.float32)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match="^attention received non-finite values$"):

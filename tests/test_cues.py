@@ -18,7 +18,7 @@ from physkit.cues import (
     tokenize,
     vision_caption,
 )
-from physkit.errors import ContractError, ShapeError
+from physkit.errors import ContractError, NumericError, ShapeError
 
 # ---------------------------------------------------------------------------
 # brute-force oracle: naive loops, no numpy vectorization
@@ -126,6 +126,15 @@ def test_lags_that_tie_exactly_go_to_the_smaller_lag():
 def test_signal_stats_rejects_short_input():
     with pytest.raises(ContractError):
         signal_stats([1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape, row", [((16,), 0), ((3, 16), 1)], ids=["series", "row1-of-3"])
+def test_signal_stats_names_a_non_finite_row_without_warning(bad, shape, row):
+    x = np.sin(np.arange(np.prod(shape), dtype=np.float64)).reshape(shape)
+    x.reshape(-1, 16)[row, 5] = bad  # a view of x
+    with pytest.raises(NumericError, match=rf"^signal_stats received non-finite values in row {row}$"):
+        signal_stats(x)
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,14 @@ def test_adam_never_writes_into_an_array_the_value_was_set_from():
     assert given.tolist() == [3.0, 4.0] and not np.array_equal(p.value, given)
 
 
+def test_a_value_of_another_shape_is_refused():
+    store = nc.ParamStore()
+    p = store.add("w", np.zeros((2, 3)))
+    with pytest.raises(ShapeError, match=r"^parameter 'w' is \(2, 3\), got a value of shape \(3,\)$"):
+        p.value = np.ones(3)
+    assert p.value.shape == (2, 3) and not p.value.any()
+
+
 def test_adam_rejects_bad_step_index():
     store = nc.ParamStore()
     store.add("p", [1.0])

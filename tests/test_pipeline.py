@@ -133,7 +133,7 @@ def test_frozen_vocabulary_gets_identically_zero_gradient():
     with nc.Tape():
         loss = mse_loss(model.forward(pyr, x_enc, scenes), target)
         nc.backward(loss, model.store)
-    assert np.array_equal(model.vocab.param.grad, np.zeros_like(model.vocab.param.value))
+    assert np.array_equal(model.vocab.grad, np.zeros_like(model.vocab.value))
     assert np.any(model.probe.grad != 0.0)
 
 

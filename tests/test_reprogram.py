@@ -30,7 +30,7 @@ def test_one_hot_probe_selects_vocab_rows():
         w[row, col] = 1.0
     probe.value = w
     protos = derive_prototypes(vocab, probe).data
-    assert np.array_equal(protos, vocab.param.value[picks])
+    assert np.array_equal(protos, vocab.value[picks])
 
 
 def test_zero_probe_gives_zero_prototypes():
@@ -41,7 +41,7 @@ def test_zero_probe_gives_zero_prototypes():
 
 def test_derive_matches_matmul_oracle():
     store, vocab, probe, _ = _setup(seed=1)
-    oracle = probe.value @ vocab.param.value
+    oracle = probe.value @ vocab.value
     assert np.max(np.abs(derive_prototypes(vocab, probe).data - oracle)) < 1e-12
 
 
@@ -112,7 +112,7 @@ def test_frozen_vocab_gets_zero_grad_while_probe_trains():
         protos = derive_prototypes(vocab, probe)
         out = reprogram(x, protos, rep)
         nc.backward(nc.mean_all(nc.mul(out, out)), store)
-    assert np.array_equal(vocab.param.grad, np.zeros_like(vocab.param.value))
+    assert np.array_equal(vocab.grad, np.zeros_like(vocab.value))
     assert np.any(probe.grad != 0.0)
     assert np.any(rep.ffn.w_in.grad != 0.0)
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,14 @@ def test_ema_rejects_bad_alpha():
     for alpha in (0.0, -0.1, 1.5):
         with pytest.raises(ContractError):
             ema_smooth([1.0, 2.0], alpha)
+
+
+@pytest.mark.parametrize("x", [[], np.zeros((3, 0)), 1.0], ids=["empty", "empty rows", "0-d"])
+def test_ema_and_standardize_refuse_an_input_without_a_sample(x):
+    shape = np.shape(x)
+    for op, call in (("ema_smooth", lambda: ema_smooth(x, 0.5)), ("standardize", lambda: standardize(x))):
+        with pytest.raises(ContractError, match=rf"^{op} needs .* at least one sample, got shape {re.escape(str(shape))}$"):
+            call()
 
 
 def test_blend_identities_are_exact():
