@@ -18,7 +18,7 @@ pyr = FeaturePyramid([level[None] for level in clip.pyramid])  # batch of one
 store = ParamStore()
 params = init_aggregator(
     store, level_shapes=((8, 8), (6, 6), (4, 4)), chunk_len=128,
-    target_len=32, dim=64, heads=4, rng=np.random.default_rng(0),
+    target_len=32, dim=64, heads=4, seed=0,
 )
 
 fused_closed = aggregate(pyr, params).data

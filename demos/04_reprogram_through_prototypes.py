@@ -21,10 +21,9 @@ from physkit import (
 
 store = ParamStore()
 vocab = init_vocab(store, vocab_size=1024, dim=64, seed=0)
-probe = init_probe(store, vocab_size=1024, n_prototypes=64, rng=np.random.default_rng(1))
+probe = init_probe(store, vocab_size=1024, n_prototypes=64, seed=0)
 lengths = (15, 32, 128)  # every input length this instance will serve
-rep = init_reprogrammer(store, dim=64, heads=4, n_prototypes=64,
-                        rng=np.random.default_rng(2), lengths=lengths, seed=0)
+rep = init_reprogrammer(store, dim=64, heads=4, n_prototypes=64, lengths=lengths, seed=0)
 
 bank = derive_prototypes(vocab, probe)
 print("prototype bank:", bank.shape, "probed from", vocab.shape, "frozen rows")

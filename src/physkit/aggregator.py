@@ -66,11 +66,13 @@ def init_aggregator(
     target_len: int,
     dim: int,
     heads: int,
-    rng: np.random.Generator,
+    seed: int,
 ) -> AggregatorParams:
-    """Parameters named under the fixed prefix ``va.``: a model builds one aggregator."""
+    """Parameters named under the fixed prefix ``va.``, drawn from
+    ``nc.rng(seed, "aggregator")``: a model builds one aggregator."""
     if len(level_shapes) < 2:
         raise ContractError(f"need at least 2 pyramid levels, got {len(level_shapes)}")
+    rng = nc.rng(seed, "aggregator")
     spatial = [
         store.add(
             f"va.spatial{i}",

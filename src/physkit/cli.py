@@ -25,11 +25,11 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import numcore as nc
-from .aggregator import FeaturePyramid, aggregate, init_aggregator
-from .cues import SceneMeta, compress, fuse_cues, init_compressor, init_fusion, signal_stats
+from .aggregator import FeaturePyramid, aggregate
+from .cues import SceneMeta, compress, fuse_cues, signal_stats
 from .errors import ContractError, PhyskitError
 from .pipeline import ModelConfig, TrainConfig, build_pipeline, evaluate, load_pipeline, mse_loss, train
-from .reprogram import derive_prototypes, init_probe, init_reprogrammer, init_vocab, reprogram
+from .reprogram import derive_prototypes, reprogram
 from .signals import (
     HR_BAND_BPM,
     ClipRecord,
@@ -164,85 +164,51 @@ def cmd_eval(args) -> int:
 
 
 def _gradcheck_modules(seed: int) -> dict[str, float]:
-    """Per-module finite-difference audits at a randomized (non-gated) point."""
-    results: dict[str, float] = {}
+    """Finite-difference audits of a tiny model's modules, then of the whole
+    model, at a randomized point where no zero head or gate blocks the
+    gradient. Each module audit perturbs only entries of the module's own
+    parameters, those named under its prefixes; the entries of audit <name>
+    are drawn from ``nc.rng(seed, "gc-<name>-e")``."""
     rng = nc.rng(seed, "gradcheck")
-
-    store = nc.ParamStore()
-    smoother = init_smoother(store)
-    x = rng.standard_normal(64)
-
-    def f_smoother():
-        z, _ = smooth(x, smoother)
-        return nc.mean_all(nc.mul(z, z))
-
-    results["dds"] = nc.grad_check(f_smoother, store)
-
-    store = nc.ParamStore()
-    agg = init_aggregator(store, ((3, 3), (2, 2)), 16, 8, 8, 2, nc.rng(seed, "gc-agg"))
-    agg.gate_inner.value = rng.standard_normal(8) * 0.5
-    agg.gate_outer.value = rng.standard_normal(8) * 0.5
-    pyr = FeaturePyramid([rng.standard_normal((1, 16, h, w)) for h, w in ((3, 3), (2, 2))])
-
-    def f_agg():
-        out = aggregate(pyr, agg)
-        return nc.mean_all(nc.mul(out, out))
-
-    results["aggregator"] = nc.grad_check(
-        f_agg, store, entries=nc.sample_param_entries(store, 60, nc.rng(seed, "gc-agg-e"))
-    )
-
-    store = nc.ParamStore()
-    vocab = init_vocab(store, vocab_size=64, dim=8, seed=seed)
-    probe = init_probe(store, 64, 8, nc.rng(seed, "gc-probe"))
-    rep = init_reprogrammer(store, 8, 2, 8, nc.rng(seed, "gc-rep"), lengths=(5,), seed=seed)
-    x_tok = nc.Tensor(rng.standard_normal((1, 5, 8)))
-
-    def f_rep():
-        out = reprogram(x_tok, derive_prototypes(vocab, probe), rep)
-        return nc.mean_all(nc.mul(out, out))
-
-    results["tpg"] = nc.grad_check(
-        f_rep, store, entries=nc.sample_param_entries(store, 60, nc.rng(seed, "gc-rep-e"))
-    )
-
-    store = nc.ParamStore()
-    comps = [init_compressor(store, f"cue.{k}", 3, 8, nc.rng(seed, f"gc-{k}")) for k in ("t", "v", "s")]
-    fusion = init_fusion(store, 3, 8)
-    streams = [nc.Tensor(rng.standard_normal((1, n, 8))) for n in (2, 6, 4)]
-
-    def f_cue():
-        parts = {kind: compress(s, c) for kind, s, c in zip(fusion, streams, comps)}
-        out = fuse_cues(parts, fusion)
-        return nc.mean_all(nc.mul(out, out))
-
-    results["cue"] = nc.grad_check(
-        f_cue, store, entries=nc.sample_param_entries(store, 60, nc.rng(seed, "gc-cue-e"))
-    )
-
     tiny = ModelConfig(
         dim=8, heads=2, vocab_size=64, n_prototypes=8, prompt_len=4, target_len=8,
         chunk_len=32, patch_len=8, patch_stride=4, level_shapes=((3, 3), (2, 2)), lm_layers=1,
     )
     model = build_pipeline(tiny, seed=seed)
-    # zero heads and gates would block gradient flow upstream and make the
-    # audit vacuous; move to a generic point first
     model.head.value = rng.standard_normal(model.head.shape) * 0.2
     model.head_skip.value = rng.standard_normal(model.head_skip.shape) * 0.2
     model.aggregator.gate_inner.value = rng.standard_normal(tiny.dim) * 0.5
     model.aggregator.gate_outer.value = rng.standard_normal(tiny.dim) * 0.5
-    pyr = FeaturePyramid([rng.standard_normal((1, 32, h, w)) for h, w in tiny.level_shapes])
-    x_enc = rng.standard_normal((1, 32))
+    pyr = FeaturePyramid([rng.standard_normal((1, tiny.chunk_len, h, w)) for h, w in tiny.level_shapes])
+    x_enc = rng.standard_normal((1, tiny.chunk_len))
     scenes = [SceneMeta(lighting="bright", motion=False, skin_tone="type-2")]
-    target = nc.Tensor(rng.standard_normal((1, 32)))
+    target = nc.Tensor(rng.standard_normal((1, tiny.chunk_len)))
+    x_tok = nc.Tensor(rng.standard_normal((1, tiny.target_len, tiny.dim)))
+    streams = [nc.Tensor(rng.standard_normal((1, n, tiny.dim))) for n in (2, 6, 4)]
 
-    def f_pipe():
-        return mse_loss(model.forward(pyr, x_enc, scenes), target)
+    def power(out) -> nc.Tensor:
+        return nc.mean_all(nc.mul(out, out))
 
-    results["pipeline"] = nc.grad_check(
-        f_pipe, store=model.store,
-        entries=nc.sample_param_entries(model.store, 50, nc.rng(seed, "gc-pipe-e")),
-    )
+    def f_cue():
+        parts = {kind: compress(s, model.compressors[kind]) for kind, s in zip(model.compressors, streams)}
+        return power(fuse_cues(parts, model.fusion))
+
+    audits = {
+        "dds": (("smoother.",), lambda: power(smooth(x_enc[0], model.smoother)[0])),
+        "aggregator": (("va.",), lambda: power(aggregate(pyr, model.aggregator))),
+        "tpg": (
+            ("probe.", "reprog."),
+            lambda: power(reprogram(x_tok, derive_prototypes(model.vocab, model.probe), model.reprogrammer)),
+        ),
+        "cue": (("cue.",), f_cue),
+        "pipeline": (("",), lambda: mse_loss(model.forward(pyr, x_enc, scenes), target)),
+    }
+    results: dict[str, float] = {}
+    for name, (prefixes, f) in audits.items():
+        params = [p for p in model.store.trainable() if p.name.startswith(prefixes)]
+        n = 50 if name == "pipeline" else 60
+        entries = nc.sample_param_entries(params, n, nc.rng(seed, f"gc-{name}-e"))
+        results[name] = nc.grad_check(f, model.store, entries=entries)
     return results
 
 

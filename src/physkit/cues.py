@@ -59,16 +59,21 @@ def signal_stats(x):
     ``stationarize.normalized_autocorr`` (zero for a constant row), ties
     broken toward the smaller lag. Fewer than 5 lags are returned when
     T/2 < 5. A batch is one call, with no loop over its rows. A row that
-    holds NaN or an infinity raises NumericError naming the first such row.
+    holds NaN or an infinity, or whose trend overflows, raises NumericError
+    naming the first such row.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] < 4:
         raise ContractError(f"signal_stats needs (T,) or (rows, T) with T >= 4, got {x.shape}")
     rows = x.reshape(-1, x.shape[-1])
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
-        raise NumericError(f"signal_stats received non-finite values in row {int(np.argmin(finite))}")
-    trend = np.diff(rows, axis=1).sum(axis=1)
+    # a non-finite sample makes its row's trend non-finite, so the trend is the one check
+    with np.errstate(over="ignore", invalid="ignore"):
+        trend = np.diff(rows, axis=1).sum(axis=1)
+    bad = ~np.isfinite(trend)
+    if bad.any():
+        row = int(np.argmax(bad))
+        what = "values whose trend overflows" if np.isfinite(rows[row]).all() else "non-finite values"
+        raise NumericError(f"signal_stats received {what} in row {row}")
     r = normalized_autocorr(rows, rows.shape[1] // 2)
     # descending magnitude; the stable sort lets the smaller lag win ties
     top = np.argsort(-np.abs(r), axis=1, kind="stable")[:, :5] + 1

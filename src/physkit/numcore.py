@@ -950,21 +950,27 @@ def adam_step(store: ParamStore, lr: float, wd: float, t: int) -> ParamStore:
 
 
 def sample_param_entries(
-    store: ParamStore, n: int, rng: np.random.Generator
+    params: Sequence[Parameter], n: int, rng: np.random.Generator
 ) -> list[tuple[str, int]]:
-    """Pick ~n scalar entries spread across all trainable parameters."""
-    params = store.trainable()
+    """Distinct (name, flat index) entries spread across the given parameters:
+    n // len(params) of each (at least one, at most all), then, while fewer
+    than n, entries not yet picked, drawn from all of them. No entry comes
+    twice, so parameters holding fewer than n entries in all give each once."""
     if not params:
         return []
-    entries: list[tuple[str, int]] = []
     per = max(1, n // len(params))
-    for p in params:
-        k = min(per, p.value.size)
-        for i in sorted(rng.choice(p.value.size, size=k, replace=False).tolist()):
-            entries.append((p.name, int(i)))
-    while len(entries) < n:
-        p = params[int(rng.integers(len(params)))]
-        entries.append((p.name, int(rng.integers(p.value.size))))
+    picked = [
+        np.sort(rng.choice(p.value.size, size=min(per, p.value.size), replace=False)) for p in params
+    ]
+    entries = [(p.name, int(i)) for p, idx in zip(params, picked) for i in idx]
+    if len(entries) < n:
+        # the rest, numbered across all parameters in order
+        starts = np.cumsum([0] + [p.value.size for p in params])
+        taken = np.concatenate([start + idx for start, idx in zip(starts, picked)])
+        rest = np.setdiff1d(np.arange(starts[-1]), taken)
+        for flat in np.sort(rng.choice(rest, size=min(n - len(entries), rest.size), replace=False)):
+            k = int(np.searchsorted(starts, flat, side="right")) - 1
+            entries.append((params[k].name, int(flat - starts[k])))
     return entries
 
 

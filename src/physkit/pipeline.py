@@ -247,20 +247,13 @@ def build_pipeline(cfg: ModelConfig | None = None, seed: int = 0) -> Pipeline:
     deterministically."""
     cfg = cfg if cfg is not None else ModelConfig()
     store = nc.ParamStore(config=asdict(cfg), dtype=np.float32)
-    vocab = init_vocab(store, cfg.vocab_size, cfg.dim, seed=seed)
-    probe = init_probe(store, cfg.vocab_size, cfg.n_prototypes, nc.rng(seed, "probe"))
+    vocab = init_vocab(store, cfg.vocab_size, cfg.dim, seed)
+    probe = init_probe(store, cfg.vocab_size, cfg.n_prototypes, seed)
     reprogrammer = init_reprogrammer(
-        store, cfg.dim, cfg.heads, cfg.n_prototypes, nc.rng(seed, "reprog"),
-        lengths=(cfg.n_signal_tokens, cfg.target_len), seed=seed,
+        store, cfg.dim, cfg.heads, cfg.n_prototypes, (cfg.n_signal_tokens, cfg.target_len), seed
     )
     aggregator_params = init_aggregator(
-        store,
-        cfg.level_shapes,
-        cfg.chunk_len,
-        cfg.target_len,
-        cfg.dim,
-        cfg.heads,
-        nc.rng(seed, "aggregator"),
+        store, cfg.level_shapes, cfg.chunk_len, cfg.target_len, cfg.dim, cfg.heads, seed
     )
     smoother = init_smoother(store, alpha=cfg.alpha, level=cfg.level, basis=get_basis(cfg.wavelet))
     compressors = {

@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from . import numcore as nc
 from .attention import (
     AttentionParams,
@@ -40,26 +38,22 @@ from .attention import (
 from .errors import ContractError, ShapeError
 
 
-def init_vocab(
-    store: nc.ParamStore, vocab_size: int = 1024, dim: int = 64, seed: int = 0
-) -> nc.Parameter:
-    """The frozen (vocab_size, dim) table ``vocab.embedding``; its rows are the
-    fixed semantic anchors."""
+def init_vocab(store: nc.ParamStore, vocab_size: int, dim: int, seed: int) -> nc.Parameter:
+    """The frozen (vocab_size, dim) table ``vocab.embedding``, drawn from
+    ``nc.rng(seed, 0x56C4B)``; its rows are the fixed semantic anchors."""
     table = nc.rng(seed, 0x56C4B).standard_normal((vocab_size, dim))
     return store.add("vocab.embedding", table, trainable=False)
 
 
-def init_probe(
-    store: nc.ParamStore, vocab_size: int, n_prototypes: int, rng: np.random.Generator
-) -> nc.Parameter:
-    """The probe: one trainable (n_prototypes, vocab_size) Parameter, ``probe.weight``."""
+def init_probe(store: nc.ParamStore, vocab_size: int, n_prototypes: int, seed: int) -> nc.Parameter:
+    """The probe: one trainable (n_prototypes, vocab_size) Parameter,
+    ``probe.weight``, drawn from ``nc.rng(seed, "probe")``."""
     if n_prototypes > vocab_size // 4:
         raise ContractError(
             f"prototype count {n_prototypes} exceeds vocab_size/4 = {vocab_size // 4}"
         )
-    return store.add(
-        "probe.weight", rng.standard_normal((n_prototypes, vocab_size)) / math.sqrt(vocab_size)
-    )
+    weight = nc.rng(seed, "probe").standard_normal((n_prototypes, vocab_size))
+    return store.add("probe.weight", weight / math.sqrt(vocab_size))
 
 
 def derive_prototypes(vocab: nc.Parameter, probe: nc.Parameter) -> nc.Tensor:
@@ -81,11 +75,14 @@ def init_reprogrammer(
     dim: int,
     heads: int,
     n_prototypes: int,
-    rng: np.random.Generator,
     lengths: Iterable[int],
-    seed: int = 0,
+    seed: int,
 ) -> ReprogrammerParams:
-    """Parameters named under the fixed prefix ``reprog.``: a model builds one reprogrammer."""
+    """Parameters named under the fixed prefix ``reprog.``: a model builds one
+    reprogrammer. Attention and feed-forward weights are drawn from
+    ``nc.rng(seed, "reprog")``, the adapter of each length from
+    ``nc.rng(seed, 0xADA, length)``."""
+    rng = nc.rng(seed, "reprog")
     params = ReprogrammerParams(
         self_attn=init_attention(store, "reprog.self", dim, heads, rng),
         cross_attn=init_attention(store, "reprog.cross", dim, heads, rng),
@@ -93,10 +90,9 @@ def init_reprogrammer(
         adapters={},
     )
     for length in sorted(set(lengths)):
-        adapter_rng = nc.rng(seed, 0xADA, length)
         params.adapters[length] = store.add(
             f"reprog.adapt.len{length}",
-            adapter_rng.standard_normal((length, n_prototypes)) / math.sqrt(length),
+            nc.rng(seed, 0xADA, length).standard_normal((length, n_prototypes)) / math.sqrt(length),
         )
     return params
 

@@ -24,7 +24,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import numcore as nc
-from .errors import ContractError
+from .errors import ContractError, NumericError
 from .wavelet import HAAR, WaveletBasis, dwt, idwt
 
 DEFAULT_EPS = 1e-5
@@ -38,16 +38,21 @@ def _series(x, op: str) -> np.ndarray:
     return x
 
 
-def standardize(x, eps: float = DEFAULT_EPS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def standardize(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Center by the mean and scale by the (population) std along the last axis.
 
     Returns (standardized, mean, std); mean and std keep that axis as 1. The
-    eps in the denominator rescues constant rows, which map to all zeros.
+    DEFAULT_EPS in the denominator rescues constant rows, which map to all
+    zeros. Non-finite input, or input whose variance overflows, raises
+    NumericError.
     """
     x = _series(x, "standardize")
-    mu = x.mean(axis=-1, keepdims=True)
-    sigma = np.sqrt(np.mean((x - mu) ** 2, axis=-1, keepdims=True))
-    return (x - mu) / (sigma + eps), mu, sigma
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = x.mean(axis=-1, keepdims=True)
+        sigma = np.sqrt(np.mean((x - mu) ** 2, axis=-1, keepdims=True))
+    if not np.isfinite(sigma).all():
+        raise NumericError("standardize received non-finite values, or values whose variance overflows")
+    return (x - mu) / (sigma + DEFAULT_EPS), mu, sigma
 
 
 def ema_smooth(x, alpha: float) -> np.ndarray:
@@ -86,6 +91,7 @@ class SmootherParams:
     blend_raw: nc.Parameter
     # when set, the blend is pinned to this value and no longer differentiable
     blend_override: float | None
+    # the constant standardize adds to sigma, named here for physbench's smoothing check
     eps: ClassVar[float] = DEFAULT_EPS
 
     def __post_init__(self):
@@ -137,8 +143,8 @@ def _frequency_path(x: np.ndarray, p: SmootherParams) -> np.ndarray:
     n = x.shape[-1]
     padded = _pad_to_multiple(x, 1 << p.level)
     dec = dwt(padded, p.basis, p.level)
-    dec.ac = ema_smooth(standardize(dec.ac, p.eps)[0], p.alpha)
-    dec.dc = [ema_smooth(standardize(band, p.eps)[0], p.alpha) for band in dec.dc]
+    dec.ac = ema_smooth(standardize(dec.ac)[0], p.alpha)
+    dec.dc = [ema_smooth(standardize(band)[0], p.alpha) for band in dec.dc]
     return idwt(dec, p.basis)[..., :n]
 
 
@@ -177,7 +183,7 @@ def _domain_paths(x: np.ndarray, p: SmootherParams):
     """Time and frequency paths of (batch, time) rows, and the standardization."""
     if x.shape[-1] < (1 << p.level):
         raise ContractError(f"need at least 2**{p.level} samples, got {x.shape[-1]}")
-    x_std, mu, sigma = standardize(x, p.eps)
+    x_std, mu, sigma = standardize(x)
     return ema_smooth(x_std, p.alpha), _frequency_path(x, p), (mu, sigma)
 
 
@@ -225,6 +231,7 @@ class StationarityReport:
 def normalized_autocorr(x: np.ndarray, max_lag: int) -> np.ndarray:
     """Biased sample autocorrelation r(1..max_lag), normalized by r(0), of a
     series (T,) or of each row of (rows, T); zero for a constant series.
+    Non-finite input, or input whose products overflow, raises NumericError.
 
     Each lag is one batched matmul of BLAS dot products over all rows. On
     the dds benchmark's single 8192-65536-sample series this measured
@@ -234,24 +241,36 @@ def normalized_autocorr(x: np.ndarray, max_lag: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     rows = x.reshape(-1, x.shape[-1])
     n = rows.shape[1]
-    centered = (rows - rows.mean(axis=1, keepdims=True))[:, None, :]  # (rows, 1, T)
     r = np.zeros((len(rows), max_lag + 1))
-    for k in range(min(max_lag, n - 1) + 1):  # longer lags correlate nothing
-        r[:, k] = (centered[..., : n - k] @ centered[..., k:].swapaxes(-1, -2))[:, 0, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = (rows - rows.mean(axis=1, keepdims=True))[:, None, :]  # (rows, 1, T)
+        for k in range(min(max_lag, n - 1) + 1):  # longer lags correlate nothing
+            r[:, k] = (centered[..., : n - k] @ centered[..., k:].swapaxes(-1, -2))[:, 0, 0]
+    if not np.isfinite(r).all():
+        raise NumericError(
+            "normalized_autocorr received non-finite values, or values whose products overflow"
+        )
     denom = r[:, :1]
     r = np.divide(r[:, 1:], denom, out=np.zeros((len(rows), max_lag)), where=denom != 0.0)
     return r.reshape(x.shape[:-1] + (max_lag,))
 
 
 def stationarity_report(z, max_lag: int, alpha: float) -> StationarityReport:
-    """Empirical weak-stationarity statistics over the full series and two halves."""
+    """Empirical weak-stationarity statistics over the full series and two
+    halves. Non-finite input, or input whose variance overflows, raises
+    NumericError."""
     z = np.asarray(z, dtype=np.float64)
     if max_lag < 1:
         raise ContractError(f"max_lag must be >= 1, got {max_lag}")
     if z.size < 8 * max_lag:
         raise ContractError(f"need at least 8*max_lag={8 * max_lag} samples, got {z.size}")
-    mean = float(z.mean())
-    variance = float(np.mean((z - mean) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(z.mean())
+        variance = float(np.mean((z - mean) ** 2))
+    if not np.isfinite(variance):
+        raise NumericError(
+            "stationarity_report received non-finite values, or values whose variance overflows"
+        )
     degenerate = variance == 0.0
     full = normalized_autocorr(z, max_lag)
     half = z.size // 2

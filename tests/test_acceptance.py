@@ -73,7 +73,7 @@ def test_criterion_4_structural_identities():
         rng = np.random.default_rng(0)
         # zero outer gate leaves the deepest level untouched
         store = nc.ParamStore()
-        agg = init_aggregator(store, ((3, 3), (2, 2)), 16, 8, 8, 2, rng)
+        agg = init_aggregator(store, ((3, 3), (2, 2)), 16, 8, 8, 2, seed=0)
         pyr = FeaturePyramid([rng.standard_normal((2, 16, h, w)) for h, w in ((3, 3), (2, 2))])
         fused = aggregate(pyr, agg)
         deep = project_level(pyr.levels[-1], agg, level=1)
@@ -99,8 +99,8 @@ def test_criterion_4_structural_identities():
         # the frozen vocabulary never accumulates gradient
         store = nc.ParamStore()
         vocab = init_vocab(store, 64, 8, seed=0)
-        probe = init_probe(store, 64, 8, rng)
-        rep = init_reprogrammer(store, 8, 2, 8, rng, lengths=(4,))
+        probe = init_probe(store, 64, 8, seed=0)
+        rep = init_reprogrammer(store, 8, 2, 8, lengths=(4,), seed=0)
         with nc.Tape():
             out = reprogram(rng.standard_normal((1, 4, 8)), derive_prototypes(vocab, probe), rep)
             nc.backward(nc.mean_all(nc.mul(out, out)), store)

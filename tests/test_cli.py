@@ -194,7 +194,8 @@ def test_gradcheck_passes_on_fresh_init(capsys):
 
 
 def test_gradcheck_passes_at_seed_3(capsys):
-    # central differences at step 1e-5 read 2.2e-4 here, from round-off on va.self.w_q[7]
+    # central differences at step 1e-5 once failed this seed; on the tiny model's
+    # own modules they read 8.5e-6 here (va.self.w_k[27]), the five-point audit 1.1e-7
     assert main(["gradcheck", "--seed", "3"]) == 0
     assert "FAIL" not in capsys.readouterr().out
 
@@ -213,6 +214,22 @@ def test_gradcheck_fails_on_a_one_percent_wrong_gradient(monkeypatch, capsys):
     assert main(["gradcheck", "--seed", "3"]) == 2
     pipeline = [l for l in capsys.readouterr().out.splitlines() if l.startswith("pipeline:")]
     assert pipeline[0].endswith("FAIL")
+
+
+def test_gradcheck_module_audits_fail_only_where_a_wrong_gradient_runs(monkeypatch, capsys):
+    token_map = nc.token_map
+
+    def token_map_with_wrong_grad(x, w):
+        out = token_map(x, w)
+        if out.node is not None:
+            right = out.node.grad_fn
+            out.node.grad_fn = lambda g: tuple(1.01 * gi for gi in right(g))
+        return out
+
+    monkeypatch.setattr(nc, "token_map", token_map_with_wrong_grad)
+    assert main(["gradcheck", "--seed", "0"]) == 2
+    status = {l.split(":")[0]: l.split()[-1] for l in capsys.readouterr().out.splitlines()}
+    assert status == {"dds": "ok", "aggregator": "FAIL", "tpg": "FAIL", "cue": "ok", "pipeline": "FAIL"}
 
 
 def test_hr_command_recovers_clean_tone(tmp_path, capsys):

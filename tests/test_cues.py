@@ -305,5 +305,5 @@ def test_compress_and_fuse_gradient_check():
         out = fuse_cues(streams, w)
         return nc.mean_all(nc.mul(out, out))
 
-    entries = nc.sample_param_entries(store, 60, np.random.default_rng(12))
+    entries = nc.sample_param_entries(store.trainable(), 60, np.random.default_rng(12))
     assert nc.grad_check(f, store, eps=1e-5, entries=entries) < 1e-4

@@ -190,6 +190,19 @@ def test_grad_check_rejects_nondeterministic_map():
         nc.grad_check(f, store)
 
 
+def test_sample_param_entries_never_gives_an_entry_twice():
+    store = nc.ParamStore()
+    store.add("one", 1.0)
+    assert nc.sample_param_entries(store.trainable(), 60, np.random.default_rng(0)) == [("one", 0)]
+    store.add("four", np.ones(4))
+    entries = nc.sample_param_entries(store.trainable(), 10, np.random.default_rng(0))
+    assert sorted(entries) == [("four", i) for i in range(4)] + [("one", 0)]
+    store.add("many", np.ones((6, 7)))
+    for seed in range(20):
+        entries = nc.sample_param_entries(store.trainable(), 30, np.random.default_rng(seed))
+        assert len(entries) == len(set(entries)) == 30
+
+
 def test_adam_zero_grads_leave_values_unchanged():
     store = nc.ParamStore()
     p = store.add("p", [1.0, -2.0, 3.0])

@@ -15,10 +15,9 @@ from physkit.reprogram import (
 
 def _setup(dim=8, heads=2, vocab=64, protos=8, seed=0, lengths=(4, 5)):
     store = nc.ParamStore()
-    rng = np.random.default_rng(seed)
     vocab_emb = init_vocab(store, vocab_size=vocab, dim=dim, seed=seed)
-    probe = init_probe(store, vocab, protos, rng)
-    rep = init_reprogrammer(store, dim, heads, protos, rng, lengths=lengths, seed=seed)
+    probe = init_probe(store, vocab, protos, seed)
+    rep = init_reprogrammer(store, dim, heads, protos, lengths, seed)
     return store, vocab_emb, probe, rep
 
 
@@ -48,13 +47,13 @@ def test_derive_matches_matmul_oracle():
 def test_probe_rejects_too_many_prototypes():
     store = nc.ParamStore()
     with pytest.raises(ContractError):
-        init_probe(store, 64, 17, np.random.default_rng(0))
+        init_probe(store, 64, 17, seed=0)
 
 
 def test_probe_for_another_vocabulary_is_refused():
     store = nc.ParamStore()
     vocab = init_vocab(store, vocab_size=32, dim=8, seed=0)
-    probe = init_probe(store, 64, 8, np.random.default_rng(0))
+    probe = init_probe(store, 64, 8, seed=0)
     with pytest.raises(ShapeError):
         derive_prototypes(vocab, probe)
 
@@ -126,7 +125,7 @@ def test_gradient_check_over_probe_adapter_attention_ffn():
         out = reprogram(x, protos, rep)
         return nc.mean_all(nc.mul(out, out))
 
-    entries = nc.sample_param_entries(store, 60, np.random.default_rng(11))
+    entries = nc.sample_param_entries(store.trainable(), 60, np.random.default_rng(11))
     assert nc.grad_check(f, store, eps=1e-5, entries=entries) < 1e-4
 
 

@@ -1,10 +1,12 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from physkit import numcore as nc
-from physkit.errors import ContractError
+from physkit.cues import signal_stats
+from physkit.errors import ContractError, NumericError
 from physkit.stationarize import (
     ema_smooth,
     init_smoother,
@@ -114,6 +116,24 @@ def test_ema_and_standardize_refuse_an_input_without_a_sample(x):
     shape = np.shape(x)
     for op, call in (("ema_smooth", lambda: ema_smooth(x, 0.5)), ("standardize", lambda: standardize(x))):
         with pytest.raises(ContractError, match=rf"^{op} needs .* at least one sample, got shape {re.escape(str(shape))}$"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "op, call",
+    [
+        ("stationarity_report", lambda: stationarity_report(np.r_[np.nan, np.ones(99)], 4, 0.8)),
+        ("stationarity_report", lambda: stationarity_report(np.r_[np.inf, np.ones(99)], 4, 0.8)),
+        ("normalized_autocorr", lambda: normalized_autocorr(np.r_[np.inf, np.ones(15)], 3)),
+        ("signal_stats", lambda: signal_stats(np.array([1e308, -1e308] * 8))),
+        ("standardize", lambda: standardize(np.array([1e308, -1e308]))),
+    ],
+    ids=["report-nan", "report-inf", "autocorr-inf", "stats-overflow", "standardize-overflow"],
+)
+def test_statistics_refuse_non_finite_or_overflowing_input_before_any_warning(op, call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=rf"^{op} received"):
             call()
 
 
