@@ -10,11 +10,11 @@ as (1-alpha)^lag -- we check all three empirically here.
 
 import numpy as np
 
-from physkit import ParamStore, gen_clip, init_smoother, smooth, stationarity_report
+from physkit import HAAR, ParamStore, gen_clip, init_smoother, smooth, stationarity_report
 
 # a noisy synthetic pulse at 72 bpm
 clip = gen_clip(hr_bpm=72.0, fs=30.0, n_samples=128, snr_db=5.0, seed=1)
-smoother = init_smoother(ParamStore(), alpha=0.8, level=3)
+smoother = init_smoother(ParamStore(), alpha=0.8, level=3, basis=HAAR)
 z, trace = smooth(clip.x_enc, smoother)
 
 print("raw   mean/std :", f"{clip.x_enc.mean():+.3f} / {clip.x_enc.std():.3f}")
@@ -23,7 +23,7 @@ print(f"blend weight   : {trace.blend:.2f}  (sigmoid of the learnable raw weight
 
 # the stationarity claims are proved for smoothed *noise*, so certify on noise
 noise = np.random.default_rng(0).standard_normal(8192)
-zn, _ = smooth(noise, init_smoother(ParamStore(), alpha=0.8, blend_override=0.0))
+zn, _ = smooth(noise, init_smoother(ParamStore(), alpha=0.8, level=3, basis=HAAR, blend_override=0.0))
 report = stationarity_report(zn.data, max_lag=8, alpha=0.8)
 print("\nsmoothed white noise, alpha = 0.8:")
 print(f"  sample mean          {report.mean:+.4f}   (theory: 0)")

@@ -73,28 +73,19 @@ def init_aggregator(
     if len(level_shapes) < 2:
         raise ContractError(f"need at least 2 pyramid levels, got {len(level_shapes)}")
     rng = nc.rng(seed, "aggregator")
-    spatial = [
-        store.add(
-            f"va.spatial{i}",
-            rng.standard_normal((h * w, dim)) / math.sqrt(h * w),
-        )
-        for i, (h, w) in enumerate(level_shapes)
-    ]
-    temporal = store.add(
-        "va.temporal", rng.standard_normal((chunk_len, target_len)) / math.sqrt(chunk_len)
-    )
-    cross = init_attention(store, "va.cross", dim, heads, rng)
-    self_attn = init_attention(store, "va.self", dim, heads, rng)
-    # zero gates make the module start as identity on the deepest level
-    gate_inner = store.add("va.gate_inner", np.zeros(dim))
-    gate_outer = store.add("va.gate_outer", np.zeros(dim))
     return AggregatorParams(
-        spatial=spatial,
-        temporal=temporal,
-        cross=cross,
-        self_attn=self_attn,
-        gate_inner=gate_inner,
-        gate_outer=gate_outer,
+        spatial=[
+            store.add(f"va.spatial{i}", rng.standard_normal((h * w, dim)) / math.sqrt(h * w))
+            for i, (h, w) in enumerate(level_shapes)
+        ],
+        temporal=store.add(
+            "va.temporal", rng.standard_normal((chunk_len, target_len)) / math.sqrt(chunk_len)
+        ),
+        cross=init_attention(store, "va.cross", dim, heads, rng),
+        self_attn=init_attention(store, "va.self", dim, heads, rng),
+        # zero gates make the module start as identity on the deepest level
+        gate_inner=store.add("va.gate_inner", np.zeros(dim)),
+        gate_outer=store.add("va.gate_outer", np.zeros(dim)),
         level_shapes=tuple((int(h), int(w)) for h, w in level_shapes),
     )
 

@@ -168,7 +168,9 @@ def _gradcheck_modules(seed: int) -> dict[str, float]:
     model, at a randomized point where no zero head or gate blocks the
     gradient. Each module audit perturbs only entries of the module's own
     parameters, those named under its prefixes; the entries of audit <name>
-    are drawn from ``nc.rng(seed, "gc-<name>-e")``."""
+    are drawn from ``nc.rng(seed, "gc-<name>-e")``. The ``tpg`` audit runs
+    the reprogrammer at both of its token lengths, so each adapter gets a
+    gradient."""
     rng = nc.rng(seed, "gradcheck")
     tiny = ModelConfig(
         dim=8, heads=2, vocab_size=64, n_prototypes=8, prompt_len=4, target_len=8,
@@ -185,9 +187,14 @@ def _gradcheck_modules(seed: int) -> dict[str, float]:
     target = nc.Tensor(rng.standard_normal((1, tiny.chunk_len)))
     x_tok = nc.Tensor(rng.standard_normal((1, tiny.target_len, tiny.dim)))
     streams = [nc.Tensor(rng.standard_normal((1, n, tiny.dim))) for n in (2, 6, 4)]
+    x_sig = nc.Tensor(rng.standard_normal((1, tiny.n_signal_tokens, tiny.dim)))
 
     def power(out) -> nc.Tensor:
         return nc.mean_all(nc.mul(out, out))
+
+    def f_tpg():
+        prototypes = derive_prototypes(model.vocab, model.probe)
+        return nc.add(*(power(reprogram(x, prototypes, model.reprogrammer)) for x in (x_tok, x_sig)))
 
     def f_cue():
         parts = {kind: compress(s, model.compressors[kind]) for kind, s in zip(model.compressors, streams)}
@@ -196,10 +203,7 @@ def _gradcheck_modules(seed: int) -> dict[str, float]:
     audits = {
         "dds": (("smoother.",), lambda: power(smooth(x_enc[0], model.smoother)[0])),
         "aggregator": (("va.",), lambda: power(aggregate(pyr, model.aggregator))),
-        "tpg": (
-            ("probe.", "reprog."),
-            lambda: power(reprogram(x_tok, derive_prototypes(model.vocab, model.probe), model.reprogrammer)),
-        ),
+        "tpg": (("probe.", "reprog."), f_tpg),
         "cue": (("cue.",), f_cue),
         "pipeline": (("",), lambda: mse_loss(model.forward(pyr, x_enc, scenes), target)),
     }

@@ -581,7 +581,8 @@ def gelu(t) -> Tensor:
         for s in blocks:
             xs = x[s]
             d = np.multiply(xs, -0.5)
-            d *= xs
+            with np.errstate(over="ignore"):  # x^2 overflows where phi(x) is 0
+                d *= xs
             np.exp(d, out=d)
             d *= _INV_SQRT2PI  # phi(x)
             d *= xs

@@ -172,8 +172,7 @@ class Pipeline:
     fusion: dict[str, nc.Parameter]
     patch_embed: nc.Parameter
     positions: nc.Parameter
-    lm_attn: list[AttentionParams]
-    lm_ffn: list[FeedForwardParams]
+    lm: list[tuple[AttentionParams, FeedForwardParams]]
     head: nc.Parameter
     head_skip: nc.Parameter
 
@@ -205,7 +204,7 @@ class Pipeline:
 
         tokens = nc.concat([t_cue, t_vision, t_signal], axis=1)
         tokens = nc.add(tokens, self.positions.use())
-        for attn, ffn in zip(self.lm_attn, self.lm_ffn):
+        for attn, ffn in self.lm:
             tokens = nc.add(tokens, self_attention(tokens, attn))
             tokens = nc.add(tokens, feed_forward(tokens, ffn))
         pooled = nc.mean_over(tokens, axis=1)
@@ -244,56 +243,47 @@ def _stage(name: str):
 
 def build_pipeline(cfg: ModelConfig | None = None, seed: int = 0) -> Pipeline:
     """Register every sub-module's parameters in one float32 store,
-    deterministically."""
+    deterministically. The keywords below are evaluated in order, so their
+    order is the store's order and the checkpoint's record order."""
     cfg = cfg if cfg is not None else ModelConfig()
     store = nc.ParamStore(config=asdict(cfg), dtype=np.float32)
-    vocab = init_vocab(store, cfg.vocab_size, cfg.dim, seed)
-    probe = init_probe(store, cfg.vocab_size, cfg.n_prototypes, seed)
-    reprogrammer = init_reprogrammer(
-        store, cfg.dim, cfg.heads, cfg.n_prototypes, (cfg.n_signal_tokens, cfg.target_len), seed
-    )
-    aggregator_params = init_aggregator(
-        store, cfg.level_shapes, cfg.chunk_len, cfg.target_len, cfg.dim, cfg.heads, seed
-    )
-    smoother = init_smoother(store, alpha=cfg.alpha, level=cfg.level, basis=get_basis(cfg.wavelet))
-    compressors = {
-        kind: init_compressor(store, f"cue.{kind}", cfg.prompt_len, cfg.dim, nc.rng(seed, f"cue-{kind}"))
-        for kind in CUE_KINDS
-    }
-    fusion = init_fusion(store, cfg.prompt_len, cfg.dim)
-    patch_embed = store.add(
-        "signal.patch_embed",
-        nc.rng(seed, "patch").standard_normal((cfg.patch_len, cfg.dim))
-        * (PATCH_GAIN / math.sqrt(cfg.patch_len)),
-    )
-    # unit scale, comparable to the tokens', so attention can route
-    # position-specifically instead of averaging the blocks together
-    positions = store.add(
-        "lm.positions", nc.rng(seed, "positions").standard_normal((cfg.n_tokens, cfg.dim))
-    )
-    lm_attn, lm_ffn = [], []
-    for i in range(cfg.lm_layers):
-        lm_attn.append(init_attention(store, f"lm.layer{i}.attn", cfg.dim, cfg.heads, nc.rng(seed, f"lm-a{i}")))
-        lm_ffn.append(init_feed_forward(store, f"lm.layer{i}.ffn", cfg.dim, nc.rng(seed, f"lm-f{i}")))
-    # zero heads: training starts from the flat waveform
-    head = store.add("lm.head", np.zeros((cfg.dim, cfg.chunk_len)))
-    head_skip = store.add("lm.head_skip", np.zeros((cfg.chunk_len, cfg.chunk_len)))
     return Pipeline(
         cfg=cfg,
         store=store,
-        vocab=vocab,
-        probe=probe,
-        reprogrammer=reprogrammer,
-        aggregator=aggregator_params,
-        smoother=smoother,
-        compressors=compressors,
-        fusion=fusion,
-        patch_embed=patch_embed,
-        positions=positions,
-        lm_attn=lm_attn,
-        lm_ffn=lm_ffn,
-        head=head,
-        head_skip=head_skip,
+        vocab=init_vocab(store, cfg.vocab_size, cfg.dim, seed),
+        probe=init_probe(store, cfg.vocab_size, cfg.n_prototypes, seed),
+        reprogrammer=init_reprogrammer(
+            store, cfg.dim, cfg.heads, cfg.n_prototypes, (cfg.n_signal_tokens, cfg.target_len), seed
+        ),
+        aggregator=init_aggregator(
+            store, cfg.level_shapes, cfg.chunk_len, cfg.target_len, cfg.dim, cfg.heads, seed
+        ),
+        smoother=init_smoother(store, alpha=cfg.alpha, level=cfg.level, basis=get_basis(cfg.wavelet)),
+        compressors={
+            kind: init_compressor(store, f"cue.{kind}", cfg.prompt_len, cfg.dim, nc.rng(seed, f"cue-{kind}"))
+            for kind in CUE_KINDS
+        },
+        fusion=init_fusion(store, cfg.prompt_len, cfg.dim),
+        patch_embed=store.add(
+            "signal.patch_embed",
+            nc.rng(seed, "patch").standard_normal((cfg.patch_len, cfg.dim))
+            * (PATCH_GAIN / math.sqrt(cfg.patch_len)),
+        ),
+        # unit scale, comparable to the tokens', so attention can route
+        # position-specifically instead of averaging the blocks together
+        positions=store.add(
+            "lm.positions", nc.rng(seed, "positions").standard_normal((cfg.n_tokens, cfg.dim))
+        ),
+        lm=[
+            (
+                init_attention(store, f"lm.layer{i}.attn", cfg.dim, cfg.heads, nc.rng(seed, f"lm-a{i}")),
+                init_feed_forward(store, f"lm.layer{i}.ffn", cfg.dim, nc.rng(seed, f"lm-f{i}")),
+            )
+            for i in range(cfg.lm_layers)
+        ],
+        # zero heads: training starts from the flat waveform
+        head=store.add("lm.head", np.zeros((cfg.dim, cfg.chunk_len))),
+        head_skip=store.add("lm.head_skip", np.zeros((cfg.chunk_len, cfg.chunk_len))),
     )
 
 

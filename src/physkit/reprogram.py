@@ -83,18 +83,18 @@ def init_reprogrammer(
     ``nc.rng(seed, "reprog")``, the adapter of each length from
     ``nc.rng(seed, 0xADA, length)``."""
     rng = nc.rng(seed, "reprog")
-    params = ReprogrammerParams(
+    return ReprogrammerParams(
         self_attn=init_attention(store, "reprog.self", dim, heads, rng),
         cross_attn=init_attention(store, "reprog.cross", dim, heads, rng),
         ffn=init_feed_forward(store, "reprog.ffn", dim, rng),
-        adapters={},
+        adapters={
+            length: store.add(
+                f"reprog.adapt.len{length}",
+                nc.rng(seed, 0xADA, length).standard_normal((length, n_prototypes)) / math.sqrt(length),
+            )
+            for length in sorted(set(lengths))
+        },
     )
-    for length in sorted(set(lengths)):
-        params.adapters[length] = store.add(
-            f"reprog.adapt.len{length}",
-            nc.rng(seed, 0xADA, length).standard_normal((length, n_prototypes)) / math.sqrt(length),
-        )
-    return params
 
 
 def reprogram(x, prototypes, p: ReprogrammerParams) -> nc.Tensor:

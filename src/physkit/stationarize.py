@@ -25,7 +25,7 @@ import numpy as np
 
 from . import numcore as nc
 from .errors import ContractError, NumericError
-from .wavelet import HAAR, WaveletBasis, dwt, idwt
+from .wavelet import WaveletBasis, dwt, idwt
 
 DEFAULT_EPS = 1e-5
 
@@ -105,18 +105,20 @@ class SmootherParams:
 
 def init_smoother(
     store: nc.ParamStore,
-    alpha: float = 0.8,
-    level: int = 3,
-    basis: WaveletBasis = HAAR,
+    alpha: float,
+    level: int,
+    basis: WaveletBasis,
     blend_override: float | None = None,
 ) -> SmootherParams:
-    # raw weight 0 puts the sigmoid at 0.5: no prior preference between domains
-    blend_raw = store.add("smoother.blend_raw", 0.0)
+    """The smoother with its blend weight ``smoother.blend_raw``. It keeps
+    no defaults of its own: callers pass ``ModelConfig``'s alpha, level and
+    basis, or their own."""
     return SmootherParams(
         alpha=alpha,
         level=level,
         basis=basis,
-        blend_raw=blend_raw,
+        # raw weight 0 puts the sigmoid at 0.5: no prior preference between domains
+        blend_raw=store.add("smoother.blend_raw", 0.0),
         blend_override=blend_override,
     )
 

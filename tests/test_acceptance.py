@@ -34,7 +34,7 @@ def test_criterion_1_stationarity_suite():
     with criterion("C1", "dual-domain smoother stationarity"):
         t0 = time.perf_counter()
         x = np.random.default_rng(42).standard_normal(8192)
-        smoother = init_smoother(nc.ParamStore(), alpha=0.8, blend_override=0.0)
+        smoother = init_smoother(nc.ParamStore(), alpha=0.8, level=3, basis=HAAR, blend_override=0.0)
         z, _ = smooth(x, smoother)
         rep = stationarity_report(z.data, max_lag=8, alpha=0.8)
         assert abs(rep.mean) < 0.05
@@ -81,9 +81,9 @@ def test_criterion_4_structural_identities():
 
         # pinned blend weights reduce to the pure paths
         x = rng.standard_normal(128)
-        z0, tr0 = smooth(x, init_smoother(nc.ParamStore(), blend_override=0.0))
+        z0, tr0 = smooth(x, init_smoother(nc.ParamStore(), alpha=0.8, level=3, basis=HAAR, blend_override=0.0))
         assert np.array_equal(z0.data, tr0.z_time)
-        z1, tr1 = smooth(x, init_smoother(nc.ParamStore(), blend_override=1.0))
+        z1, tr1 = smooth(x, init_smoother(nc.ParamStore(), alpha=0.8, level=3, basis=HAAR, blend_override=1.0))
         assert np.array_equal(z1.data, tr1.z_fre)
 
         # self-attention is literally cross-attention with itself

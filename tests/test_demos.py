@@ -2,7 +2,7 @@
 
 Demo 06 is left out: it trains for 200 steps, which takes 7-8 s on two
 cores of a Xeon against about 0.5 s for demos 01-05 together, most of which
-is importing physkit.
+is importing physkit. CI's numpy-only job runs it.
 """
 
 import runpy

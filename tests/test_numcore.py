@@ -597,6 +597,19 @@ def test_float32_normal_cdf_saturates_exactly_and_keeps_nan_without_a_warning():
     assert cdf[:-1].tolist() == [0, 0, 0, 0, 1, 1, 1, 1] and np.isnan(cdf[-1])
 
 
+@pytest.mark.parametrize("dtype, big", [(np.float32, 1e30), (np.float64, 1e200)])
+def test_gelu_of_a_finite_input_whose_square_overflows_runs_without_a_warning(dtype, big):
+    store = nc.ParamStore(dtype=dtype)
+    p = store.add("x", np.array([-big, big], dtype=dtype))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with nc.Tape():
+            out = nc.gelu(p.use())
+            nc.backward(nc.sum_all(out), store)
+    assert out.data.tolist() == [0.0, dtype(big)]
+    assert p.grad.tolist() == [0.0, 1.0]
+
+
 def test_float32_gelu_stays_float32_and_its_backward_matches_the_exact_derivative():
     from scipy.special import ndtr
 

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import math
 import os
@@ -29,6 +30,7 @@ from physkit.pipeline import (
 )
 from physkit.signals import gen_clip
 from physkit.stationarize import init_smoother, smooth
+from physkit.wavelet import HAAR
 
 TINY = ModelConfig(
     dim=8,
@@ -69,6 +71,16 @@ def test_forward_output_length_matches_chunk():
     pyr, x_enc, scenes = batch_from_clips(clips)
     out = model.forward(pyr, x_enc, scenes)
     assert out.shape == (2, 128)
+
+
+@pytest.mark.parametrize("layers", [0, 3])
+def test_the_lm_is_one_block_per_layer_stored_attention_then_feed_forward(layers):
+    model = build_pipeline(ModelConfig(lm_layers=layers))
+    assert len(model.lm) == layers
+    stored = [tuple(name.split(".")[1:3]) for name in model.store.names() if name.startswith("lm.layer")]
+    blocks = [block for block, _ in itertools.groupby(stored)]
+    assert blocks == [(f"layer{i}", part) for i in range(layers) for part in ("attn", "ffn")]
+    assert [p.shape for p in predict(model, _clips(2))] == [(128,), (128,)]
 
 
 def test_token_budget_is_prompt_plus_two_prototype_blocks():
@@ -515,7 +527,7 @@ def test_the_model_dtype_sticks(tmp_path):
     model.store.save(after)
     assert after.read_bytes() == before.read_bytes()
     # a bare store, as `physkit dds` builds it, stays in float64
-    smoother = init_smoother(nc.ParamStore())
+    smoother = init_smoother(nc.ParamStore(), alpha=0.8, level=3, basis=HAAR)
     z, trace = smooth(clips[0].x_enc, smoother)
     assert z.data.dtype == trace.z_time.dtype == trace.z_fre.dtype == np.float64
     assert smoother.blend_raw.value.dtype == np.float64

@@ -19,8 +19,8 @@ from physkit.stationarize import (
 from physkit.wavelet import DB4, HAAR
 
 
-def _smoother(store=None, **kw):
-    return init_smoother(store if store is not None else nc.ParamStore(), **kw)
+def _smoother(store=None, alpha=0.8, level=3, basis=HAAR, **kw):
+    return init_smoother(store if store is not None else nc.ParamStore(), alpha, level, basis, **kw)
 
 
 def test_standardize_constant_input_is_rescued_by_eps():
