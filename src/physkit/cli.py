@@ -8,7 +8,7 @@ an earlier one, so `train @base.txt --alpha 0.9` changes one value. Every
 command is deterministic given its flags: outputs carry no timestamps, and
 synth, train and gradcheck draw all randomness from one root seed (--seed)
 split by fixed labels. No other command takes --seed. synth writes the
-clips train and eval remake from its manifest.
+files of each clip and a manifest; train and eval read the clips from them.
 `eval --ckpt` scores with train's scorer, ``pipeline.evaluate``, and takes no
 model flags: the model comes from the checkpoint. Its two text lines, a magic
 line and the trained config as JSON keyed by train's flag dests, precede a
@@ -32,13 +32,15 @@ from .pipeline import ModelConfig, TrainConfig, build_pipeline, evaluate, load_p
 from .reprogram import derive_prototypes, reprogram
 from .signals import (
     HR_BAND_BPM,
-    ClipRecord,
     estimate_hr,
+    gen_clip,
+    load_clip,
     load_waveform,
     metrics,
     parse_numbers,
     read_lines,
     read_manifest,
+    save_clip,
     save_waveform,
     write_manifest,
 )
@@ -63,20 +65,9 @@ def cmd_synth(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     records = []
     for i in range(n):
-        record = ClipRecord(
-            clip_id=f"clip_{i:03d}",
-            bvp_path=f"clip_{i:03d}.bvp.csv",
-            xenc_path=f"clip_{i:03d}.xenc.csv",
-            hr_bpm=float(hr_rng.uniform(*HR_BAND_BPM)),
-            fs=args.fs,
-            n_samples=args.chunk_len,
-            snr_db=args.snr,
-            seed=(seed * 1_000_003 + i) % (1 << 31),
-        )
-        clip = record.to_clip()
-        save_waveform(out_dir / record.bvp_path, clip.bvp, clip.fs)
-        save_waveform(out_dir / record.xenc_path, clip.x_enc, clip.fs)
-        records.append(record)
+        hr = float(hr_rng.uniform(*HR_BAND_BPM))
+        clip = gen_clip(hr, args.fs, args.chunk_len, args.snr, seed=(seed * 1_000_003 + i) % (1 << 31))
+        records.append(save_clip(out_dir, f"clip_{i:03d}", clip))
     write_manifest(out_dir / "manifest.jsonl", records)
     rates = [r.hr_bpm for r in records]
     print(f"wrote {n} clips to {out_dir}")
@@ -107,7 +98,7 @@ def _load_clips(path) -> list:
     records = read_manifest(path)
     if not records:
         raise ContractError(f"manifest {path} has no records")
-    return [r.to_clip() for r in records]
+    return [load_clip(Path(path).parent, r) for r in records]
 
 
 def _from_flags(cls, args):
@@ -136,7 +127,7 @@ def cmd_train(args) -> int:
 
 def _hr_list_from(path) -> list[float]:
     text = read_lines(path)
-    if text and text[0].lstrip().startswith("{"):
+    if next((line for line in text if line.strip()), "").lstrip().startswith("{"):
         return [r.hr_bpm for r in read_manifest(path)]
     rates = parse_numbers(text, 1, "bpm value")
     if not rates:

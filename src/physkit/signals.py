@@ -1,19 +1,22 @@
 """Synthetic pulse clips, spectral heart-rate estimation, and the
 beats-per-minute error metrics.
 
-A clip is fully determined by (hr, fs, length, snr, seed): the ground-truth
-waveform is a two-harmonic sinusoid plus white noise at the requested SNR,
-the encoder estimate adds colored noise on top, and the feature pyramid is
-built from random linear projections of sliding waveform windows so visual
-tokens genuinely carry pulse information. Noise realizations are rescaled
-to hit the requested SNR exactly.
+A ``gen_clip`` clip is fully determined by (hr, fs, length, snr, seed): the
+ground-truth waveform is a two-harmonic sinusoid plus white noise at the
+requested SNR, the encoder estimate adds colored noise on top, and the
+feature pyramid is built from random linear projections of sliding waveform
+windows so visual tokens genuinely carry pulse information. Noise
+realizations are rescaled to hit the requested SNR exactly.
+
+On disk a clip, from gen_clip or not, is three files beside its manifest,
+which ``save_clip`` writes and ``load_clip`` reads; its row is a ``ClipRecord``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -272,46 +275,64 @@ def load_waveform(path) -> tuple[np.ndarray, float]:
 
 @dataclass
 class ClipRecord:
-    """One manifest row; enough to regenerate the clip bit-for-bit. synth
-    writes the files of the clip ``to_clip`` makes, which train and eval remake."""
+    """One manifest row: the id that names the clip's three files, its true
+    rate, its scene labels and, only to say which synth draw made it, its seed."""
 
     clip_id: str
-    bvp_path: str
-    xenc_path: str
     hr_bpm: float
-    fs: float
-    n_samples: int
-    snr_db: float
+    lighting: str
+    motion: bool
+    skin_tone: str
     seed: int
 
-    def to_clip(self) -> SyntheticClip:
-        return gen_clip(
-            self.hr_bpm,
-            fs=self.fs,
-            n_samples=self.n_samples,
-            snr_db=self.snr_db,
-            seed=self.seed,
-        )
+
+def save_clip(root, clip_id: str, clip: SyntheticClip) -> ClipRecord:
+    """Write <clip_id>.bvp.csv, .xenc.csv (waveform CSVs) and .pyramid under
+    root, the last holding the float32 levels as consecutive .npy records
+    (np.load would read only the first); the clip's manifest row."""
+    stem = Path(root) / clip_id
+    save_waveform(f"{stem}.bvp.csv", clip.bvp, clip.fs)
+    save_waveform(f"{stem}.xenc.csv", clip.x_enc, clip.fs)
+    with open(f"{stem}.pyramid", "wb") as fh:
+        for level in clip.pyramid:
+            np.lib.format.write_array(fh, level, allow_pickle=False)
+    return ClipRecord(clip_id, clip.hr_bpm, **asdict(clip.scene), seed=clip.seed)
+
+
+def load_clip(root, record: ClipRecord) -> SyntheticClip:
+    """A manifest row's clip, read from its files under root. A missing file,
+    an xenc unlike the bvp in length or rate, or a pyramid level that is not
+    float32 (T, h, w) for LEVEL_SHAPES is refused, naming the file."""
+    stem = Path(root) / record.clip_id
+    bvp, fs = load_waveform(f"{stem}.bvp.csv")
+    x_enc, xenc_fs = load_waveform(f"{stem}.xenc.csv")
+    if (x_enc.size, xenc_fs) != (bvp.size, fs):
+        raise ParseError(f"{stem}.xenc.csv: {x_enc.size} samples at fs={xenc_fs}, bvp {bvp.size} at fs={fs}")
+    pyramid = []
+    with open(f"{stem}.pyramid", "rb") as fh:
+        for i, (h, w) in enumerate(LEVEL_SHAPES):
+            try:
+                level = np.lib.format.read_array(fh, allow_pickle=False)
+                if (level.dtype, level.shape) != (np.float32, (bvp.size, h, w)):
+                    raise ValueError(f"{level.dtype} {level.shape}, not float32 {(bvp.size, h, w)}")
+            except ValueError as exc:  # numpy's EOF and format errors among them
+                raise ParseError(f"{fh.name}: bad level {i}: {exc}") from exc
+            pyramid.append(level)
+    scene = SceneMeta(record.lighting, record.motion, record.skin_tone)
+    return SyntheticClip(bvp, x_enc, pyramid, record.hr_bpm, fs, scene, record.seed)
 
 
 def write_manifest(path, records: list[ClipRecord]) -> None:
-    lines = []
-    for r in records:
-        payload = dict(vars(r))
-        payload["snr_db"] = "inf" if math.isinf(r.snr_db) else r.snr_db
-        lines.append(json.dumps(payload, sort_keys=True))
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("".join(json.dumps(vars(r), sort_keys=True) + "\n" for r in records))
 
 
 # manifest field -> (test of its JSON value, what the value must be)
 _MANIFEST_TYPES = {
     "clip_id": (lambda v: isinstance(v, str), "a string"),
-    "bvp_path": (lambda v: isinstance(v, str), "a string"),
-    "xenc_path": (lambda v: isinstance(v, str), "a string"),
     "hr_bpm": (lambda v: nc.is_real(v) and math.isfinite(v), "a finite number"),
-    "fs": (lambda v: nc.is_real(v) and math.isfinite(v), "a finite number"),
-    "n_samples": (nc.is_int, "an integer"),
-    "snr_db": (lambda v: nc.is_real(v) or v == "inf", 'a number or "inf"'),
+    "lighting": (lambda v: isinstance(v, str), "a string"),
+    "motion": (lambda v: isinstance(v, bool), "true or false"),
+    "skin_tone": (lambda v: isinstance(v, str), "a string"),
     "seed": (nc.is_int, "an integer"),
 }
 
@@ -330,7 +351,6 @@ def read_manifest(path) -> list[ClipRecord]:
             for name, (accepts, kind) in _MANIFEST_TYPES.items():
                 if name in payload and not accepts(payload[name]):
                     raise ValueError(f"{name} must be {kind}, got {payload[name]!r}")
-            payload["snr_db"] = float(payload["snr_db"])
             records.append(ClipRecord(**payload))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad manifest record: {exc}", line=lineno) from exc

@@ -1,6 +1,7 @@
 import json
 import warnings
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from physkit import pipeline
 from physkit.cli import _load_clips, main
 from physkit.numcore import ParamStore
 from physkit.pipeline import ModelConfig, Pipeline, TrainConfig, build_pipeline, train
-from physkit.signals import load_waveform, save_waveform
+from physkit.signals import gen_clip, load_waveform, save_clip, save_waveform, write_manifest
 from physkit.stationarize import standardize
 
 
@@ -24,7 +25,7 @@ def _noise_file(tmp_path, n=8192, seed=0, name="noise.csv"):
 def test_synth_is_byte_deterministic(tmp_path):
     for d in ("a", "b"):
         assert main(["synth", "--out", str(tmp_path / d), "--n-clips", "5", "--seed", "4"]) == 0
-    for name in ["manifest.jsonl", "clip_000.bvp.csv", "clip_004.xenc.csv"]:
+    for name in ["manifest.jsonl", "clip_000.bvp.csv", "clip_004.xenc.csv", "clip_000.pyramid"]:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
@@ -523,10 +524,10 @@ def test_train_refuses_a_manifest_field_of_the_wrong_type(tmp_path, capsys):
     capsys.readouterr()
     manifest = data / "manifest.jsonl"
     first, second = manifest.read_text().splitlines()
-    manifest.write_text(json.dumps({**json.loads(first), "n_samples": "128"}) + "\n" + second + "\n")
+    manifest.write_text(json.dumps({**json.loads(first), "motion": "yes"}) + "\n" + second + "\n")
     out = tmp_path / "out"
     assert main(["train", "--data", str(manifest), "--out", str(out), "--steps", "1"]) == 1
-    assert _one_error_line(capsys).startswith("error: line 1: bad manifest record: n_samples")
+    assert _one_error_line(capsys).startswith("error: line 1: bad manifest record: motion")
     assert not out.exists()
 
 
@@ -586,7 +587,12 @@ def test_a_manifest_of_mixed_clip_lengths_is_one_error_line_before_any_forward(
         assert main(argv + ["--chunk", chunk]) == 0
     ok = tmp_path / "s1" / "manifest.jsonl"
     mixed = tmp_path / "mixed.jsonl"
-    mixed.write_text(ok.read_text() + (tmp_path / "s2" / "manifest.jsonl").read_text())
+    rows = []
+    for d in ("s1", "s2"):
+        for line in (tmp_path / d / "manifest.jsonl").read_text().splitlines():
+            row = json.loads(line)
+            rows.append(json.dumps({**row, "clip_id": f"{d}/{row['clip_id']}"}))
+    mixed.write_text("\n".join(rows) + "\n")
     ckpt = tmp_path / "checkpoint.txt"
     build_pipeline(ModelConfig()).store.save(ckpt)
     capsys.readouterr()
@@ -613,3 +619,107 @@ def test_eval_refuses_clips_under_4_s_before_predicting(tmp_path, capsys, monkey
     monkeypatch.setattr(pipeline, "predict", lambda *a, **k: pytest.fail("predict ran"))
     assert main(["eval", "--ckpt", str(ckpt), "--data", str(data / "manifest.jsonl")]) == 1
     assert _one_error_line(capsys) == "error: need at least 4 s of samples (240), got 128\n"
+
+
+def test_eval_reads_a_manifest_whose_first_line_is_blank(tmp_path, capsys):
+    data = tmp_path / "d"
+    assert main(["synth", "--out", str(data), "--n-clips", "3", "--seed", "6"]) == 0
+    manifest = data / "manifest.jsonl"
+    manifest.write_text("\n" + manifest.read_text())
+    capsys.readouterr()
+    assert main(["eval", "--pred", str(manifest), "--gt", str(manifest)]) == 0
+    assert "mae_bpm=0.0000" in capsys.readouterr().out
+
+
+def test_samples_written_over_a_clip_file_reach_the_loaded_clip(tmp_path):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--n-clips", "2"]) == 0
+    save_waveform(data / "clip_000.xenc.csv", np.zeros(128), fs=30.0)
+    clips = _load_clips(data / "manifest.jsonl")
+    assert not clips[0].x_enc.any() and clips[1].x_enc.any()
+
+
+def test_clips_that_gen_clip_cannot_make_train_and_evaluate_from_their_files(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    drift = np.linspace(0.0, 3.0, 128)  # gen_clip adds no drift
+    records = []
+    for i in range(4):
+        clip = gen_clip(60.0 + 15.0 * i, seed=40 + i)
+        clip.x_enc = clip.x_enc + drift
+        records.append(save_clip(data, f"drift_{i}", clip))
+    manifest = str(data / "manifest.jsonl")
+    write_manifest(manifest, records)
+    assert np.array_equal(_load_clips(manifest)[0].x_enc, gen_clip(60.0, seed=40).x_enc + drift)
+    run = tmp_path / "run"
+    assert main(["train", "--data", manifest, "--out", str(run), "--steps", "1"]) == 0
+    trained = capsys.readouterr().out.splitlines()[-3:]
+    assert main(["eval", "--ckpt", str(run / "checkpoint.txt"), "--data", manifest]) == 0
+    assert capsys.readouterr().out.splitlines() == trained
+
+
+def _write_levels(path, levels) -> None:
+    with open(path, "wb") as fh:
+        for level in levels:
+            np.lib.format.write_array(fh, level, allow_pickle=False)
+
+
+def _levels(path) -> list[np.ndarray]:
+    with open(path, "rb") as fh:
+        return [np.lib.format.read_array(fh) for _ in range(3)]
+
+
+def _drop_last_sample(path) -> None:
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+
+
+def _change_rate(path) -> None:
+    path.write_text("fs=25.0\n" + path.read_text().split("\n", 1)[1])
+
+
+@pytest.mark.parametrize(
+    "damaged, damage, message",
+    [
+        pytest.param("bvp.csv", Path.unlink, "No such file or directory", id="missing-bvp"),
+        pytest.param("xenc.csv", Path.unlink, "No such file or directory", id="missing-xenc"),
+        pytest.param("pyramid", Path.unlink, "No such file or directory", id="missing-pyramid"),
+        pytest.param("xenc.csv", _drop_last_sample, ": 127 samples at fs=30.0, bvp 128 at fs=30.0", id="short-xenc"),
+        pytest.param("xenc.csv", _change_rate, ": 128 samples at fs=25.0, bvp 128 at fs=30.0", id="xenc-rate"),
+        pytest.param("pyramid", lambda p: _write_levels(p, _levels(p)[:2]), ": bad level 2: EOF", id="two-levels"),
+        pytest.param(
+            "pyramid",
+            lambda p: _write_levels(p, [lv.reshape(128, -1) if i == 1 else lv for i, lv in enumerate(_levels(p))]),
+            ": bad level 1: float32 (128, 36), not float32 (128, 6, 6)",
+            id="flat-level",
+        ),
+        pytest.param(
+            "pyramid",
+            lambda p: _write_levels(p, [lv.astype(np.float64) for lv in _levels(p)]),
+            ": bad level 0: float64 (128, 8, 8), not float32 (128, 8, 8)",
+            id="float64-level",
+        ),
+    ],
+)
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_bad_clip_file_is_one_error_line_naming_it_before_any_forward(
+    tmp_path, capsys, monkeypatch, command, damaged, damage, message
+):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--n-clips", "3"]) == 0
+    path = data / f"clip_001.{damaged}"
+    damage(path)
+    ckpt = tmp_path / "checkpoint.txt"
+    build_pipeline(ModelConfig()).store.save(ckpt)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    manifest = str(data / "manifest.jsonl")
+    argv = {
+        "train": ["train", "--data", manifest, "--out", str(out)],
+        "eval": ["eval", "--ckpt", str(ckpt), "--data", manifest],
+    }[command]
+    monkeypatch.setattr(Pipeline, "forward", lambda *a: pytest.fail("forward ran"))
+    monkeypatch.setattr(nc, "adam_step", lambda *a, **k: pytest.fail("adam_step ran"))
+    assert main(argv) == 1
+    err = _one_error_line(capsys)
+    assert str(path) in err and message in err
+    assert not out.exists()

@@ -12,12 +12,13 @@ import physkit
 from physkit.errors import ContractError, EstimationError, ParseError
 from physkit.signals import (
     HR_BAND_HZ,
-    ClipRecord,
     estimate_hr,
     gen_clip,
+    load_clip,
     load_waveform,
     metrics,
     read_manifest,
+    save_clip,
     save_waveform,
     welch_psd,
     write_manifest,
@@ -210,98 +211,71 @@ def test_waveform_parse_errors_carry_line_numbers(tmp_path):
 
 def test_manifest_roundtrip_and_regeneration(tmp_path):
     clip = gen_clip(80.0, snr_db=10.0, seed=21)
-    rec = ClipRecord(
-        clip_id="clip_000",
-        bvp_path="clip_000.bvp.csv",
-        xenc_path="clip_000.xenc.csv",
-        hr_bpm=80.0,
-        fs=30.0,
-        n_samples=128,
-        snr_db=10.0,
-        seed=21,
-    )
+    rec = save_clip(tmp_path, "clip_000", clip)
+    assert vars(rec) == {"clip_id": "clip_000", "hr_bpm": 80.0, **vars(clip.scene), "seed": 21}
     path = tmp_path / "manifest.jsonl"
     write_manifest(path, [rec])
     loaded = read_manifest(path)
     assert len(loaded) == 1 and loaded[0] == rec
-    regen = loaded[0].to_clip()
-    assert np.array_equal(regen.bvp, clip.bvp)
-    assert np.array_equal(regen.x_enc, clip.x_enc)
+    back = load_clip(tmp_path, loaded[0])
+    assert np.array_equal(back.bvp, clip.bvp)
+    assert np.array_equal(back.x_enc, clip.x_enc)
+    for got, want in zip(back.pyramid, clip.pyramid, strict=True):
+        assert got.dtype == np.float32 and np.array_equal(got, want)
+    assert (back.hr_bpm, back.fs, back.scene, back.seed) == (80.0, 30.0, clip.scene, 21)
 
 
-def test_manifest_handles_infinite_snr(tmp_path):
-    rec = ClipRecord(
-        clip_id="c",
-        bvp_path="c.bvp.csv",
-        xenc_path="c.xenc.csv",
-        hr_bpm=72.0,
-        fs=30.0,
-        n_samples=128,
-        snr_db=math.inf,
-        seed=1,
-    )
+def _record(**fields) -> str:
+    """A manifest line of one record, with fields changed or added."""
+    rec = dict(clip_id="c", hr_bpm=72.0, lighting="dim", motion=False, skin_tone="type-2", seed=1)
+    return json.dumps({**rec, **fields}) + "\n"
+
+
+def test_manifest_row_without_scene_labels_is_refused(tmp_path):
+    # the scene labels are read from the row; no other source holds them
     path = tmp_path / "manifest.jsonl"
-    write_manifest(path, [rec])
-    assert math.isinf(read_manifest(path)[0].snr_db)
-
-
-def test_manifest_with_scene_fields_is_refused(tmp_path):
-    # the scene comes from the clip seed; a manifest that states it could contradict it
-    rec = ClipRecord(
-        clip_id="c", bvp_path="c.bvp.csv", xenc_path="c.xenc.csv", hr_bpm=72.0, fs=30.0,
-        n_samples=128, snr_db=10.0, seed=1,
-    )
-    path = tmp_path / "manifest.jsonl"
-    write_manifest(path, [rec, rec])
-    first, second = path.read_text().splitlines()
-    path.write_text(first + "\n" + second[:-1] + ', "lighting": "dim"}\n')
+    row = json.loads(_record())
+    del row["lighting"]
+    path.write_text(_record() + json.dumps(row) + "\n")
     with pytest.raises(ParseError, match="line 2: .*lighting"):
         read_manifest(path)
 
 
 def test_manifest_with_level_shapes_is_refused(tmp_path):
     # every clip's pyramid has LEVEL_SHAPES, so a manifest states no shapes
-    rec = ClipRecord(
-        clip_id="c", bvp_path="c.bvp.csv", xenc_path="c.xenc.csv", hr_bpm=72.0, fs=30.0,
-        n_samples=128, snr_db=10.0, seed=1,
-    )
     path = tmp_path / "manifest.jsonl"
-    write_manifest(path, [rec])
-    path.write_text(path.read_text()[:-2] + ', "level_shapes": [[8, 8], [6, 6], [4, 4]]}\n')
+    path.write_text(_record(level_shapes=[[8, 8], [6, 6], [4, 4]]))
     with pytest.raises(ParseError, match="line 1: .*level_shapes"):
         read_manifest(path)
 
 
-def _one_record_manifest(tmp_path, **fields):
-    rec = ClipRecord(
-        clip_id="c", bvp_path="c.bvp.csv", xenc_path="c.xenc.csv", hr_bpm=72.0, fs=30.0,
-        n_samples=128, snr_db=10.0, seed=1,
-    )
+def test_a_manifest_that_names_regeneration_fields_is_refused_on_line_1(tmp_path):
+    # a row of the 8-field format, which named the files and gen_clip's arguments
     path = tmp_path / "manifest.jsonl"
-    write_manifest(path, [rec])
-    path.write_text(json.dumps({**json.loads(path.read_text()), **fields}) + "\n")
+    old = {"bvp_path": "c.bvp.csv", "fs": 30.0, "n_samples": 128, "snr_db": 10.0, "xenc_path": "c.xenc.csv"}
+    path.write_text(json.dumps({"clip_id": "c", "hr_bpm": 72.0, "seed": 1, **old}, sort_keys=True) + "\n")
+    with pytest.raises(ParseError, match="line 1: bad manifest record: .*unexpected keyword argument 'bvp_path'"):
+        read_manifest(path)
+
+
+def _one_record_manifest(tmp_path, **fields):
+    path = tmp_path / "manifest.jsonl"
+    path.write_text(_record(**fields))
     return path
 
 
 @pytest.mark.parametrize(
     "field, value",
     [
-        ("n_samples", "128"),
-        ("n_samples", 128.0),
-        ("n_samples", True),
         ("seed", 1.5),
         ("seed", False),
-        ("fs", "30"),
-        ("fs", None),
-        ("fs", float("inf")),
         ("hr_bpm", "72"),
         ("hr_bpm", float("nan")),
-        ("snr_db", "10"),
-        ("snr_db", "nan"),
-        ("snr_db", True),
         ("clip_id", 3),
-        ("bvp_path", None),
-        ("xenc_path", ["c.xenc.csv"]),
+        ("lighting", None),
+        ("motion", 0),
+        ("motion", "true"),
+        ("skin_tone", ["type-2"]),
     ],
 )
 def test_manifest_refuses_a_field_of_the_wrong_json_type(tmp_path, field, value):
@@ -319,6 +293,5 @@ def test_manifest_refuses_a_line_that_is_not_an_object(tmp_path, line):
 
 
 def test_manifest_reads_whole_numbers_as_rates(tmp_path):
-    (rec,) = read_manifest(_one_record_manifest(tmp_path, hr_bpm=72, fs=30, snr_db=10))
-    assert (rec.hr_bpm, rec.fs, rec.snr_db) == (72, 30, 10.0)
-    assert np.array_equal(rec.to_clip().x_enc, gen_clip(72.0, snr_db=10.0, seed=1).x_enc)
+    (rec,) = read_manifest(_one_record_manifest(tmp_path, hr_bpm=72))
+    assert rec.hr_bpm == 72
