@@ -157,11 +157,10 @@ def cmd_eval(args) -> int:
 def _gradcheck_modules(seed: int) -> dict[str, float]:
     """Finite-difference audits of a tiny model's modules, then of the whole
     model, at a randomized point where no zero head or gate blocks the
-    gradient. Each module audit perturbs only entries of the module's own
-    parameters, those named under its prefixes; the entries of audit <name>
-    are drawn from ``nc.rng(seed, "gc-<name>-e")``. The ``tpg`` audit runs
-    the reprogrammer at both of its token lengths, so each adapter gets a
-    gradient."""
+    gradient. Audit <name> perturbs trainable entries only, those of
+    ``model.params(name)`` for a module, drawn from ``nc.rng(seed,
+    "gc-<name>-e")``. The ``tpg`` audit runs the reprogrammer at both of its
+    token lengths, so each adapter gets a gradient."""
     rng = nc.rng(seed, "gradcheck")
     tiny = ModelConfig(
         dim=8, heads=2, vocab_size=64, n_prototypes=8, prompt_len=4, target_len=8,
@@ -192,16 +191,18 @@ def _gradcheck_modules(seed: int) -> dict[str, float]:
         return power(fuse_cues(parts, model.fusion))
 
     audits = {
-        "dds": (("smoother.",), lambda: power(smooth(x_enc[0], model.smoother)[0])),
-        "aggregator": (("va.",), lambda: power(aggregate(pyr, model.aggregator))),
-        "tpg": (("probe.", "reprog."), f_tpg),
-        "cue": (("cue.",), f_cue),
-        "pipeline": (("",), lambda: mse_loss(model.forward(pyr, x_enc, scenes), target)),
+        "dds": lambda: power(smooth(x_enc[0], model.smoother)[0]),
+        "aggregator": lambda: power(aggregate(pyr, model.aggregator)),
+        "tpg": f_tpg,
+        "cue": f_cue,
+        "pipeline": lambda: mse_loss(model.forward(pyr, x_enc, scenes), target),
     }
     results: dict[str, float] = {}
-    for name, (prefixes, f) in audits.items():
-        params = [p for p in model.store.trainable() if p.name.startswith(prefixes)]
-        n = 50 if name == "pipeline" else 60
+    for name, f in audits.items():
+        if name == "pipeline":
+            params, n = model.store.trainable(), 50
+        else:
+            params, n = [p for p in model.params(name) if p.trainable], 60
         entries = nc.sample_param_entries(params, n, nc.rng(seed, f"gc-{name}-e"))
         results[name] = nc.grad_check(f, model.store, entries=entries)
     return results

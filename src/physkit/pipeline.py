@@ -76,6 +76,16 @@ PATCH_GAIN = 2.0
 # gain on the smoothed signal entering the head's skip readout; larger
 # values shrink the weights Adam must reach within its step budget
 SKIP_GAIN = 12.0
+# each module's parameters by name prefix; every parameter of the model
+# falls under exactly one, and only Pipeline.params reads them
+MODULES = {
+    "tpg": ("vocab.", "probe.", "reprog."),
+    "aggregator": ("va.",),
+    "dds": ("smoother.",),
+    "cue": ("cue.",),
+    "signal": ("signal.",),
+    "lm": ("lm.",),
+}
 
 
 def _integer(config: str, name: str, value, least: int) -> int:
@@ -175,6 +185,10 @@ class Pipeline:
     lm: list[tuple[AttentionParams, FeedForwardParams]]
     head: nc.Parameter
     head_skip: nc.Parameter
+
+    def params(self, module: str) -> list[nc.Parameter]:
+        """The parameters of one MODULES entry, frozen ones included, in store order."""
+        return [p for p in self.store if p.name.startswith(MODULES[module])]
 
     # -- forward ------------------------------------------------------------
 

@@ -299,13 +299,24 @@ def save_clip(root, clip_id: str, clip: SyntheticClip) -> ClipRecord:
     return ClipRecord(clip_id, clip.hr_bpm, **asdict(clip.scene), seed=clip.seed)
 
 
+def _load_clip_waveform(path) -> tuple[np.ndarray, float]:
+    """``load_waveform``, with the file named in front of a bad line's error."""
+    try:
+        return load_waveform(path)
+    except ParseError as exc:
+        if exc.line is None:  # read_lines names the file already
+            raise
+        raise ParseError(f"{path}: {exc}") from exc
+
+
 def load_clip(root, record: ClipRecord) -> SyntheticClip:
     """A manifest row's clip, read from its files under root. A missing file,
-    an xenc unlike the bvp in length or rate, or a pyramid level that is not
-    float32 (T, h, w) for LEVEL_SHAPES is refused, naming the file."""
+    a bad CSV line, an xenc unlike the bvp in length or rate, a pyramid level
+    that is not finite float32 (T, h, w) for LEVEL_SHAPES, or bytes after the
+    last level are refused, naming the file."""
     stem = Path(root) / record.clip_id
-    bvp, fs = load_waveform(f"{stem}.bvp.csv")
-    x_enc, xenc_fs = load_waveform(f"{stem}.xenc.csv")
+    bvp, fs = _load_clip_waveform(f"{stem}.bvp.csv")
+    x_enc, xenc_fs = _load_clip_waveform(f"{stem}.xenc.csv")
     if (x_enc.size, xenc_fs) != (bvp.size, fs):
         raise ParseError(f"{stem}.xenc.csv: {x_enc.size} samples at fs={xenc_fs}, bvp {bvp.size} at fs={fs}")
     pyramid = []
@@ -315,9 +326,13 @@ def load_clip(root, record: ClipRecord) -> SyntheticClip:
                 level = np.lib.format.read_array(fh, allow_pickle=False)
                 if (level.dtype, level.shape) != (np.float32, (bvp.size, h, w)):
                     raise ValueError(f"{level.dtype} {level.shape}, not float32 {(bvp.size, h, w)}")
+                if not np.isfinite(level).all():
+                    raise ValueError("non-finite values")
             except ValueError as exc:  # numpy's EOF and format errors among them
                 raise ParseError(f"{fh.name}: bad level {i}: {exc}") from exc
             pyramid.append(level)
+        if fh.read(1):
+            raise ParseError(f"{fh.name}: bytes after level {len(LEVEL_SHAPES) - 1}, the last")
     scene = SceneMeta(record.lighting, record.motion, record.skin_tone)
     return SyntheticClip(bvp, x_enc, pyramid, record.hr_bpm, fs, scene, record.seed)
 

@@ -548,7 +548,7 @@ def test_eval_refuses_a_checkpoint_header_field_of_the_wrong_type(tmp_path, caps
     assert f"line 2: header is not a model config: model config {field} must be" in _one_error_line(capsys)
 
 
-def test_synth_writes_the_clips_that_train_regenerates_from_the_manifest(tmp_path):
+def test_train_loads_the_waveforms_synth_writes(tmp_path):
     data = tmp_path / "data"
     argv = ["synth", "--out", str(data), "--n-clips", "4", "--seed", "5", "--snr", "3", "--chunk", "160"]
     assert main(argv) == 0
@@ -677,6 +677,21 @@ def _change_rate(path) -> None:
     path.write_text("fs=25.0\n" + path.read_text().split("\n", 1)[1])
 
 
+def _bad_line_5(path) -> None:
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:4] + ["oops\n"] + lines[5:]))
+
+
+def _nan_in_level_0(path) -> None:
+    levels = _levels(path)
+    levels[0][3, 2, 1] = np.nan
+    _write_levels(path, levels)
+
+
+def _append_another_pyramid(path) -> None:
+    path.write_bytes(path.read_bytes() + path.with_name("clip_002.pyramid").read_bytes())
+
+
 @pytest.mark.parametrize(
     "damaged, damage, message",
     [
@@ -685,6 +700,7 @@ def _change_rate(path) -> None:
         pytest.param("pyramid", Path.unlink, "No such file or directory", id="missing-pyramid"),
         pytest.param("xenc.csv", _drop_last_sample, ": 127 samples at fs=30.0, bvp 128 at fs=30.0", id="short-xenc"),
         pytest.param("xenc.csv", _change_rate, ": 128 samples at fs=25.0, bvp 128 at fs=30.0", id="xenc-rate"),
+        pytest.param("bvp.csv", _bad_line_5, "clip_001.bvp.csv: line 5: bad sample: 'oops'", id="bad-sample-line"),
         pytest.param("pyramid", lambda p: _write_levels(p, _levels(p)[:2]), ": bad level 2: EOF", id="two-levels"),
         pytest.param(
             "pyramid",
@@ -698,6 +714,8 @@ def _change_rate(path) -> None:
             ": bad level 0: float64 (128, 8, 8), not float32 (128, 8, 8)",
             id="float64-level",
         ),
+        pytest.param("pyramid", _nan_in_level_0, ": bad level 0: non-finite values", id="nan-level"),
+        pytest.param("pyramid", _append_another_pyramid, ": bytes after level 2, the last", id="trailing-bytes"),
     ],
 )
 @pytest.mark.parametrize("command", ["train", "eval"])

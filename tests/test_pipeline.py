@@ -15,9 +15,11 @@ import pytest
 import physkit
 from physkit import numcore as nc
 from physkit.aggregator import FeaturePyramid
+from physkit.cli import _gradcheck_modules
 from physkit.cues import SceneMeta
 from physkit.errors import ContractError, ParseError, ShapeError
 from physkit.pipeline import (
+    MODULES,
     ModelConfig,
     Pipeline,
     TrainConfig,
@@ -253,6 +255,31 @@ DEFAULT_PARAMETERS = [
 def test_the_default_parameter_table_is_pinned():
     table = [(p.name, p.shape, p.value.dtype) for p in build_pipeline().store]
     assert table == [(name, shape, np.float32) for name, shape in DEFAULT_PARAMETERS]
+
+
+def test_every_parameter_falls_under_exactly_one_module(monkeypatch):
+    audited = []
+
+    def build_and_keep(cfg, seed):
+        audited.append(build_pipeline(cfg, seed=seed))
+        return audited[-1]
+
+    monkeypatch.setattr("physkit.cli.build_pipeline", build_and_keep)
+    _gradcheck_modules(0)
+    models = {
+        "default": build_pipeline(),
+        "gradcheck": audited[0],
+        "lm_layers=0": build_pipeline(ModelConfig(lm_layers=0)),
+        "lm_layers=3": build_pipeline(ModelConfig(lm_layers=3)),
+    }
+    for label, model in models.items():
+        names = model.store.names()
+        owned = {module: [p.name for p in model.params(module)] for module in MODULES}
+        for module, members in owned.items():
+            assert members == [n for n in names if n in members], (label, module)  # store order
+        assert sorted(n for members in owned.values() for n in members) == sorted(names), label
+        assert "vocab.embedding" in owned["tpg"] and not model.vocab.trainable, label
+    assert len(models["default"].store.names()) == len(DEFAULT_PARAMETERS) == 60
 
 
 def test_every_parameter_exists_once_built():

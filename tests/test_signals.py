@@ -209,7 +209,7 @@ def test_waveform_parse_errors_carry_line_numbers(tmp_path):
     assert "line 1" in str(err.value)
 
 
-def test_manifest_roundtrip_and_regeneration(tmp_path):
+def test_manifest_and_clip_files_roundtrip(tmp_path):
     clip = gen_clip(80.0, snr_db=10.0, seed=21)
     rec = save_clip(tmp_path, "clip_000", clip)
     assert vars(rec) == {"clip_id": "clip_000", "hr_bpm": 80.0, **vars(clip.scene), "seed": 21}
