@@ -1,23 +1,25 @@
 #!/usr/bin/env python3
 """Fuse multi-scale backbone features into one token sequence.
 
-Every pyramid level is projected to a common width and compressed along
-time; the deepest level then queries the shallow ones with cross-attention
-and refines itself with self-attention. Two zero-initialized gates scale
-the refinements, so an untrained aggregator passes the deepest level
-through unchanged -- watch the output move as the gates open.
+A pyramid is a list of levels, shallowest first, each shaped (batch, time,
+height, width). Every level is projected to a common width and compressed
+along time; the deepest level then queries the shallow ones with
+cross-attention and refines itself with self-attention. Two
+zero-initialized gates scale the refinements, so an untrained aggregator
+passes the deepest level through unchanged -- watch the output move as the
+gates open.
 """
 
 import numpy as np
 
-from physkit import FeaturePyramid, ParamStore, aggregate, gen_clip, init_aggregator
+from physkit import ParamStore, aggregate, gen_clip, init_aggregator
 
 clip = gen_clip(hr_bpm=90.0, fs=30.0, n_samples=128, snr_db=10.0, seed=3)
-pyr = FeaturePyramid([level[None] for level in clip.pyramid])  # batch of one
+pyr = [level[None] for level in clip.pyramid]  # a batch of one clip
 
 store = ParamStore()
 params = init_aggregator(
-    store, level_shapes=((8, 8), (6, 6), (4, 4)), chunk_len=128,
+    store, level_shapes=[level.shape[2:] for level in pyr], chunk_len=128,
     target_len=32, dim=64, heads=4, seed=0,
 )
 

@@ -42,7 +42,7 @@ from .attention import (
     init_feed_forward,
     self_attention,
 )
-from .aggregator import AggregatorParams, FeaturePyramid, aggregate, init_aggregator, project_level
+from .aggregator import AggregatorParams, aggregate, init_aggregator, project_level
 from .reprogram import (
     ReprogrammerParams,
     derive_prototypes,

@@ -1,10 +1,11 @@
 """Fuse a pyramid of backbone feature levels into one token sequence.
 
-Every level is flattened spatially, projected to the model width, and
-compressed along time to a fixed token count. The deepest level queries the
-concatenated shallow levels through cross-attention, refines itself with
-self-attention, and the two refinements are folded back through learnable
-per-channel gates:
+A batch's pyramid is a list of M >= 2 arrays, shallowest first, level i
+shaped (batch, time, height_i, width_i). Every level is flattened
+spatially, projected to the model width, and compressed along time to a
+fixed token count. The deepest level queries the concatenated shallow
+levels through cross-attention, refines itself with self-attention, and
+the two refinements are folded back through learnable per-channel gates:
 
     fused = deep + gate_outer * (cross + gate_inner * self)
 
@@ -15,37 +16,13 @@ deepest level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import numcore as nc
 from .attention import AttentionParams, cross_attention, init_attention, self_attention
 from .errors import ContractError, ShapeError
-
-
-@dataclass
-class FeaturePyramid:
-    """M >= 2 levels shaped (batch, time, height_i, width_i) sharing batch/time."""
-
-    levels: list[np.ndarray] = field(default_factory=list)
-
-    def __post_init__(self):
-        self.levels = [np.asarray(f) for f in self.levels]
-        for f in self.levels:
-            if f.ndim != 4:
-                raise ShapeError(f"pyramid level must be 4-d, got {f.shape}")
-        heads = {(f.shape[0], f.shape[1]) for f in self.levels}
-        if len(heads) > 1:
-            raise ShapeError(f"levels disagree on batch/time: {sorted(heads)}")
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels)
-
-    @property
-    def batch(self) -> int:
-        return self.levels[0].shape[0]
 
 
 @dataclass
@@ -108,11 +85,13 @@ def project_level(f, p: AggregatorParams, level: int) -> nc.Tensor:
     return nc.token_map(tokens, p.temporal.use())
 
 
-def aggregate(pyr: FeaturePyramid, p: AggregatorParams) -> nc.Tensor:
-    """Gated cross/self-attention fusion of all levels onto the deepest one."""
-    if pyr.depth != len(p.level_shapes):
-        raise ShapeError(f"pyramid has {pyr.depth} levels, aggregator registered {len(p.level_shapes)}")
-    projected = [project_level(f, p, level=i) for i, f in enumerate(pyr.levels)]
+def aggregate(levels: list, p: AggregatorParams) -> nc.Tensor:
+    """Gated cross/self-attention fusion of all levels onto the deepest one.
+    ``project_level`` checks each level's shape; ``nc.concat`` and the
+    cross-attention refuse levels whose batch sizes differ."""
+    if len(levels) != len(p.level_shapes):
+        raise ShapeError(f"pyramid has {len(levels)} levels, aggregator registered {len(p.level_shapes)}")
+    projected = [project_level(f, p, level=i) for i, f in enumerate(levels)]
     deep = projected[-1]
     shallow = nc.concat(projected[:-1], axis=1)
     crossed = cross_attention(deep, shallow, p.cross)

@@ -25,13 +25,14 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import numcore as nc
-from .aggregator import FeaturePyramid, aggregate
+from .aggregator import aggregate
 from .cues import SceneMeta, compress, fuse_cues, signal_stats
 from .errors import ContractError, PhyskitError
 from .pipeline import ModelConfig, TrainConfig, build_pipeline, evaluate, load_pipeline, mse_loss, train
 from .reprogram import derive_prototypes, reprogram
 from .signals import (
     HR_BAND_BPM,
+    LEVEL_SHAPES,
     estimate_hr,
     gen_clip,
     load_clip,
@@ -107,12 +108,16 @@ def _from_flags(cls, args):
 
 
 def cmd_train(args) -> int:
+    out_dir = Path(args.out)
+    # the run's files are written after the last step; refuse an --out they cannot go to before the first
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise ContractError(f"--out {out_dir}: {existing} is not a directory")
     clips = _load_clips(args.data)
     model = build_pipeline(_from_flags(ModelConfig, args), seed=args.seed)
     tcfg = _from_flags(TrainConfig, args)
     eval_clips = _load_clips(args.eval_data) if args.eval_data else clips
     model, log = train(clips, tcfg, model=model, eval_clips=eval_clips)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     curve = "\n".join(f"{s} {repr(l)}" for s, l in enumerate(log.losses, start=1))
     (out_dir / "loss_curve.txt").write_text(curve + "\n")
@@ -164,14 +169,14 @@ def _gradcheck_modules(seed: int) -> dict[str, float]:
     rng = nc.rng(seed, "gradcheck")
     tiny = ModelConfig(
         dim=8, heads=2, vocab_size=64, n_prototypes=8, prompt_len=4, target_len=8,
-        chunk_len=32, patch_len=8, patch_stride=4, level_shapes=((3, 3), (2, 2)), lm_layers=1,
+        chunk_len=32, patch_len=8, patch_stride=4, lm_layers=1,
     )
     model = build_pipeline(tiny, seed=seed)
     model.head.value = rng.standard_normal(model.head.shape) * 0.2
     model.head_skip.value = rng.standard_normal(model.head_skip.shape) * 0.2
     model.aggregator.gate_inner.value = rng.standard_normal(tiny.dim) * 0.5
     model.aggregator.gate_outer.value = rng.standard_normal(tiny.dim) * 0.5
-    pyr = FeaturePyramid([rng.standard_normal((1, tiny.chunk_len, h, w)) for h, w in tiny.level_shapes])
+    pyr = [rng.standard_normal((1, tiny.chunk_len, h, w)) for h, w in LEVEL_SHAPES]
     x_enc = rng.standard_normal((1, tiny.chunk_len))
     scenes = [SceneMeta(lighting="bright", motion=False, skin_tone="type-2")]
     target = nc.Tensor(rng.standard_normal((1, tiny.chunk_len)))

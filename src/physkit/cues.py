@@ -32,13 +32,27 @@ CUE_KINDS = ("task", "vision", "stats")
 # ---------------------------------------------------------------------------
 
 
+LIGHTING = ("dim", "normal", "bright")
+SKIN_TONES = tuple(f"type-{i}" for i in range(1, 7))
+
+
 @dataclass(frozen=True)
 class SceneMeta:
-    """Synthetic scene descriptors consumed by the vision caption."""
+    """Synthetic scene descriptors consumed by the vision caption. A label
+    outside LIGHTING or SKIN_TONES, or a motion that is not a bool, is a
+    ContractError naming the field: its caption would tokenize to another
+    length than the others of a batch."""
 
-    lighting: str  # "dim" | "normal" | "bright"
+    lighting: str
     motion: bool
-    skin_tone: str  # "type-1" .. "type-6"
+    skin_tone: str
+
+    def __post_init__(self):
+        for name, labels in (("lighting", LIGHTING), ("skin_tone", SKIN_TONES)):
+            if getattr(self, name) not in labels:
+                raise ContractError(f"{name} must be one of {', '.join(labels)}, got {getattr(self, name)!r}")
+        if not isinstance(self.motion, bool):
+            raise ContractError(f"motion must be a bool, got {self.motion!r}")
 
 
 @dataclass(frozen=True)

@@ -557,6 +557,9 @@ def _normal_cdf(x: Array, out: Array | None = None) -> Array:
 
 
 _GELU_BLOCK = 1 << 16
+# Phi is exactly 0 below -9, and phi exactly 0 beyond +-39, in float32 and
+# float64: clamping x there changes no result and keeps inf * 0 out of both passes
+_GELU_FLOOR, _PHI_TAIL = -9.0, 39.0
 
 
 def gelu(t) -> Tensor:
@@ -567,22 +570,23 @@ def gelu(t) -> Tensor:
 
     Forward and backward run over _GELU_BLOCK-element slices of the flat
     input: only Phi, the output and the input gradient are full-size arrays.
-    Every result is elementwise, so it does not depend on the blocking."""
+    Every result is elementwise, so it does not depend on the blocking.
+    GELU is 0 at -inf and inf at inf, with gradients 0 and 1 there."""
     t = as_tensor(t)
     shape, x = t.shape, t.data.reshape(-1)
     cdf, out = np.empty_like(x), np.empty_like(x)
     blocks = [slice(lo, lo + _GELU_BLOCK) for lo in range(0, x.size, _GELU_BLOCK)]
     for s in blocks:
-        np.multiply(x[s], _normal_cdf(x[s], out=cdf[s]), out=out[s])
+        np.maximum(x[s], _GELU_FLOOR, out=out[s])
+        out[s] *= _normal_cdf(x[s], out=cdf[s])
 
     def grad_fn(g):
         g = g.reshape(-1)
         gx = np.empty(x.shape, np.result_type(g, x))
         for s in blocks:
-            xs = x[s]
+            xs = np.clip(x[s], -_PHI_TAIL, _PHI_TAIL)
             d = np.multiply(xs, -0.5)
-            with np.errstate(over="ignore"):  # x^2 overflows where phi(x) is 0
-                d *= xs
+            d *= xs
             np.exp(d, out=d)
             d *= _INV_SQRT2PI  # phi(x)
             d *= xs

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import numcore as nc
-from .aggregator import AggregatorParams, FeaturePyramid, aggregate, init_aggregator
+from .aggregator import AggregatorParams, aggregate, init_aggregator
 from .attention import (
     AttentionParams,
     FeedForwardParams,
@@ -109,7 +109,6 @@ class ModelConfig:
     chunk_len: int = 128
     patch_len: int = 16
     patch_stride: int = 8
-    level_shapes: tuple[tuple[int, int], ...] = LEVEL_SHAPES
     alpha: float = 0.8
     wavelet: str = "haar"
     level: int = 3
@@ -125,16 +124,6 @@ class ModelConfig:
         self.alpha = float(self.alpha)
         if not isinstance(self.wavelet, str):
             raise ContractError(f"model config wavelet must be a string, got {self.wavelet!r}")
-        try:
-            shapes = tuple((h, w) for h, w in self.level_shapes)
-        except (TypeError, ValueError):
-            shapes = ()
-        if not shapes or not all(nc.is_int(n) and n >= 1 for shape in shapes for n in shape):
-            raise ContractError(
-                "model config level_shapes must be a non-empty sequence of (height, width) "
-                f"pairs of positive integers, got {self.level_shapes!r}"
-            )
-        self.level_shapes = tuple((int(h), int(w)) for h, w in shapes)
         if not self.patch_stride <= self.patch_len <= self.chunk_len:
             raise ContractError(
                 "model config needs patch_stride <= patch_len <= chunk_len, got "
@@ -192,16 +181,19 @@ class Pipeline:
 
     # -- forward ------------------------------------------------------------
 
-    def forward(self, pyramid: FeaturePyramid, x_enc, scenes: list[SceneMeta]) -> nc.Tensor:
+    def forward(self, pyramid: list, x_enc, scenes: list[SceneMeta]) -> nc.Tensor:
+        """The predicted waveforms (batch, chunk_len) of a batch: its pyramid,
+        one (batch, chunk_len, h, w) array per level of ``LEVEL_SHAPES``,
+        its encoder waveforms (batch, chunk_len) and one scene per row. A
+        batch size that differs among them is a ShapeError."""
         cfg = self.cfg
         x_enc = np.asarray(x_enc)
         if x_enc.ndim != 2 or x_enc.shape[1] != cfg.chunk_len:
             raise ShapeError(f"x_enc must be (batch, {cfg.chunk_len}), got {x_enc.shape}")
         bsz = x_enc.shape[0]
-        if pyramid.batch != bsz or len(scenes) != bsz:
-            raise ShapeError(
-                f"batch mismatch: pyramid {pyramid.batch}, x_enc {bsz}, scenes {len(scenes)}"
-            )
+        shapes = [np.shape(level) for level in pyramid]
+        if any(shape[:1] != (bsz,) for shape in shapes) or len(scenes) != bsz:
+            raise ShapeError(f"batch mismatch: pyramid {shapes}, x_enc {x_enc.shape}, scenes {len(scenes)}")
 
         prototypes = derive_prototypes(self.vocab, self.probe)
 
@@ -270,7 +262,7 @@ def build_pipeline(cfg: ModelConfig | None = None, seed: int = 0) -> Pipeline:
             store, cfg.dim, cfg.heads, cfg.n_prototypes, (cfg.n_signal_tokens, cfg.target_len), seed
         ),
         aggregator=init_aggregator(
-            store, cfg.level_shapes, cfg.chunk_len, cfg.target_len, cfg.dim, cfg.heads, seed
+            store, LEVEL_SHAPES, cfg.chunk_len, cfg.target_len, cfg.dim, cfg.heads, seed
         ),
         smoother=init_smoother(store, alpha=cfg.alpha, level=cfg.level, basis=get_basis(cfg.wavelet)),
         compressors={
@@ -325,10 +317,9 @@ def mse_loss(pred, target) -> nc.Tensor:
     return nc.mean_all(nc.mul(d, d))
 
 
-def batch_from_clips(clips: list[SyntheticClip]) -> tuple[FeaturePyramid, np.ndarray, list[SceneMeta]]:
-    pyramid = FeaturePyramid(
-        [np.stack([c.pyramid[i] for c in clips]) for i in range(len(clips[0].pyramid))]
-    )
+def batch_from_clips(clips: list[SyntheticClip]) -> tuple[list[np.ndarray], np.ndarray, list[SceneMeta]]:
+    """The forward inputs of a batch: each pyramid level stacked over the clips."""
+    pyramid = [np.stack(level) for level in zip(*(c.pyramid for c in clips))]
     x_enc = np.stack([c.x_enc for c in clips])
     return pyramid, x_enc, [c.scene for c in clips]
 

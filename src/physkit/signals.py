@@ -22,19 +22,17 @@ from pathlib import Path
 import numpy as np
 
 from . import numcore as nc
-from .cues import SceneMeta
+from .cues import LIGHTING, SKIN_TONES, SceneMeta
 from .errors import ContractError, EstimationError, NumericError, ParseError
 from .stationarize import ema_smooth
 
 HR_BAND_BPM = (45.0, 150.0)
 HR_BAND_HZ = (HR_BAND_BPM[0] / 60.0, HR_BAND_BPM[1] / 60.0)
 
-_LIGHTING = ("dim", "normal", "bright")
-_SKIN_TONES = tuple(f"type-{i}" for i in range(1, 7))
 # samples of waveform behind each pyramid frame
 _WINDOW = 9
-# (height, width) of each feature-pyramid level of a synthetic clip,
-# shallowest first; also the model's default
+# (height, width) of each feature-pyramid level of a clip, shallowest first;
+# the only shapes load_clip reads and the model's aggregator registers
 LEVEL_SHAPES = ((8, 8), (6, 6), (4, 4))
 
 
@@ -133,9 +131,9 @@ def gen_clip(
 
     scene_rng = nc.rng(seed, "scene")
     scene = SceneMeta(
-        lighting=_LIGHTING[int(scene_rng.integers(len(_LIGHTING)))],
+        lighting=LIGHTING[int(scene_rng.integers(len(LIGHTING)))],
         motion=bool(scene_rng.integers(2)),
-        skin_tone=_SKIN_TONES[int(scene_rng.integers(len(_SKIN_TONES)))],
+        skin_tone=SKIN_TONES[int(scene_rng.integers(len(SKIN_TONES)))],
     )
     return SyntheticClip(
         bvp=bvp,
@@ -285,6 +283,9 @@ class ClipRecord:
     skin_tone: str
     seed: int
 
+    def __post_init__(self):
+        SceneMeta(self.lighting, self.motion, self.skin_tone)  # refuses labels outside its vocabulary
+
 
 def save_clip(root, clip_id: str, clip: SyntheticClip) -> ClipRecord:
     """Write <clip_id>.bvp.csv, .xenc.csv (waveform CSVs) and .pyramid under
@@ -345,16 +346,14 @@ def write_manifest(path, records: list[ClipRecord]) -> None:
 _MANIFEST_TYPES = {
     "clip_id": (lambda v: isinstance(v, str), "a string"),
     "hr_bpm": (lambda v: nc.is_real(v) and math.isfinite(v), "a finite number"),
-    "lighting": (lambda v: isinstance(v, str), "a string"),
-    "motion": (lambda v: isinstance(v, bool), "true or false"),
-    "skin_tone": (lambda v: isinstance(v, str), "a string"),
     "seed": (nc.is_int, "an integer"),
 }
 
 
 def read_manifest(path) -> list[ClipRecord]:
     """The records of a manifest; a line that is not one record with fields
-    of the right JSON types is a ParseError naming the line and the field."""
+    of the right JSON types and scene labels ``SceneMeta`` takes is a
+    ParseError naming the line and the field."""
     records = []
     for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip():

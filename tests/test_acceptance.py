@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from physkit import numcore as nc
-from physkit.aggregator import FeaturePyramid, aggregate, init_aggregator, project_level
+from physkit.aggregator import aggregate, init_aggregator, project_level
 from physkit.attention import cross_attention, init_attention, self_attention
 from physkit.cli import main
 from physkit.cues import signal_stats
@@ -74,9 +74,9 @@ def test_criterion_4_structural_identities():
         # zero outer gate leaves the deepest level untouched
         store = nc.ParamStore()
         agg = init_aggregator(store, ((3, 3), (2, 2)), 16, 8, 8, 2, seed=0)
-        pyr = FeaturePyramid([rng.standard_normal((2, 16, h, w)) for h, w in ((3, 3), (2, 2))])
+        pyr = [rng.standard_normal((2, 16, h, w)) for h, w in ((3, 3), (2, 2))]
         fused = aggregate(pyr, agg)
-        deep = project_level(pyr.levels[-1], agg, level=1)
+        deep = project_level(pyr[-1], agg, level=1)
         assert np.array_equal(fused.data, deep.data)
 
         # pinned blend weights reduce to the pure paths

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from physkit import numcore as nc
-from physkit.aggregator import FeaturePyramid, aggregate, init_aggregator, project_level
+from physkit.aggregator import aggregate, init_aggregator, project_level
 from physkit.attention import cross_attention, self_attention
 from physkit.errors import ContractError, ShapeError
 
@@ -17,7 +17,7 @@ def _setup(seed=0, chunk=16, target=8, dim=8, heads=2, shapes=SHAPES, store=None
 
 def _pyramid(seed, batch=2, chunk=16, shapes=SHAPES):
     rng = np.random.default_rng(seed)
-    return FeaturePyramid([rng.standard_normal((batch, chunk, h, w)) for h, w in shapes])
+    return [rng.standard_normal((batch, chunk, h, w)) for h, w in shapes]
 
 
 def test_project_zero_input_gives_zero_tokens():
@@ -59,7 +59,7 @@ def test_zero_outer_gate_is_identity_on_deep_level():
     _, p = _setup(seed=5)
     pyr = _pyramid(6)
     fused = aggregate(pyr, p).data
-    deep = project_level(pyr.levels[-1], p, level=2).data
+    deep = project_level(pyr[-1], p, level=2).data
     assert np.array_equal(fused, deep)
 
 
@@ -68,7 +68,7 @@ def test_gate_algebra_outer_one_inner_zero():
     p.gate_outer.value = np.ones(8)
     pyr = _pyramid(8)
     fused = aggregate(pyr, p).data
-    projected = [project_level(f, p, level=i) for i, f in enumerate(pyr.levels)]
+    projected = [project_level(f, p, level=i) for i, f in enumerate(pyr)]
     deep = projected[-1]
     shallow = nc.concat(projected[:-1], axis=1)
     crossed = cross_attention(deep, shallow, p.cross)
@@ -84,7 +84,7 @@ def test_aggregate_matches_oracle_composition():
     pyr = _pyramid(11, batch=1)
     fused = aggregate(pyr, p).data
 
-    projected = [project_level(f, p, level=i).data for i, f in enumerate(pyr.levels)]
+    projected = [project_level(f, p, level=i).data for i, f in enumerate(pyr)]
     deep = nc.Tensor(projected[-1])
     shallow = nc.Tensor(np.concatenate(projected[:-1], axis=1))
     crossed = cross_attention(deep, shallow, p.cross)
@@ -129,22 +129,28 @@ def test_aggregate_rejects_shallow_pyramids():
         init_aggregator(store, ((4, 4),), 16, 8, 8, 2, seed=18)
     _, p = _setup(seed=19)
     with pytest.raises(ContractError):
-        aggregate(FeaturePyramid([np.zeros((1, 16, 4, 4))]), p)
+        aggregate([np.zeros((1, 16, 4, 4))], p)
 
 
 def test_pyramid_validates_consistency():
-    with pytest.raises(ShapeError):
-        FeaturePyramid([np.zeros((1, 16, 4, 4)), np.zeros((2, 16, 3, 3))])
-    with pytest.raises(ShapeError):
-        FeaturePyramid([np.zeros((1, 16, 4))])
+    # aggregate refuses shallow levels of different batch sizes, a level that
+    # is not 4-d, and a deep level whose batch size differs from the shallow ones'
+    _, p = _setup(seed=20)
+    for levels in (
+        [np.zeros((1, 16, 4, 4)), np.zeros((2, 16, 3, 3)), np.zeros((1, 16, 2, 2))],
+        [np.zeros((1, 16, 4)), np.zeros((1, 16, 3, 3)), np.zeros((1, 16, 2, 2))],
+        [np.zeros((2, 16, 4, 4)), np.zeros((2, 16, 3, 3)), np.zeros((1, 16, 2, 2))],
+    ):
+        with pytest.raises(ShapeError):
+            aggregate(levels, p)
 
 
 def test_a_float64_aggregator_reads_a_float32_pyramid_in_float64():
     _, p = _setup()
     pyr64 = _pyramid(24)
-    pyr32 = FeaturePyramid([f.astype(np.float32) for f in pyr64.levels])
+    pyr32 = [f.astype(np.float32) for f in pyr64]
     p.gate_inner.value[:] = p.gate_outer.value[:] = 0.5
     out = aggregate(pyr32, p).data
     assert out.dtype == np.float64
-    cast_up = FeaturePyramid([f.astype(np.float64) for f in pyr32.levels])
+    cast_up = [f.astype(np.float64) for f in pyr32]
     assert np.array_equal(out, aggregate(cast_up, p).data)

@@ -159,7 +159,7 @@ def test_train_flags_set_every_config_field(tmp_path, capsys, monkeypatch):
         "steps": ("--steps", 1), "seed": ("--seed", 7),
     }
     model_fields, train_fields = set(asdict(ModelConfig())), set(asdict(TrainConfig()))
-    assert set(settings) == (model_fields - {"level_shapes"}) | train_fields
+    assert set(settings) == model_fields | train_fields
     for field, (_, value) in settings.items():
         default = getattr(ModelConfig() if field in model_fields else TrainConfig(), field)
         assert value != default, field
@@ -180,7 +180,6 @@ def test_train_flags_set_every_config_field(tmp_path, capsys, monkeypatch):
 
     header = ParamStore.read_config(run / "checkpoint.txt")
     expected = {f: v for f, (_, v) in settings.items() if f in model_fields}
-    expected["level_shapes"] = [list(shape) for shape in ModelConfig().level_shapes]
     assert header == expected
     assert asdict(seen[0]) == {f: v for f, (_, v) in settings.items() if f in train_fields}
 
@@ -195,8 +194,8 @@ def test_gradcheck_passes_on_fresh_init(capsys):
 
 
 def test_gradcheck_passes_at_seed_3(capsys):
-    # central differences at step 1e-5 once failed this seed; on the tiny model's
-    # own modules they read 8.5e-6 here (va.self.w_k[27]), the five-point audit 1.1e-7
+    # central differences at step 1e-5 once failed this seed; the five-point
+    # audit's worst here is the pipeline's 7.6e-7
     assert main(["gradcheck", "--seed", "3"]) == 0
     assert "FAIL" not in capsys.readouterr().out
 
@@ -533,7 +532,7 @@ def test_train_refuses_a_manifest_field_of_the_wrong_type(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("dim", "64"), ("dim", 64.0), ("alpha", "0.8"), ("level_shapes", [[8]]), ("lm_layers", True)],
+    [("dim", "64"), ("dim", 64.0), ("alpha", "0.8"), ("lm_layers", True)],
 )
 def test_eval_refuses_a_checkpoint_header_field_of_the_wrong_type(tmp_path, capsys, field, value):
     data = tmp_path / "data"
@@ -546,6 +545,35 @@ def test_eval_refuses_a_checkpoint_header_field_of_the_wrong_type(tmp_path, caps
     ckpt.write_bytes(b"\n".join([magic, config, records]))
     assert main(["eval", "--ckpt", str(ckpt), "--data", str(data / "manifest.jsonl")]) == 1
     assert f"line 2: header is not a model config: model config {field} must be" in _one_error_line(capsys)
+
+
+def test_eval_refuses_a_checkpoint_whose_header_has_level_shapes(tmp_path, capsys):
+    # a pyramid has the shapes of signals.LEVEL_SHAPES; no model config states them
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--n-clips", "2"]) == 0
+    capsys.readouterr()
+    ckpt = tmp_path / "checkpoint.txt"
+    build_pipeline(ModelConfig()).store.save(ckpt)
+    magic, config, records = ckpt.read_bytes().split(b"\n", 2)
+    config = json.dumps({**json.loads(config), "level_shapes": [[8, 8], [6, 6], [4, 4]]}, sort_keys=True)
+    ckpt.write_bytes(b"\n".join([magic, config.encode(), records]))
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(data / "manifest.jsonl")]) == 1
+    err = _one_error_line(capsys)
+    assert "line 2: header is not a model config" in err and "level_shapes" in err
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/run"])
+def test_train_refuses_an_out_that_is_a_file_before_loading_a_clip(tmp_path, capsys, monkeypatch, out):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--n-clips", "2"]) == 0
+    capsys.readouterr()
+    (tmp_path / "afile").write_text("kept\n")
+    monkeypatch.setattr("physkit.cli.load_clip", lambda *a: pytest.fail("a clip was loaded"))
+    monkeypatch.setattr(Pipeline, "forward", lambda *a: pytest.fail("forward ran"))
+    argv = ["train", "--data", str(data / "manifest.jsonl"), "--out", str(tmp_path / out), "--steps", "2"]
+    assert main(argv) == 1
+    assert _one_error_line(capsys) == f"error: --out {tmp_path / out}: {tmp_path / 'afile'} is not a directory\n"
+    assert (tmp_path / "afile").read_text() == "kept\n"
 
 
 def test_train_loads_the_waveforms_synth_writes(tmp_path):

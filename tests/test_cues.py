@@ -6,6 +6,8 @@ import pytest
 from physkit import numcore as nc
 from physkit.cues import (
     CUE_KINDS,
+    LIGHTING,
+    SKIN_TONES,
     TASK_CAPTION,
     SceneMeta,
     StatSummary,
@@ -155,6 +157,26 @@ def test_captions_are_deterministic():
     assert stats_caption(s) == stats_caption(s)
     scene = SceneMeta(lighting="dim", motion=True, skin_tone="type-4")
     assert vision_caption(scene) == vision_caption(scene)
+
+
+def test_every_scene_of_the_vocabulary_captions_to_one_token_count():
+    scenes = [SceneMeta(l, m, s) for l in LIGHTING for m in (False, True) for s in SKIN_TONES]
+    assert len({len(tokenize(vision_caption(scene), 1024)) for scene in scenes}) == 1
+
+
+@pytest.mark.parametrize(
+    "change, named",
+    [
+        ({"lighting": "very dim"}, "lighting must be one of dim, normal, bright, got 'very dim'"),
+        ({"skin_tone": "type-9"}, "skin_tone must be one of type-1, .*, type-6, got 'type-9'"),
+        ({"skin_tone": None}, "skin_tone must be one of"),
+        ({"motion": 1}, "motion must be a bool, got 1"),
+        ({"motion": "false"}, "motion must be a bool"),
+    ],
+)
+def test_scene_meta_refuses_a_label_outside_the_vocabulary(change, named):
+    with pytest.raises(ContractError, match=named):
+        SceneMeta(**{"lighting": "dim", "motion": False, "skin_tone": "type-2", **change})
 
 
 def test_stats_caption_renders_three_decimals():

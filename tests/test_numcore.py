@@ -610,6 +610,20 @@ def test_gelu_of_a_finite_input_whose_square_overflows_runs_without_a_warning(dt
     assert p.grad.tolist() == [0.0, 1.0]
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_at_the_infinities_is_its_limit_without_a_warning(dtype):
+    # x * Phi(x) and x * phi(x) are inf * 0 there unless x is clamped first; NaN stays NaN
+    store = nc.ParamStore(dtype=dtype)
+    p = store.add("x", np.array([-np.inf, np.inf, np.nan], dtype=dtype))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with nc.Tape():
+            out = nc.gelu(p.use())
+            nc.backward(nc.sum_all(out), store)
+    assert out.data[:2].tolist() == [0.0, np.inf] and np.isnan(out.data[2])
+    assert p.grad[:2].tolist() == [0.0, 1.0] and np.isnan(p.grad[2])
+
+
 def test_float32_gelu_stays_float32_and_its_backward_matches_the_exact_derivative():
     from scipy.special import ndtr
 

@@ -14,7 +14,6 @@ import pytest
 
 import physkit
 from physkit import numcore as nc
-from physkit.aggregator import FeaturePyramid
 from physkit.cli import _gradcheck_modules
 from physkit.cues import SceneMeta
 from physkit.errors import ContractError, ParseError, ShapeError
@@ -30,7 +29,7 @@ from physkit.pipeline import (
     predict,
     train,
 )
-from physkit.signals import gen_clip
+from physkit.signals import LEVEL_SHAPES, gen_clip
 from physkit.stationarize import init_smoother, smooth
 from physkit.wavelet import HAAR
 
@@ -44,16 +43,13 @@ TINY = ModelConfig(
     chunk_len=32,
     patch_len=8,
     patch_stride=4,
-    level_shapes=((3, 3), (2, 2)),
     lm_layers=1,
 )
 
 
 def _tiny_inputs(batch=1, seed=0, cfg=TINY):
     rng = np.random.default_rng(seed)
-    pyr = FeaturePyramid(
-        [rng.standard_normal((batch, cfg.chunk_len, h, w)) for h, w in cfg.level_shapes]
-    )
+    pyr = [rng.standard_normal((batch, cfg.chunk_len, h, w)) for h, w in LEVEL_SHAPES]
     x_enc = rng.standard_normal((batch, cfg.chunk_len))
     scenes = [
         SceneMeta(lighting="normal", motion=bool(i % 2), skin_tone="type-3")
@@ -173,6 +169,8 @@ def test_forward_rejects_mismatched_batches():
         model.forward(pyr, x_enc[:1], scenes)
     with pytest.raises(ShapeError):
         model.forward(pyr, x_enc[:, :16], scenes[:2])
+    with pytest.raises(ShapeError, match="batch mismatch"):
+        model.forward([*pyr[:-1], pyr[-1][:1]], x_enc, scenes)
 
 
 def test_train_zero_learning_rate_is_a_noop_on_values():
@@ -380,11 +378,11 @@ def test_stage_prefixes_a_visual_token_error_once():
     model = build_pipeline(TINY, seed=0)
     _, x_enc, scenes = _tiny_inputs()
     rng = np.random.default_rng(1)
-    shapes = (TINY.level_shapes[0], (4, 4))  # level 1 is registered as (2, 2)
-    pyr = FeaturePyramid([rng.standard_normal((1, TINY.chunk_len, h, w)) for h, w in shapes])
+    shapes = (*LEVEL_SHAPES[:-1], (5, 5))  # the last level is registered as (4, 4)
+    pyr = [rng.standard_normal((1, TINY.chunk_len, h, w)) for h, w in shapes]
     with pytest.raises(ShapeError) as err:
         model.forward(pyr, x_enc, scenes)
-    assert str(err.value) == "[visual tokens] level 1 expects spatial (2, 2), got (4, 4)"
+    assert str(err.value) == "[visual tokens] level 2 expects spatial (4, 4), got (5, 5)"
 
 
 def test_train_same_seed_gives_identical_loss_curves():
@@ -410,11 +408,6 @@ def test_train_same_seed_gives_identical_loss_curves():
         ({"alpha": float("nan")}, "alpha must be a finite real"),
         ({"alpha": False}, "alpha must be a finite real"),
         ({"wavelet": 3}, "wavelet must be a string"),
-        ({"level_shapes": ((8,),)}, "level_shapes must be a non-empty sequence"),
-        ({"level_shapes": ()}, "level_shapes must be a non-empty sequence"),
-        ({"level_shapes": ((8, 0), (4, 4))}, "level_shapes must be"),
-        ({"level_shapes": ((8, 8.0), (4, 4))}, "level_shapes must be"),
-        ({"level_shapes": "ab"}, "level_shapes must be"),
     ],
 )
 def test_model_config_refuses_bad_sizes(change, named):
@@ -424,12 +417,12 @@ def test_model_config_refuses_bad_sizes(change, named):
 
 
 def test_model_config_takes_numpy_integers_as_python_ints():
-    cfg = replace(TINY, dim=np.int64(8), level_shapes=np.array([[3, 3], [2, 2]]))
+    cfg = replace(TINY, dim=np.int64(8))
     assert cfg == TINY and type(cfg.dim) is int
     assert build_pipeline(cfg, seed=0).store.config == build_pipeline(TINY, seed=0).store.config
 
 
-@pytest.mark.parametrize("field, value", [("dim", "8"), ("alpha", "0.8"), ("level_shapes", [[3]])])
+@pytest.mark.parametrize("field, value", [("dim", "8"), ("alpha", "0.8")])
 def test_load_pipeline_refuses_a_header_field_of_the_wrong_type(tmp_path, field, value):
     path = tmp_path / "ckpt.txt"
     build_pipeline(TINY, seed=0).store.save(path)
@@ -546,7 +539,7 @@ def test_the_model_dtype_sticks(tmp_path):
         if p.trainable:
             assert p.m.dtype == p.v.dtype == np.float32, p.name
     pyr, x_enc, scenes = batch_from_clips(clips)
-    assert pyr.levels[0].dtype == np.float32 and x_enc.dtype == np.float64
+    assert pyr[0].dtype == np.float32 and x_enc.dtype == np.float64
     assert model.forward(pyr, x_enc, scenes).data.dtype == np.float32
     before, after = tmp_path / "before.ckpt", tmp_path / "after.ckpt"
     model.store.save(before)

@@ -284,6 +284,15 @@ def test_manifest_refuses_a_field_of_the_wrong_json_type(tmp_path, field, value)
         read_manifest(path)
 
 
+@pytest.mark.parametrize("field, value", [("lighting", "very dim"), ("skin_tone", "type-9")])
+def test_manifest_refuses_a_scene_label_outside_the_vocabulary_on_its_line(tmp_path, field, value):
+    # a caption of another label tokenizes to another length than its batch's
+    path = tmp_path / "manifest.jsonl"
+    path.write_text("".join(_record(**({field: value} if i == 3 else {})) for i in range(8)))
+    with pytest.raises(ParseError, match=f"line 4: bad manifest record: {field} must be one of .*{value}"):
+        read_manifest(path)
+
+
 @pytest.mark.parametrize("line", ['"clip_000"', "[1, 2]", "7"])
 def test_manifest_refuses_a_line_that_is_not_an_object(tmp_path, line):
     path = tmp_path / "manifest.jsonl"
