@@ -27,7 +27,7 @@ from pathlib import Path
 from . import numcore as nc
 from .aggregator import aggregate
 from .cues import SceneMeta, compress, fuse_cues, signal_stats
-from .errors import ContractError, PhyskitError
+from .errors import ContractError, PhyskitError, within
 from .pipeline import ModelConfig, TrainConfig, build_pipeline, evaluate, load_pipeline, mse_loss, train
 from .reprogram import derive_prototypes, reprogram
 from .signals import (
@@ -131,13 +131,15 @@ def cmd_train(args) -> int:
 
 
 def _hr_list_from(path) -> list[float]:
-    text = read_lines(path)
-    if next((line for line in text if line.strip()), "").lstrip().startswith("{"):
-        return [r.hr_bpm for r in read_manifest(path)]
-    rates = parse_numbers(text, 1, "bpm value")
-    if not rates:
-        raise ContractError(f"{path} holds no heart rates")
-    return rates
+    """The rates of a manifest, or of a file of one bpm value per line."""
+    with within(f"{path}: "):
+        text = read_lines(path)
+        if not next((line for line in text if line.strip()), "").lstrip().startswith("{"):
+            rates = parse_numbers(text, 1, "bpm value")
+            if not rates:
+                raise ContractError("holds no heart rates")
+            return rates
+    return [r.hr_bpm for r in read_manifest(path)]
 
 
 def cmd_eval(args) -> int:

@@ -1,6 +1,9 @@
-"""Exception hierarchy shared by all physkit modules."""
+"""Exception hierarchy shared by all physkit modules, and ``within``, the
+one way an error is told where it happened."""
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 
 class PhyskitError(Exception):
@@ -24,10 +27,18 @@ class EstimationError(PhyskitError, RuntimeError):
 
 
 class ParseError(PhyskitError, ValueError):
-    """A file could not be parsed; carries the offending line, if any."""
+    """A file could not be parsed; the message names the offending line, if any."""
 
     def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+        super().__init__(message if line is None else f"line {line}: {message}")
+
+
+@contextmanager
+def within(prefix: str):
+    """Put prefix, the file, stage or step the block works on, in front of
+    the message of a physkit error that escapes the block."""
+    try:
+        yield
+    except PhyskitError as exc:
+        exc.args = (f"{prefix}{exc.args[0] if exc.args else ''}",) + exc.args[1:]
+        raise

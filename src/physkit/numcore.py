@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ContractError, NumericError, ParseError, ShapeError
+from .errors import ContractError, NumericError, ParseError, ShapeError, within
 
 Array = np.ndarray
 
@@ -814,43 +814,46 @@ class ParamStore:
 
     def load_into(self, path) -> None:
         """Overwrite every parameter in place. The checkpoint must carry this
-        store's config, name each parameter once, and match its shapes and
-        dtypes; a checkpoint that fails a check leaves every value unchanged."""
-        records = {}
-        with open(path, "rb") as fh:
-            config = self._read_header(fh)
-            for number, line in enumerate(iter(fh.readline, b""), start=1):
-                name = line.rstrip(b"\n").decode(errors="replace")
-                if name in records:
-                    raise ParseError(f"record {number} names parameter {name!r} a second time")
-                try:
-                    records[name] = np.lib.format.read_array(fh, allow_pickle=False)
-                except ValueError as exc:  # numpy's EOF and format errors among them
-                    raise ParseError(f"bad parameter record {number} ({name!r}): {exc}") from exc
-        live = self.config
-        differing = sorted(k for k in config.keys() | live.keys() if config.get(k) != live.get(k))
-        if differing:
-            pairs = ", ".join(f"{k} is {config.get(k)!r} there, {live.get(k)!r} here" for k in differing)
-            raise ContractError(f"checkpoint was saved under a different model config: {pairs}")
-        for name, value in records.items():
-            if name not in self._params:
-                raise ContractError(f"checkpoint has unknown parameter {name!r}")
-            p = self._params[name]
-            if (value.shape, value.dtype) != (p.value.shape, p.value.dtype):
-                raise ShapeError(
-                    f"checkpoint {value.dtype} {value.shape} != live {p.value.dtype} "
-                    f"{p.value.shape} for {name!r}"
-                )
-        missing = [n for n in self._params if n not in records]
-        if missing:
-            raise ContractError(f"checkpoint is missing parameters: {missing[:5]}")
+        store's config and name each parameter once, with finite values of its
+        shape and dtype; one that fails a check leaves every value unchanged."""
+        with within(f"{path}: "):
+            records = {}
+            with open(path, "rb") as fh:
+                config = self._read_header(fh)
+                for number, line in enumerate(iter(fh.readline, b""), start=1):
+                    name = line.rstrip(b"\n").decode(errors="replace")
+                    if name in records:
+                        raise ParseError(f"record {number} names parameter {name!r} a second time")
+                    try:
+                        records[name] = np.lib.format.read_array(fh, allow_pickle=False)
+                    except ValueError as exc:  # numpy's EOF and format errors among them
+                        raise ParseError(f"bad parameter record {number} ({name!r}): {exc}") from exc
+            live = self.config
+            differing = sorted(k for k in config.keys() | live.keys() if config.get(k) != live.get(k))
+            if differing:
+                pairs = ", ".join(f"{k} is {config.get(k)!r} there, {live.get(k)!r} here" for k in differing)
+                raise ContractError(f"checkpoint was saved under a different model config: {pairs}")
+            for name, value in records.items():
+                if name not in self._params:
+                    raise ContractError(f"checkpoint has unknown parameter {name!r}")
+                p = self._params[name]
+                if (value.shape, value.dtype) != (p.value.shape, p.value.dtype):
+                    raise ShapeError(
+                        f"checkpoint {value.dtype} {value.shape} != live {p.value.dtype} "
+                        f"{p.value.shape} for {name!r}"
+                    )
+                if not np.isfinite(value).all():
+                    raise NumericError(f"checkpoint has non-finite values for {name!r}")
+            missing = [n for n in self._params if n not in records]
+            if missing:
+                raise ContractError(f"checkpoint is missing parameters: {missing[:5]}")
         for name, value in records.items():
             self._params[name].value = value
 
     @classmethod
     def read_config(cls, path) -> dict:
         """The config in a checkpoint's header; the values are not read."""
-        with open(path, "rb") as fh:
+        with within(f"{path}: "), open(path, "rb") as fh:
             return cls._read_header(fh)
 
     @classmethod

@@ -26,7 +26,6 @@ each predicted clip, for train's held-out report and ``eval --ckpt`` alike.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -55,7 +54,7 @@ from .cues import (
     tokenize,
     vision_caption,
 )
-from .errors import ContractError, ParseError, PhyskitError, ShapeError
+from .errors import ContractError, ParseError, ShapeError, within
 from .reprogram import (
     ReprogrammerParams,
     derive_prototypes,
@@ -197,29 +196,30 @@ class Pipeline:
 
         prototypes = derive_prototypes(self.vocab, self.probe)
 
-        with _stage("signal tokens"):
+        with within("[signal tokens] "):
             smoothed = smooth_batch(x_enc, self.smoother)
             patches = nc.patches_1d(smoothed, cfg.patch_len, cfg.patch_stride)
             sig_tokens = nc.matmul(patches, self.patch_embed.use())
             t_signal = reprogram(sig_tokens, prototypes, self.reprogrammer)
-        with _stage("visual tokens"):
+        with within("[visual tokens] "):
             fused_visual = aggregate(pyramid, self.aggregator)
             t_vision = reprogram(fused_visual, prototypes, self.reprogrammer)
-        with _stage("cue tokens"):
+        with within("[cue tokens] "):
             t_cue = self._cue_tokens(x_enc, scenes)
 
-        tokens = nc.concat([t_cue, t_vision, t_signal], axis=1)
-        tokens = nc.add(tokens, self.positions.use())
-        for attn, ffn in self.lm:
-            tokens = nc.add(tokens, self_attention(tokens, attn))
-            tokens = nc.add(tokens, feed_forward(tokens, ffn))
-        pooled = nc.mean_over(tokens, axis=1)
-        # head = pooled-token readout plus a skip readout of the smoothed
-        # signal; zero-initialized token attention alone cannot recover a
-        # phase-accurate waveform within the optimizer's step budget
-        token_part = nc.matmul(pooled, self.head.use())
-        skip_part = nc.matmul(nc.scale(smoothed, SKIP_GAIN), self.head_skip.use())
-        return nc.add(token_part, skip_part)
+        with within("[lm] "):
+            tokens = nc.concat([t_cue, t_vision, t_signal], axis=1)
+            tokens = nc.add(tokens, self.positions.use())
+            for attn, ffn in self.lm:
+                tokens = nc.add(tokens, self_attention(tokens, attn))
+                tokens = nc.add(tokens, feed_forward(tokens, ffn))
+            pooled = nc.mean_over(tokens, axis=1)
+            # head = pooled-token readout plus a skip readout of the smoothed
+            # signal; zero-initialized token attention alone cannot recover a
+            # phase-accurate waveform within the optimizer's step budget
+            token_part = nc.matmul(pooled, self.head.use())
+            skip_part = nc.matmul(nc.scale(smoothed, SKIP_GAIN), self.head_skip.use())
+            return nc.add(token_part, skip_part)
 
     def _cue_tokens(self, x_enc: np.ndarray, scenes: list[SceneMeta]) -> nc.Tensor:
         captions = {
@@ -235,16 +235,6 @@ class Pipeline:
                 raise ContractError(f"{kind} captions disagree on token count: {sorted(lengths)}")
             streams[kind] = compress(nc.Tensor(self.vocab.value[np.array(ids)]), self.compressors[kind])
         return fuse_cues(streams, self.fusion)
-
-
-@contextmanager
-def _stage(name: str):
-    """Prefix the stage's name onto a physkit error escaping it."""
-    try:
-        yield
-    except PhyskitError as exc:
-        exc.args = (f"[{name}] {exc.args[0] if exc.args else ''}",) + exc.args[1:]
-        raise
 
 
 def build_pipeline(cfg: ModelConfig | None = None, seed: int = 0) -> Pipeline:
@@ -299,10 +289,12 @@ def load_pipeline(path) -> Pipeline:
     The model config comes from the checkpoint's header; no seed is needed
     because every value, the frozen vocabulary included, is in the file.
     """
-    try:
-        cfg = ModelConfig(**nc.ParamStore.read_config(path))
-    except (TypeError, ContractError) as exc:
-        raise ParseError(f"header is not a model config: {exc}", line=2) from exc
+    config = nc.ParamStore.read_config(path)
+    with within(f"{path}: "):
+        try:
+            cfg = ModelConfig(**config)
+        except (TypeError, ContractError) as exc:
+            raise ParseError(f"header is not a model config: {exc}", line=2) from exc
     model = build_pipeline(cfg)
     model.store.load_into(path)
     return model
@@ -410,8 +402,9 @@ def train(
     with nc.subnormals_flushed():
         for step in range(1, cfg.steps + 1):
             idx = batch_rng.integers(0, len(clips), size=cfg.batch_size)
-            log.losses.append(_backward_step(model, [clips[i] for i in idx]))
-            nc.adam_step(model.store, lr=cfg.lr, wd=cfg.weight_decay, t=step)
+            with within(f"step {step}: "):
+                log.losses.append(_backward_step(model, [clips[i] for i in idx]))
+                nc.adam_step(model.store, lr=cfg.lr, wd=cfg.weight_decay, t=step)
     window = max(1, cfg.steps // 10)
     log.initial_running_loss = float(np.mean(log.losses[:window]))
     log.final_running_loss = float(np.mean(log.losses[-window:]))

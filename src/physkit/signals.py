@@ -23,7 +23,7 @@ import numpy as np
 
 from . import numcore as nc
 from .cues import LIGHTING, SKIN_TONES, SceneMeta
-from .errors import ContractError, EstimationError, NumericError, ParseError
+from .errors import ContractError, EstimationError, NumericError, ParseError, within
 from .stationarize import ema_smooth
 
 HR_BAND_BPM = (45.0, 150.0)
@@ -227,11 +227,11 @@ def metrics(pred, gt) -> MetricsReport:
 
 
 def read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file; other bytes are a ParseError naming the file."""
+    """The lines of a UTF-8 text file; other bytes are a ParseError."""
     try:
         return Path(path).read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+        raise ParseError(f"not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
 def save_waveform(path, samples, fs: float) -> None:
@@ -259,22 +259,25 @@ def parse_numbers(lines, first_line: int, what: str) -> list[float]:
 
 
 def load_waveform(path) -> tuple[np.ndarray, float]:
-    lines = read_lines(path)
-    if not lines or not lines[0].startswith("fs="):
-        raise ParseError("expected header 'fs=<rate>'", line=1)
-    try:
-        fs = float(lines[0][3:])
-    except ValueError as exc:
-        raise ParseError(f"bad sample rate: {lines[0][3:]!r}", line=1) from exc
-    if not (math.isfinite(fs) and fs > 0.0):
-        raise ParseError(f"sample rate must be finite and positive, got {fs}", line=1)
-    return np.array(parse_numbers(lines[1:], 2, "sample")), fs
+    """A waveform CSV's samples and rate; a bad file is a ParseError naming it."""
+    with within(f"{path}: "):
+        lines = read_lines(path)
+        if not lines or not lines[0].startswith("fs="):
+            raise ParseError("expected header 'fs=<rate>'", line=1)
+        try:
+            fs = float(lines[0][3:])
+        except ValueError as exc:
+            raise ParseError(f"bad sample rate: {lines[0][3:]!r}", line=1) from exc
+        if not (math.isfinite(fs) and fs > 0.0):
+            raise ParseError(f"sample rate must be finite and positive, got {fs}", line=1)
+        return np.array(parse_numbers(lines[1:], 2, "sample")), fs
 
 
 @dataclass
 class ClipRecord:
     """One manifest row: the id that names the clip's three files, its true
-    rate, its scene labels and, only to say which synth draw made it, its seed."""
+    rate, its scene labels and, only to say which synth draw made it, its seed.
+    A field of the wrong type or a label ``SceneMeta`` refuses is a ContractError."""
 
     clip_id: str
     hr_bpm: float
@@ -284,6 +287,13 @@ class ClipRecord:
     seed: int
 
     def __post_init__(self):
+        for name, accepted, kind in (
+            ("clip_id", isinstance(self.clip_id, str), "a string"),
+            ("hr_bpm", nc.is_real(self.hr_bpm) and math.isfinite(self.hr_bpm), "a finite number"),
+            ("seed", nc.is_int(self.seed), "an integer"),
+        ):
+            if not accepted:
+                raise ContractError(f"{name} must be {kind}, got {getattr(self, name)!r}")
         SceneMeta(self.lighting, self.motion, self.skin_tone)  # refuses labels outside its vocabulary
 
 
@@ -300,28 +310,19 @@ def save_clip(root, clip_id: str, clip: SyntheticClip) -> ClipRecord:
     return ClipRecord(clip_id, clip.hr_bpm, **asdict(clip.scene), seed=clip.seed)
 
 
-def _load_clip_waveform(path) -> tuple[np.ndarray, float]:
-    """``load_waveform``, with the file named in front of a bad line's error."""
-    try:
-        return load_waveform(path)
-    except ParseError as exc:
-        if exc.line is None:  # read_lines names the file already
-            raise
-        raise ParseError(f"{path}: {exc}") from exc
-
-
 def load_clip(root, record: ClipRecord) -> SyntheticClip:
     """A manifest row's clip, read from its files under root. A missing file,
     a bad CSV line, an xenc unlike the bvp in length or rate, a pyramid level
     that is not finite float32 (T, h, w) for LEVEL_SHAPES, or bytes after the
     last level are refused, naming the file."""
     stem = Path(root) / record.clip_id
-    bvp, fs = _load_clip_waveform(f"{stem}.bvp.csv")
-    x_enc, xenc_fs = _load_clip_waveform(f"{stem}.xenc.csv")
+    bvp, fs = load_waveform(f"{stem}.bvp.csv")
+    x_enc, xenc_fs = load_waveform(f"{stem}.xenc.csv")
     if (x_enc.size, xenc_fs) != (bvp.size, fs):
-        raise ParseError(f"{stem}.xenc.csv: {x_enc.size} samples at fs={xenc_fs}, bvp {bvp.size} at fs={fs}")
+        with within(f"{stem}.xenc.csv: "):
+            raise ParseError(f"{x_enc.size} samples at fs={xenc_fs}, bvp {bvp.size} at fs={fs}")
     pyramid = []
-    with open(f"{stem}.pyramid", "rb") as fh:
+    with within(f"{stem}.pyramid: "), open(f"{stem}.pyramid", "rb") as fh:
         for i, (h, w) in enumerate(LEVEL_SHAPES):
             try:
                 level = np.lib.format.read_array(fh, allow_pickle=False)
@@ -330,10 +331,10 @@ def load_clip(root, record: ClipRecord) -> SyntheticClip:
                 if not np.isfinite(level).all():
                     raise ValueError("non-finite values")
             except ValueError as exc:  # numpy's EOF and format errors among them
-                raise ParseError(f"{fh.name}: bad level {i}: {exc}") from exc
+                raise ParseError(f"bad level {i}: {exc}") from exc
             pyramid.append(level)
         if fh.read(1):
-            raise ParseError(f"{fh.name}: bytes after level {len(LEVEL_SHAPES) - 1}, the last")
+            raise ParseError(f"bytes after level {len(LEVEL_SHAPES) - 1}, the last")
     scene = SceneMeta(record.lighting, record.motion, record.skin_tone)
     return SyntheticClip(bvp, x_enc, pyramid, record.hr_bpm, fs, scene, record.seed)
 
@@ -342,30 +343,19 @@ def write_manifest(path, records: list[ClipRecord]) -> None:
     Path(path).write_text("".join(json.dumps(vars(r), sort_keys=True) + "\n" for r in records))
 
 
-# manifest field -> (test of its JSON value, what the value must be)
-_MANIFEST_TYPES = {
-    "clip_id": (lambda v: isinstance(v, str), "a string"),
-    "hr_bpm": (lambda v: nc.is_real(v) and math.isfinite(v), "a finite number"),
-    "seed": (nc.is_int, "an integer"),
-}
-
-
 def read_manifest(path) -> list[ClipRecord]:
-    """The records of a manifest; a line that is not one record with fields
-    of the right JSON types and scene labels ``SceneMeta`` takes is a
-    ParseError naming the line and the field."""
+    """The records of a manifest; a line that is not one record ``ClipRecord``
+    takes is a ParseError naming the file, the line and the field."""
     records = []
-    for lineno, line in enumerate(read_lines(path), start=1):
-        if not line.strip():
-            continue
-        try:
-            payload = json.loads(line)
-            if not isinstance(payload, dict):
-                raise ValueError(f"not a JSON object: {payload!r}")
-            for name, (accepts, kind) in _MANIFEST_TYPES.items():
-                if name in payload and not accepts(payload[name]):
-                    raise ValueError(f"{name} must be {kind}, got {payload[name]!r}")
-            records.append(ClipRecord(**payload))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad manifest record: {exc}", line=lineno) from exc
+    with within(f"{path}: "):
+        for lineno, line in enumerate(read_lines(path), start=1):
+            if not line.strip():
+                continue
+            try:
+                payload = json.loads(line)
+                if not isinstance(payload, dict):
+                    raise ValueError(f"not a JSON object: {payload!r}")
+                records.append(ClipRecord(**payload))
+            except (TypeError, ValueError) as exc:  # json's decode errors and ClipRecord's refusals among them
+                raise ParseError(f"bad manifest record: {exc}", line=lineno) from exc
     return records

@@ -268,7 +268,7 @@ def test_bad_sample_rate_is_one_error_line(tmp_path, capsys, rate):
     for argv in (["hr", str(path)], ["dds", "--in", str(path), "--out", str(out)]):
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("error: line 1:")
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: line 1:")
     assert not out.exists()
 
 
@@ -284,7 +284,7 @@ def test_non_finite_sample_is_one_error_line(tmp_path, capsys, sample):
     ):
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("error: line 202:")
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: line 202:")
     assert not out.exists()
 
 
@@ -328,7 +328,7 @@ def test_eval_refuses_a_non_finite_rate_naming_its_line(tmp_path, capsys, rate):
         assert main(["eval", "--pred", str(pred), "--gt", str(gt), "--max-mae", "3"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: line 2:")
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith(f"error: {pred}: line 2:")
 
 
 def test_eval_refuses_a_manifest_rate_that_is_not_finite(tmp_path, capsys):
@@ -341,7 +341,7 @@ def test_eval_refuses_a_manifest_rate_that_is_not_finite(tmp_path, capsys):
     assert main(["eval", "--pred", str(pred), "--gt", str(gt), "--max-mae", "3"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: line 2:")
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith(f"error: {pred}: line 2:")
 
 
 def test_eval_requires_a_mode(capsys):
@@ -488,7 +488,7 @@ def test_a_checkpoint_given_as_text_input_is_one_error_line(tmp_path, capsys, ar
     build_pipeline(ModelConfig()).store.save(ckpt)
     out = tmp_path / "out"
     assert main([a.format(ckpt=ckpt, out=out) for a in argv]) == 1
-    assert f"{ckpt} is not UTF-8 text" in _one_error_line(capsys)
+    assert f"{ckpt}: not UTF-8 text" in _one_error_line(capsys)
     assert not out.exists()
 
 
@@ -526,7 +526,7 @@ def test_train_refuses_a_manifest_field_of_the_wrong_type(tmp_path, capsys):
     manifest.write_text(json.dumps({**json.loads(first), "motion": "yes"}) + "\n" + second + "\n")
     out = tmp_path / "out"
     assert main(["train", "--data", str(manifest), "--out", str(out), "--steps", "1"]) == 1
-    assert _one_error_line(capsys).startswith("error: line 1: bad manifest record: motion")
+    assert _one_error_line(capsys).startswith(f"error: {manifest}: line 1: bad manifest record: motion")
     assert not out.exists()
 
 
@@ -601,9 +601,87 @@ def test_a_bad_number_line_is_named_by_line_and_quantity(tmp_path, capsys, line,
     wave.write_text(f"fs=30\n0.5\n\n{line}\n")
     rates.write_text(f"70\n\n{line}\n")
     assert main(["hr", str(wave)]) == 1
-    assert _one_error_line(capsys) == f"error: line 4: {sample_error}\n"
+    assert _one_error_line(capsys) == f"error: {wave}: line 4: {sample_error}\n"
     assert main(["eval", "--pred", str(rates), "--gt", str(rates)]) == 1
-    assert _one_error_line(capsys) == f"error: line 3: {rate_error}\n"
+    assert _one_error_line(capsys) == f"error: {rates}: line 3: {rate_error}\n"
+
+
+def _write_bad_csv(path) -> None:
+    path.write_text("fs=30\n" + "0.5\n" * 3 + "oops\n")
+
+
+def _write_bad_manifest(path) -> None:
+    path.write_text(path.read_text().splitlines()[0] + "\n{not json\n")
+
+
+def _write_bad_rates(path) -> None:
+    path.write_text("70\nx\n")
+
+
+def _write_bad_checkpoint(path) -> None:
+    path.write_text("not a checkpoint\n")
+
+
+@pytest.mark.parametrize(
+    "reader, damage",
+    [
+        ("hr", _write_bad_csv),
+        ("eval_data", _write_bad_manifest),
+        ("gt", _write_bad_rates),
+        ("pyramid", lambda p: _write_levels(p, _levels(p)[:2])),
+        ("ckpt", _write_bad_checkpoint),
+    ],
+    ids=["hr-csv", "eval-data-manifest", "gt-bpm-list", "pyramid", "ckpt"],
+)
+def test_a_bad_file_is_named_once_in_the_error_line(tmp_path, capsys, reader, damage):
+    data, held = tmp_path / "data", tmp_path / "held"
+    assert main(["synth", "--out", str(data), "--n-clips", "2"]) == 0
+    assert main(["synth", "--out", str(held), "--n-clips", "2", "--seed", "1"]) == 0
+    ckpt, rates = tmp_path / "checkpoint.txt", tmp_path / "rates.txt"
+    build_pipeline(ModelConfig()).store.save(ckpt)
+    rates.write_text("70\n80\n")
+    manifest, out = str(data / "manifest.jsonl"), str(tmp_path / "out")
+    bad, argv = {
+        "hr": (tmp_path / "bad.csv", ["hr", str(data / "clip_000.bvp.csv"), "{bad}"]),
+        "eval_data": (held / "manifest.jsonl", ["train", "--data", manifest, "--eval-data", "{bad}", "--out", out]),
+        "gt": (tmp_path / "gt.txt", ["eval", "--pred", str(rates), "--gt", "{bad}"]),
+        "pyramid": (data / "clip_001.pyramid", ["eval", "--ckpt", str(ckpt), "--data", manifest]),
+        "ckpt": (tmp_path / "bad.ckpt", ["eval", "--ckpt", "{bad}", "--data", manifest]),
+    }[reader]
+    damage(bad)
+    capsys.readouterr()
+    assert main([a.format(bad=bad) for a in argv]) == 1
+    assert _one_error_line(capsys).count(str(bad)) == 1
+
+
+@pytest.mark.parametrize("name, bad", [("lm.head_skip", np.nan), ("lm.layer0.attn.w_q", np.inf)])
+def test_eval_refuses_a_non_finite_checkpoint_value_naming_file_and_parameter(tmp_path, capsys, name, bad):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--n-clips", "2"]) == 0
+    capsys.readouterr()
+    ckpt = tmp_path / "checkpoint.txt"
+    store = build_pipeline(ModelConfig()).store
+    store[name].value[0, 1] = bad
+    store.save(ckpt)
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(data / "manifest.jsonl")]) == 1
+    assert _one_error_line(capsys) == f"error: {ckpt}: checkpoint has non-finite values for {name!r}\n"
+
+
+def test_a_failing_training_step_is_named_by_step_and_stage(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--n-clips", "2"]) == 0
+    capsys.readouterr()
+
+    def diverge(store, **_):
+        for p in store:
+            if p.name.startswith("lm."):
+                p.value[...] = np.nan
+
+    monkeypatch.setattr(nc, "adam_step", diverge)
+    out = tmp_path / "out"
+    assert main(["train", "--data", str(data / "manifest.jsonl"), "--out", str(out), "--steps", "3"]) == 1
+    assert _one_error_line(capsys) == "error: step 2: [lm] attention received non-finite values\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])

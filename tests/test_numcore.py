@@ -443,6 +443,17 @@ def test_paramstore_refuses_a_float32_record_for_a_float64_parameter(tmp_path):
     _load_fails_and_changes_nothing(path, ShapeError, "float32 .*'w'")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_paramstore_refuses_a_non_finite_record_naming_file_and_parameter(tmp_path, bad):
+    saved = nc.ParamStore()
+    saved.add("a", np.ones(2))
+    saved.add("w", np.ones((3, 4)))
+    saved["w"].value[1, 2] = bad
+    path = tmp_path / "params.txt"
+    saved.save(path)
+    _load_fails_and_changes_nothing(path, NumericError, f"^{path}: checkpoint has non-finite values for 'w'$")
+
+
 def test_rng_refuses_a_seed_outside_32_bits():
     for seed in (-1, 2**32):
         with pytest.raises(ContractError, match=f"got {seed}"):

@@ -12,6 +12,7 @@ import physkit
 from physkit.errors import ContractError, EstimationError, ParseError
 from physkit.signals import (
     HR_BAND_HZ,
+    ClipRecord,
     estimate_hr,
     gen_clip,
     load_clip,
@@ -282,6 +283,17 @@ def test_manifest_refuses_a_field_of_the_wrong_json_type(tmp_path, field, value)
     path = _one_record_manifest(tmp_path, **{field: value})
     with pytest.raises(ParseError, match=f"line 1: bad manifest record: {field} must be"):
         read_manifest(path)
+
+
+@pytest.mark.parametrize(
+    "field, value, kind",
+    [("clip_id", 3, "a string"), ("hr_bpm", float("inf"), "a finite number"), ("seed", 1.5, "an integer")],
+)
+def test_clip_record_checks_its_own_fields(field, value, kind):
+    row = dict(clip_id="c", hr_bpm=72.0, lighting="dim", motion=False, skin_tone="type-2", seed=1)
+    with pytest.raises(ContractError) as err:
+        ClipRecord(**{**row, field: value})
+    assert str(err.value) == f"{field} must be {kind}, got {value!r}"
 
 
 @pytest.mark.parametrize("field, value", [("lighting", "very dim"), ("skin_tone", "type-9")])
