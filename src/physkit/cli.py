@@ -9,10 +9,11 @@ command is deterministic given its flags: outputs carry no timestamps, and
 synth, train and gradcheck draw all randomness from one root seed (--seed)
 split by fixed labels. No other command takes --seed. synth writes the
 files of each clip and a manifest; train and eval read the clips from them.
-`eval --ckpt` scores with train's scorer, ``pipeline.evaluate``, and takes no
-model flags: the model comes from the checkpoint. Its two text lines, a magic
-line and the trained config as JSON keyed by train's flag dests, precede a
-name line and a float32 .npy record per parameter.
+train trains and saves, and scores nothing. `eval --ckpt` is the one command
+that scores a model, through ``pipeline.evaluate``, and takes no model flags:
+the model comes from the checkpoint. Its two text lines, a magic line and the
+trained config as JSON keyed by train's flag dests, precede a name line and a
+float32 .npy record per parameter.
 Exit codes: 0 success, 1 contract/parse/IO error, 2 usage error (from
 argparse) or threshold failure (gradcheck/eval).
 """
@@ -85,10 +86,11 @@ def cmd_dds(args) -> int:
         basis=get_basis(args.wavelet),
         blend_override=args.beta,
     )
-    z, trace = smooth(x, smoother)
+    with within(f"{args.infile}: "):
+        z, trace = smooth(x, smoother)
+        report = stationarity_report(z.data, max_lag=args.max_lag, alpha=args.alpha)
     if args.out:
         save_waveform(args.out, z.data, fs)
-    report = stationarity_report(z.data, max_lag=args.max_lag, alpha=args.alpha)
     print(f"blend={trace.blend:.4f} mu={trace.mu:.6f} sigma={trace.sigma:.6f}")
     for line in report.lines():
         print(line)
@@ -116,8 +118,7 @@ def cmd_train(args) -> int:
     clips = _load_clips(args.data)
     model = build_pipeline(_from_flags(ModelConfig, args), seed=args.seed)
     tcfg = _from_flags(TrainConfig, args)
-    eval_clips = _load_clips(args.eval_data) if args.eval_data else clips
-    model, log = train(clips, tcfg, model=model, eval_clips=eval_clips)
+    model, log = train(clips, tcfg, model=model)
     out_dir.mkdir(parents=True, exist_ok=True)
     curve = "\n".join(f"{s} {repr(l)}" for s, l in enumerate(log.losses, start=1))
     (out_dir / "loss_curve.txt").write_text(curve + "\n")
@@ -125,8 +126,6 @@ def cmd_train(args) -> int:
     print(f"parameters: {model.store.n_values()}")
     print(f"initial_running_loss={log.initial_running_loss:.6f}")
     print(f"final_running_loss={log.final_running_loss:.6f}")
-    for line in log.hr_metrics.lines():
-        print(line)
     return 0
 
 
@@ -145,9 +144,15 @@ def _hr_list_from(path) -> list[float]:
 def cmd_eval(args) -> int:
     if args.max_mae is not None and not args.max_mae >= 0.0:
         raise ContractError(f"--max-mae must be >= 0, got {args.max_mae}")
-    if args.pred and args.gt:
-        rep = metrics(_hr_list_from(args.pred), _hr_list_from(args.gt))
-    elif args.ckpt and args.data:
+    rates, run = (args.pred, args.gt), (args.ckpt, args.data)
+    if any(rates) and any(run):
+        raise ContractError("eval takes --pred and --gt, or --ckpt and --data, not flags of both")
+    if all(rates):
+        pred, gt = _hr_list_from(args.pred), _hr_list_from(args.gt)
+        if len(pred) != len(gt):
+            raise ContractError(f"--pred {args.pred} holds {len(pred)} rates, --gt {args.gt} holds {len(gt)}")
+        rep = metrics(pred, gt)
+    elif all(run):
         rep = evaluate(load_pipeline(args.ckpt), _load_clips(args.data))
     else:
         raise ContractError("eval needs either --pred and --gt, or --ckpt and --data")
@@ -228,14 +233,16 @@ def cmd_gradcheck(args) -> int:
 def cmd_hr(args) -> int:
     for path in args.inputs:
         wave, fs = load_waveform(path)
-        est = estimate_hr(wave, fs)
+        with within(f"{path}: "):
+            est = estimate_hr(wave, fs)
         print(f"{path}: {est.bpm:.2f} bpm (peak {est.freq_hz:.4f} Hz, bin {est.resolution_hz:.4f} Hz)")
     return 0
 
 
 def cmd_stats(args) -> int:
     wave, _fs = load_waveform(args.infile)
-    s = signal_stats(wave)
+    with within(f"{args.infile}: "):
+        s = signal_stats(wave)
     lines = [
         f"min={repr(s.minimum)}",
         f"max={repr(s.maximum)}",
@@ -291,10 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, help="pin the time/frequency blend weight in [0, 1]")
     p.add_argument("--max-lag", type=int, default=8, help="lags to report")
 
-    p = _command(sub, "train", cmd_train, "train the toy pipeline on a dataset")
+    p = _command(sub, "train", cmd_train, "train the toy pipeline on a dataset and save it")
     p.add_argument("--seed", type=int, help="root seed")
     p.add_argument("--data", required=True, help="dataset manifest")
-    p.add_argument("--eval-data", help="held-out manifest for metrics")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--steps", type=int, help="optimizer steps")
     p.add_argument("--lr", type=float, help="learning rate")

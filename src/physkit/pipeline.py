@@ -20,7 +20,8 @@ computes it with ``math.erf``. physkit needs only numpy and the standard
 library.
 
 ``evaluate`` scores the model by the heart rate ``estimate_hr`` reads from
-each predicted clip, for train's held-out report and ``eval --ckpt`` alike.
+each predicted clip. It is the scorer of ``eval --ckpt`` and of
+``train(eval_clips=)``.
 """
 
 from __future__ import annotations

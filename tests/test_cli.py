@@ -9,8 +9,9 @@ import pytest
 from physkit import numcore as nc
 from physkit import pipeline
 from physkit.cli import _load_clips, main
+from physkit.errors import NumericError
 from physkit.numcore import ParamStore
-from physkit.pipeline import ModelConfig, Pipeline, TrainConfig, build_pipeline, train
+from physkit.pipeline import ModelConfig, Pipeline, TrainConfig, build_pipeline, load_pipeline, train
 from physkit.signals import gen_clip, load_waveform, save_clip, save_waveform, write_manifest
 from physkit.stationarize import standardize
 
@@ -349,6 +350,33 @@ def test_eval_requires_a_mode(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--pred", "{gt}", "--gt", "{gt}", "--ckpt", "{ckpt}", "--data", "{gt}"],
+        ["--pred", "{gt}", "--ckpt", "{ckpt}", "--data", "{gt}"],
+    ],
+    ids=["both-modes", "pred-with-ckpt"],
+)
+def test_eval_refuses_flags_of_both_modes(tmp_path, capsys, flags):
+    assert main(["synth", "--out", str(tmp_path / "d"), "--n-clips", "2"]) == 0
+    gt, ckpt = tmp_path / "d" / "manifest.jsonl", tmp_path / "checkpoint.txt"
+    build_pipeline(ModelConfig()).store.save(ckpt)
+    capsys.readouterr()
+    assert main(["eval"] + [f.format(gt=gt, ckpt=ckpt) for f in flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: eval takes --pred and --gt, or --ckpt and --data, not flags of both\n"
+
+
+def test_eval_refuses_rate_lists_of_different_lengths_naming_both_files(tmp_path, capsys):
+    pred, gt = tmp_path / "pred.txt", tmp_path / "gt.txt"
+    pred.write_text("70\n80\n90\n")
+    gt.write_text("70\n80\n")
+    assert main(["eval", "--pred", str(pred), "--gt", str(gt)]) == 1
+    assert _one_error_line(capsys) == f"error: --pred {pred} holds 3 rates, --gt {gt} holds 2\n"
+
+
 def test_stats_command_writes_record(tmp_path, capsys):
     t = np.arange(128) / 30.0
     path = tmp_path / "wave.csv"
@@ -388,6 +416,32 @@ def test_train_and_eval_roundtrip(tmp_path, capsys):
     assert "mae_bpm=" in capsys.readouterr().out
 
 
+def test_train_saves_its_run_and_scores_nothing(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--n-clips", "2"]) == 0
+    capsys.readouterr()
+
+    def diverged(*_):
+        raise NumericError("[lm] attention received non-finite values")
+
+    monkeypatch.setattr(pipeline, "evaluate", diverged)
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(data / "manifest.jsonl"), "--out", str(run), "--steps", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split("=")[0].split(":")[0] for line in out] == [
+        "parameters", "initial_running_loss", "final_running_loss"
+    ]
+    assert len((run / "loss_curve.txt").read_text().splitlines()) == 2
+    assert load_pipeline(run / "checkpoint.txt").store.n_values() == int(out[0].split()[1])
+
+
+def test_train_takes_no_eval_data_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--data", str(tmp_path / "m.jsonl"), "--out", str(tmp_path / "out"), "--eval-data", "x"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --eval-data x" in capsys.readouterr().err
+
+
 def test_eval_takes_the_model_from_the_checkpoint(tmp_path, capsys):
     data = tmp_path / "data"
     assert main(["synth", "--out", str(data), "--n-clips", "6", "--seed", "8"]) == 0
@@ -395,11 +449,13 @@ def test_eval_takes_the_model_from_the_checkpoint(tmp_path, capsys):
     run = tmp_path / "run"
     argv = ["train", "--data", manifest, "--out", str(run), "--steps", "3"]
     assert main(argv + ["--alpha", "0.3", "--level", "2", "--protos", "32"]) == 0
-    trained = capsys.readouterr().out.splitlines()[-3:]
-    assert trained[0].startswith("mae_bpm=")
+    capsys.readouterr()
     ckpt = str(run / "checkpoint.txt")
     assert main(["eval", "--ckpt", ckpt, "--data", manifest]) == 0
-    assert capsys.readouterr().out.splitlines() == trained
+    clips, tcfg = _load_clips(manifest), TrainConfig(steps=3)
+    model = build_pipeline(ModelConfig(alpha=0.3, level=2, n_prototypes=32), seed=tcfg.seed)
+    model, _ = train(clips, tcfg, model=model)
+    assert capsys.readouterr().out.splitlines() == pipeline.evaluate(model, clips).lines()
 
     assert ParamStore.read_config(ckpt)["n_prototypes"] == 32
 
@@ -626,12 +682,12 @@ def _write_bad_checkpoint(path) -> None:
     "reader, damage",
     [
         ("hr", _write_bad_csv),
-        ("eval_data", _write_bad_manifest),
+        ("data", _write_bad_manifest),
         ("gt", _write_bad_rates),
         ("pyramid", lambda p: _write_levels(p, _levels(p)[:2])),
         ("ckpt", _write_bad_checkpoint),
     ],
-    ids=["hr-csv", "eval-data-manifest", "gt-bpm-list", "pyramid", "ckpt"],
+    ids=["hr-csv", "data-manifest", "gt-bpm-list", "pyramid", "ckpt"],
 )
 def test_a_bad_file_is_named_once_in_the_error_line(tmp_path, capsys, reader, damage):
     data, held = tmp_path / "data", tmp_path / "held"
@@ -643,7 +699,7 @@ def test_a_bad_file_is_named_once_in_the_error_line(tmp_path, capsys, reader, da
     manifest, out = str(data / "manifest.jsonl"), str(tmp_path / "out")
     bad, argv = {
         "hr": (tmp_path / "bad.csv", ["hr", str(data / "clip_000.bvp.csv"), "{bad}"]),
-        "eval_data": (held / "manifest.jsonl", ["train", "--data", manifest, "--eval-data", "{bad}", "--out", out]),
+        "data": (held / "manifest.jsonl", ["train", "--data", "{bad}", "--out", out]),
         "gt": (tmp_path / "gt.txt", ["eval", "--pred", str(rates), "--gt", "{bad}"]),
         "pyramid": (data / "clip_001.pyramid", ["eval", "--ckpt", str(ckpt), "--data", manifest]),
         "ckpt": (tmp_path / "bad.ckpt", ["eval", "--ckpt", "{bad}", "--data", manifest]),
@@ -652,6 +708,29 @@ def test_a_bad_file_is_named_once_in_the_error_line(tmp_path, capsys, reader, da
     capsys.readouterr()
     assert main([a.format(bad=bad) for a in argv]) == 1
     assert _one_error_line(capsys).count(str(bad)) == 1
+
+
+@pytest.mark.parametrize(
+    "command, wave, error",
+    [
+        ("hr", np.sin(np.arange(100) / 3.0), "need at least 4 s of samples (120), got 100"),
+        ("hr", np.zeros(256), "no finite in-band spectral peak"),
+        ("dds", np.arange(5.0), "need at least 2**3 samples, got 5"),
+        ("stats", np.arange(3.0), "signal_stats needs (T,) or (rows, T) with T >= 4, got (3,)"),
+    ],
+    ids=["hr-short", "hr-flat", "dds-tiny", "stats-three"],
+)
+def test_a_file_its_computation_refuses_is_named_in_the_error_line(tmp_path, capsys, command, wave, error):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    save_waveform(good, np.sin(2 * np.pi * 1.2 * np.arange(256) / 30.0), fs=30.0)
+    save_waveform(bad, wave, fs=30.0)
+    argv = {
+        "hr": ["hr", str(good), str(bad)],
+        "dds": ["dds", "--in", str(bad)],
+        "stats": ["stats", "--in", str(bad)],
+    }[command]
+    assert main(argv) == 1
+    assert _one_error_line(capsys) == f"error: {bad}: {error}\n"
 
 
 @pytest.mark.parametrize("name, bad", [("lm.head_skip", np.nan), ("lm.layer0.attn.w_q", np.inf)])
@@ -691,7 +770,6 @@ def test_a_manifest_of_mixed_clip_lengths_is_one_error_line_before_any_forward(
     for seed, chunk in ((1, "128"), (2, "160")):
         argv = ["synth", "--out", str(tmp_path / f"s{seed}"), "--n-clips", "2", "--seed", str(seed)]
         assert main(argv + ["--chunk", chunk]) == 0
-    ok = tmp_path / "s1" / "manifest.jsonl"
     mixed = tmp_path / "mixed.jsonl"
     rows = []
     for d in ("s1", "s2"):
@@ -704,7 +782,7 @@ def test_a_manifest_of_mixed_clip_lengths_is_one_error_line_before_any_forward(
     capsys.readouterr()
     out = tmp_path / "out"
     argv = {
-        "train": ["train", "--data", str(mixed), "--eval-data", str(ok), "--out", str(out)],
+        "train": ["train", "--data", str(mixed), "--out", str(out)],
         "eval": ["eval", "--ckpt", str(ckpt), "--data", str(mixed)],
     }[command]
     monkeypatch.setattr(Pipeline, "forward", lambda *a: pytest.fail("forward ran"))
@@ -759,9 +837,10 @@ def test_clips_that_gen_clip_cannot_make_train_and_evaluate_from_their_files(tmp
     assert np.array_equal(_load_clips(manifest)[0].x_enc, gen_clip(60.0, seed=40).x_enc + drift)
     run = tmp_path / "run"
     assert main(["train", "--data", manifest, "--out", str(run), "--steps", "1"]) == 0
-    trained = capsys.readouterr().out.splitlines()[-3:]
+    capsys.readouterr()
     assert main(["eval", "--ckpt", str(run / "checkpoint.txt"), "--data", manifest]) == 0
-    assert capsys.readouterr().out.splitlines() == trained
+    model, _ = train(_load_clips(manifest), TrainConfig(steps=1))
+    assert capsys.readouterr().out.splitlines() == pipeline.evaluate(model, _load_clips(manifest)).lines()
 
 
 def _write_levels(path, levels) -> None:
