@@ -1,19 +1,20 @@
 """Batch command-line frontend.
 
-Subcommands: synth, dds, train, eval, gradcheck, hr, stats. Each setting is
-one flag whose dest is its ModelConfig or TrainConfig field name and whose
-default is that field's default. Flags may also be read from a file named as
-@FILE, one argument per line (e.g. --alpha=0.5); a later argument overrides
-an earlier one, so `train @base.txt --alpha 0.9` changes one value. Every
-command is deterministic given its flags: outputs carry no timestamps, and
-synth, train and gradcheck draw all randomness from one root seed (--seed)
-split by fixed labels. No other command takes --seed. synth writes the
-files of each clip and a manifest; train and eval read the clips from them.
-train trains and saves, and scores nothing. `eval --ckpt` is the one command
-that scores a model, through ``pipeline.evaluate``, and takes no model flags:
-the model comes from the checkpoint. Its two text lines, a magic line and the
-trained config as JSON keyed by train's flag dests, precede a name line and a
-float32 .npy record per parameter.
+Subcommands: synth, dds, train, predict, eval, gradcheck, hr, stats. Each
+setting is one flag whose dest is its ModelConfig or TrainConfig field name
+and whose default is that field's default. Flags may also be read from a file
+named as @FILE, one argument per line (e.g. --alpha=0.5); a later argument
+overrides an earlier one, so `train @base.txt --alpha 0.9` changes one value.
+Every command is deterministic given its flags: outputs carry no timestamps,
+and synth, train and gradcheck draw all randomness from one root seed
+(--seed) split by fixed labels. No other command takes --seed. synth writes
+the files of each clip and a manifest; train and predict read the clips from
+them. train trains and saves, and scores nothing. predict writes each clip's
+predicted waveform and, in hr.txt, the rates ``pipeline.predict_rates`` reads
+from them; eval scores such a list against the manifest. predict takes no
+model flags: the model comes from the checkpoint. Its two text lines, a magic
+line and the trained config as JSON keyed by train's flag dests, precede a
+name line and a float32 .npy record per parameter.
 Exit codes: 0 success, 1 contract/parse/IO error, 2 usage error (from
 argparse) or threshold failure (gradcheck/eval).
 """
@@ -29,7 +30,7 @@ from . import numcore as nc
 from .aggregator import aggregate
 from .cues import SceneMeta, compress, fuse_cues, signal_stats
 from .errors import ContractError, PhyskitError, within
-from .pipeline import ModelConfig, TrainConfig, build_pipeline, evaluate, load_pipeline, mse_loss, train
+from .pipeline import ModelConfig, TrainConfig, build_pipeline, load_pipeline, mse_loss, predict_rates, train
 from .reprogram import derive_prototypes, reprogram
 from .signals import (
     HR_BAND_BPM,
@@ -97,11 +98,21 @@ def cmd_dds(args) -> int:
     return 0
 
 
-def _load_clips(path) -> list:
+def _load_clips(path) -> tuple[list, list]:
+    """A manifest's records and their clips."""
     records = read_manifest(path)
     if not records:
         raise ContractError(f"manifest {path} has no records")
-    return [load_clip(Path(path).parent, r) for r in records]
+    return records, [load_clip(Path(path).parent, r) for r in records]
+
+
+def _out_dir(out) -> Path:
+    """The --out directory, refused before any input is read if it is or lies under a file."""
+    out_dir = Path(out)
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise ContractError(f"--out {out_dir}: {existing} is not a directory")
+    return out_dir
 
 
 def _from_flags(cls, args):
@@ -110,12 +121,8 @@ def _from_flags(cls, args):
 
 
 def cmd_train(args) -> int:
-    out_dir = Path(args.out)
-    # the run's files are written after the last step; refuse an --out they cannot go to before the first
-    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
-    if not existing.is_dir():
-        raise ContractError(f"--out {out_dir}: {existing} is not a directory")
-    clips = _load_clips(args.data)
+    out_dir = _out_dir(args.out)
+    _, clips = _load_clips(args.data)
     model = build_pipeline(_from_flags(ModelConfig, args), seed=args.seed)
     tcfg = _from_flags(TrainConfig, args)
     model, log = train(clips, tcfg, model=model)
@@ -126,6 +133,20 @@ def cmd_train(args) -> int:
     print(f"parameters: {model.store.n_values()}")
     print(f"initial_running_loss={log.initial_running_loss:.6f}")
     print(f"final_running_loss={log.final_running_loss:.6f}")
+    return 0
+
+
+def cmd_predict(args) -> int:
+    out_dir = _out_dir(args.out)
+    model = load_pipeline(args.ckpt)
+    records, clips = _load_clips(args.data)
+    with within(f"{args.ckpt}: "):
+        waves, rates = predict_rates(model, clips)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for record, clip, wave in zip(records, clips, waves):
+        save_waveform(out_dir / f"{record.clip_id}.pred.csv", wave, clip.fs)
+    (out_dir / "hr.txt").write_text("".join(f"{repr(bpm)}\n" for bpm in rates))
+    print(f"wrote {len(clips)} predictions to {out_dir}")
     return 0
 
 
@@ -144,18 +165,10 @@ def _hr_list_from(path) -> list[float]:
 def cmd_eval(args) -> int:
     if args.max_mae is not None and not args.max_mae >= 0.0:
         raise ContractError(f"--max-mae must be >= 0, got {args.max_mae}")
-    rates, run = (args.pred, args.gt), (args.ckpt, args.data)
-    if any(rates) and any(run):
-        raise ContractError("eval takes --pred and --gt, or --ckpt and --data, not flags of both")
-    if all(rates):
-        pred, gt = _hr_list_from(args.pred), _hr_list_from(args.gt)
-        if len(pred) != len(gt):
-            raise ContractError(f"--pred {args.pred} holds {len(pred)} rates, --gt {args.gt} holds {len(gt)}")
-        rep = metrics(pred, gt)
-    elif all(run):
-        rep = evaluate(load_pipeline(args.ckpt), _load_clips(args.data))
-    else:
-        raise ContractError("eval needs either --pred and --gt, or --ckpt and --data")
+    pred, gt = _hr_list_from(args.pred), _hr_list_from(args.gt)
+    if len(pred) != len(gt):
+        raise ContractError(f"--pred {args.pred} holds {len(pred)} rates, --gt {args.gt} holds {len(gt)}")
+    rep = metrics(pred, gt)
     for line in rep.lines():
         print(line)
     if args.out:
@@ -319,11 +332,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lm-layers", type=int, help="transformer layers")
     p.set_defaults(**asdict(ModelConfig()), **asdict(TrainConfig()))
 
-    p = _command(sub, "eval", cmd_eval, "score predictions against ground truth")
-    p.add_argument("--pred", help="predicted rates (manifest or one bpm per line)")
-    p.add_argument("--gt", help="reference rates (manifest or one bpm per line)")
-    p.add_argument("--ckpt", help="checkpoint to run instead of --pred")
-    p.add_argument("--data", help="dataset manifest for --ckpt mode")
+    p = _command(sub, "predict", cmd_predict, "run a checkpoint on a dataset and save its predictions")
+    p.add_argument("--ckpt", required=True, help="checkpoint to run")
+    p.add_argument("--data", required=True, help="dataset manifest")
+    p.add_argument("--out", required=True, help="output directory")
+
+    p = _command(sub, "eval", cmd_eval, "score predicted rates against reference rates")
+    p.add_argument("--pred", required=True, help="predicted rates (manifest or one bpm per line)")
+    p.add_argument("--gt", required=True, help="reference rates (manifest or one bpm per line)")
     p.add_argument("--out", help="write the metrics record here")
     p.add_argument("--max-mae", type=float, help="exit 2 above this MAE")
 

@@ -19,9 +19,9 @@ with R a polynomial, within 9.6e-8 of the exact one; the float64 audit
 computes it with ``math.erf``. physkit needs only numpy and the standard
 library.
 
-``evaluate`` scores the model by the heart rate ``estimate_hr`` reads from
-each predicted clip. It is the scorer of ``eval --ckpt`` and of
-``train(eval_clips=)``.
+``predict_rates`` is the one route from a model to heart rates: the rate
+``estimate_hr`` reads from each predicted clip. ``physkit predict`` writes
+them, and ``evaluate``, the scorer of ``train(eval_clips=)``, scores them.
 """
 
 from __future__ import annotations
@@ -343,19 +343,23 @@ def predict(model: Pipeline, clips: list[SyntheticClip], batch_size: int = 8) ->
 
 
 def _require_scorable(clips: list[SyntheticClip], chunk_len: int) -> None:
-    """Refuse clips that ``evaluate`` cannot score, before any forward pass:
+    """Refuse clips that ``predict_rates`` cannot read, before any forward pass:
     one of another length, or one shorter than the 4 s ``estimate_hr`` reads."""
     _require_chunk_len(clips, chunk_len, "eval clip")
     for c in clips:
         require_hr_length(chunk_len, c.fs)
 
 
-def evaluate(model: Pipeline, clips: list[SyntheticClip]) -> MetricsReport:
-    """Metrics of ``estimate_hr`` on each predicted clip against its true rate."""
+def predict_rates(model: Pipeline, clips: list[SyntheticClip]) -> tuple[list[np.ndarray], list[float]]:
+    """Each clip's predicted waveform and the rate ``estimate_hr`` reads from it."""
     _require_scorable(clips, model.cfg.chunk_len)
     preds = predict(model, clips)
-    est = [estimate_hr(p, c.fs).bpm for p, c in zip(preds, clips)]
-    return metrics(est, [c.hr_bpm for c in clips])
+    return preds, [estimate_hr(p, c.fs).bpm for p, c in zip(preds, clips)]
+
+
+def evaluate(model: Pipeline, clips: list[SyntheticClip]) -> MetricsReport:
+    """Metrics of ``predict_rates`` against each clip's true rate."""
+    return metrics(predict_rates(model, clips)[1], [c.hr_bpm for c in clips])
 
 
 def _backward_step(model: Pipeline, clips: list[SyntheticClip]) -> float:

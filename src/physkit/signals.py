@@ -277,7 +277,8 @@ def load_waveform(path) -> tuple[np.ndarray, float]:
 class ClipRecord:
     """One manifest row: the id that names the clip's three files, its true
     rate, its scene labels and, only to say which synth draw made it, its seed.
-    A field of the wrong type or a label ``SceneMeta`` refuses is a ContractError."""
+    A field of the wrong type, a clip_id that is not a bare file stem, or a
+    label ``SceneMeta`` refuses is a ContractError."""
 
     clip_id: str
     hr_bpm: float
@@ -294,6 +295,8 @@ class ClipRecord:
         ):
             if not accepted:
                 raise ContractError(f"{name} must be {kind}, got {getattr(self, name)!r}")
+        if self.clip_id in ("", ".", "..") or "/" in self.clip_id:
+            raise ContractError(f"clip_id must be a bare file stem, got {self.clip_id!r}")
         SceneMeta(self.lighting, self.motion, self.skin_tone)  # refuses labels outside its vocabulary
 
 
@@ -345,8 +348,9 @@ def write_manifest(path, records: list[ClipRecord]) -> None:
 
 def read_manifest(path) -> list[ClipRecord]:
     """The records of a manifest; a line that is not one record ``ClipRecord``
-    takes is a ParseError naming the file, the line and the field."""
-    records = []
+    takes is a ParseError naming the file, the line and the field, and a
+    clip_id on two lines is one naming the file and both lines."""
+    records, lines_of = [], {}
     with within(f"{path}: "):
         for lineno, line in enumerate(read_lines(path), start=1):
             if not line.strip():
@@ -358,4 +362,8 @@ def read_manifest(path) -> list[ClipRecord]:
                 records.append(ClipRecord(**payload))
             except (TypeError, ValueError) as exc:  # json's decode errors and ClipRecord's refusals among them
                 raise ParseError(f"bad manifest record: {exc}", line=lineno) from exc
+            lines_of.setdefault(records[-1].clip_id, []).append(lineno)
+        for clip_id, lines in lines_of.items():
+            if len(lines) > 1:
+                raise ParseError(f"clip_id {clip_id!r} is on lines {lines[0]} and {lines[1]}")
     return records

@@ -12,7 +12,7 @@ from physkit.cli import _load_clips, main
 from physkit.errors import NumericError
 from physkit.numcore import ParamStore
 from physkit.pipeline import ModelConfig, Pipeline, TrainConfig, build_pipeline, load_pipeline, train
-from physkit.signals import gen_clip, load_waveform, save_clip, save_waveform, write_manifest
+from physkit.signals import estimate_hr, gen_clip, load_waveform, save_clip, save_waveform, write_manifest
 from physkit.stationarize import standardize
 
 
@@ -136,7 +136,7 @@ def test_dds_refuses_a_blend_outside_unit_interval(tmp_path, capsys, beta):
 NEW_TRAIN_FLAGS = ["--dim", "--heads", "--vocab", "--chunk", "--patch-len", "--patch-stride", "--lm-layers"]
 
 
-@pytest.mark.parametrize("command", ["synth", "dds", "train", "eval", "gradcheck", "hr", "stats"])
+@pytest.mark.parametrize("command", ["synth", "dds", "train", "predict", "eval", "gradcheck", "hr", "stats"])
 def test_help_renders_for_every_command(capsys, command):
     with pytest.raises(SystemExit) as exc:
         main([command, "--help"])
@@ -346,27 +346,32 @@ def test_eval_refuses_a_manifest_rate_that_is_not_finite(tmp_path, capsys):
 
 
 def test_eval_requires_a_mode(capsys):
-    assert main(["eval"]) == 1
-    assert "error:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["eval"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --pred, --gt" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "flags",
     [
         ["--pred", "{gt}", "--gt", "{gt}", "--ckpt", "{ckpt}", "--data", "{gt}"],
-        ["--pred", "{gt}", "--ckpt", "{ckpt}", "--data", "{gt}"],
+        ["--pred", "{gt}", "--gt", "{gt}", "--ckpt", "{ckpt}"],
     ],
     ids=["both-modes", "pred-with-ckpt"],
 )
-def test_eval_refuses_flags_of_both_modes(tmp_path, capsys, flags):
+def test_eval_takes_no_ckpt_or_data_flag(tmp_path, capsys, flags):
+    # running a checkpoint is predict's job; eval scores rate lists only
     assert main(["synth", "--out", str(tmp_path / "d"), "--n-clips", "2"]) == 0
     gt, ckpt = tmp_path / "d" / "manifest.jsonl", tmp_path / "checkpoint.txt"
     build_pipeline(ModelConfig()).store.save(ckpt)
     capsys.readouterr()
-    assert main(["eval"] + [f.format(gt=gt, ckpt=ckpt) for f in flags]) == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["eval"] + [f.format(gt=gt, ckpt=ckpt) for f in flags])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: eval takes --pred and --gt, or --ckpt and --data, not flags of both\n"
+    assert f"unrecognized arguments: --ckpt {ckpt}" in captured.err
 
 
 def test_eval_refuses_rate_lists_of_different_lengths_naming_both_files(tmp_path, capsys):
@@ -401,18 +406,10 @@ def test_train_and_eval_roundtrip(tmp_path, capsys):
     assert "final_running_loss=" in out
     curve = (run / "loss_curve.txt").read_text().splitlines()
     assert len(curve) == 3 and curve[0].startswith("1 ")
-    assert (
-        main(
-            [
-                "eval",
-                "--ckpt",
-                str(run / "checkpoint.txt"),
-                "--data",
-                str(data / "manifest.jsonl"),
-            ]
-        )
-        == 0
-    )
+    pred = tmp_path / "pred"
+    assert main(_predict(run / "checkpoint.txt", data / "manifest.jsonl", pred)) == 0
+    assert capsys.readouterr().out == f"wrote 6 predictions to {pred}\n"
+    assert main(["eval", "--pred", str(pred / "hr.txt"), "--gt", str(data / "manifest.jsonl")]) == 0
     assert "mae_bpm=" in capsys.readouterr().out
 
 
@@ -450,18 +447,20 @@ def test_eval_takes_the_model_from_the_checkpoint(tmp_path, capsys):
     argv = ["train", "--data", manifest, "--out", str(run), "--steps", "3"]
     assert main(argv + ["--alpha", "0.3", "--level", "2", "--protos", "32"]) == 0
     capsys.readouterr()
-    ckpt = str(run / "checkpoint.txt")
-    assert main(["eval", "--ckpt", ckpt, "--data", manifest]) == 0
-    clips, tcfg = _load_clips(manifest), TrainConfig(steps=3)
+    ckpt, pred = str(run / "checkpoint.txt"), tmp_path / "pred"
+    assert main(_predict(ckpt, manifest, pred)) == 0
+    capsys.readouterr()
+    assert main(["eval", "--pred", str(pred / "hr.txt"), "--gt", manifest]) == 0
+    (_, clips), tcfg = _load_clips(manifest), TrainConfig(steps=3)
     model = build_pipeline(ModelConfig(alpha=0.3, level=2, n_prototypes=32), seed=tcfg.seed)
     model, _ = train(clips, tcfg, model=model)
     assert capsys.readouterr().out.splitlines() == pipeline.evaluate(model, clips).lines()
 
     assert ParamStore.read_config(ckpt)["n_prototypes"] == 32
 
-    # eval has no model flags: the checkpoint is the model's only source
+    # predict has no model flags: the checkpoint is the model's only source
     with pytest.raises(SystemExit) as exc:
-        main(["eval", "--ckpt", ckpt, "--data", manifest, "--alpha", "0.3"])
+        main(_predict(ckpt, manifest, pred) + ["--alpha", "0.3"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --alpha 0.3" in capsys.readouterr().err
 
@@ -512,6 +511,10 @@ def test_missing_input_file_is_io_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _predict(ckpt, manifest, out) -> list[str]:
+    return ["predict", "--ckpt", str(ckpt), "--data", str(manifest), "--out", str(out)]
+
+
 def _one_error_line(capsys) -> str:
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
@@ -556,7 +559,7 @@ def test_eval_refuses_a_text_checkpoint_by_its_magic_line(tmp_path, capsys):
     ckpt = tmp_path / "checkpoint.txt"
     config = build_pipeline(ModelConfig()).store.config
     ckpt.write_text(f"physkit-paramstore 2\n{json.dumps(config, sort_keys=True)}\nlm.head 1 1 2 0.0 0.0\n")
-    assert main(["eval", "--ckpt", str(ckpt), "--data", str(data / "manifest.jsonl")]) == 1
+    assert main(_predict(ckpt, data / "manifest.jsonl", tmp_path / "out")) == 1
     assert "missing 'physkit-paramstore 3' header" in _one_error_line(capsys)
 
 
@@ -569,7 +572,7 @@ def test_eval_refuses_a_float64_checkpoint_as_one_error_line(tmp_path, capsys):
     store = build_pipeline(ModelConfig()).store
     with store.float64_image():
         store.save(ckpt)
-    assert main(["eval", "--ckpt", str(ckpt), "--data", str(data / "manifest.jsonl")]) == 1
+    assert main(_predict(ckpt, data / "manifest.jsonl", tmp_path / "out")) == 1
     assert "checkpoint float64 (1024, 64) != live float32 (1024, 64) for 'vocab.embedding'" in _one_error_line(capsys)
 
 
@@ -599,7 +602,7 @@ def test_eval_refuses_a_checkpoint_header_field_of_the_wrong_type(tmp_path, caps
     magic, config, records = ckpt.read_bytes().split(b"\n", 2)
     config = json.dumps({**json.loads(config), field: value}, sort_keys=True).encode()
     ckpt.write_bytes(b"\n".join([magic, config, records]))
-    assert main(["eval", "--ckpt", str(ckpt), "--data", str(data / "manifest.jsonl")]) == 1
+    assert main(_predict(ckpt, data / "manifest.jsonl", tmp_path / "out")) == 1
     assert f"line 2: header is not a model config: model config {field} must be" in _one_error_line(capsys)
 
 
@@ -613,7 +616,7 @@ def test_eval_refuses_a_checkpoint_whose_header_has_level_shapes(tmp_path, capsy
     magic, config, records = ckpt.read_bytes().split(b"\n", 2)
     config = json.dumps({**json.loads(config), "level_shapes": [[8, 8], [6, 6], [4, 4]]}, sort_keys=True)
     ckpt.write_bytes(b"\n".join([magic, config.encode(), records]))
-    assert main(["eval", "--ckpt", str(ckpt), "--data", str(data / "manifest.jsonl")]) == 1
+    assert main(_predict(ckpt, data / "manifest.jsonl", tmp_path / "out")) == 1
     err = _one_error_line(capsys)
     assert "line 2: header is not a model config" in err and "level_shapes" in err
 
@@ -625,18 +628,56 @@ def test_train_refuses_an_out_that_is_a_file_before_loading_a_clip(tmp_path, cap
     capsys.readouterr()
     (tmp_path / "afile").write_text("kept\n")
     monkeypatch.setattr("physkit.cli.load_clip", lambda *a: pytest.fail("a clip was loaded"))
+    monkeypatch.setattr("physkit.cli.load_pipeline", lambda *a: pytest.fail("a checkpoint was loaded"))
     monkeypatch.setattr(Pipeline, "forward", lambda *a: pytest.fail("forward ran"))
-    argv = ["train", "--data", str(data / "manifest.jsonl"), "--out", str(tmp_path / out), "--steps", "2"]
-    assert main(argv) == 1
-    assert _one_error_line(capsys) == f"error: --out {tmp_path / out}: {tmp_path / 'afile'} is not a directory\n"
-    assert (tmp_path / "afile").read_text() == "kept\n"
+    manifest, ckpt = str(data / "manifest.jsonl"), str(tmp_path / "checkpoint.txt")
+    for argv in (
+        ["train", "--data", manifest, "--out", str(tmp_path / out), "--steps", "2"],
+        _predict(ckpt, manifest, tmp_path / out),
+    ):
+        assert main(argv) == 1
+        expected = f"error: --out {tmp_path / out}: {tmp_path / 'afile'} is not a directory\n"
+        assert _one_error_line(capsys) == expected
+        assert (tmp_path / "afile").read_text() == "kept\n"
+
+
+def test_predict_writes_each_clip_waveform_and_the_rate_read_from_it(tmp_path, capsys):
+    data, run, pred = tmp_path / "data", tmp_path / "run", tmp_path / "pred"
+    assert main(["synth", "--out", str(data), "--n-clips", "3", "--seed", "2"]) == 0
+    manifest = str(data / "manifest.jsonl")
+    assert main(["train", "--data", manifest, "--out", str(run), "--steps", "2"]) == 0
+    capsys.readouterr()
+    assert main(_predict(run / "checkpoint.txt", manifest, pred)) == 0
+    assert capsys.readouterr().out == f"wrote 3 predictions to {pred}\n"
+    model = load_pipeline(run / "checkpoint.txt")
+    _, clips = _load_clips(manifest)
+    waves, rates = pipeline.predict_rates(model, clips)
+    assert sorted(p.name for p in pred.iterdir()) == [f"clip_00{i}.pred.csv" for i in range(3)] + ["hr.txt"]
+    assert (pred / "hr.txt").read_text() == "".join(f"{r!r}\n" for r in rates)
+    for i, (wave, rate) in enumerate(zip(waves, rates)):
+        written, fs = load_waveform(pred / f"clip_{i:03d}.pred.csv")
+        assert fs == 30.0 and np.array_equal(written, wave)
+        assert estimate_hr(written, fs).bpm == rate
+
+
+def test_a_failing_forward_pass_in_predict_names_the_checkpoint(tmp_path, capsys):
+    data, run, pred = tmp_path / "data", tmp_path / "run", tmp_path / "pred"
+    assert main(["synth", "--out", str(data), "--n-clips", "4"]) == 0
+    manifest = str(data / "manifest.jsonl")
+    # one step at this rate saves finite weights whose forward pass overflows
+    assert main(["train", "--data", manifest, "--out", str(run), "--steps", "1", "--lr", "1e6"]) == 0
+    capsys.readouterr()
+    ckpt = run / "checkpoint.txt"
+    assert main(_predict(ckpt, manifest, pred)) == 1
+    assert _one_error_line(capsys) == f"error: {ckpt}: [lm] attention received non-finite values\n"
+    assert not pred.exists()
 
 
 def test_train_loads_the_waveforms_synth_writes(tmp_path):
     data = tmp_path / "data"
     argv = ["synth", "--out", str(data), "--n-clips", "4", "--seed", "5", "--snr", "3", "--chunk", "160"]
     assert main(argv) == 0
-    clips = _load_clips(data / "manifest.jsonl")
+    _, clips = _load_clips(data / "manifest.jsonl")
     assert len(clips) == 4
     for i, clip in enumerate(clips):
         for kind, wave in (("bvp", clip.bvp), ("xenc", clip.x_enc)):
@@ -701,8 +742,8 @@ def test_a_bad_file_is_named_once_in_the_error_line(tmp_path, capsys, reader, da
         "hr": (tmp_path / "bad.csv", ["hr", str(data / "clip_000.bvp.csv"), "{bad}"]),
         "data": (held / "manifest.jsonl", ["train", "--data", "{bad}", "--out", out]),
         "gt": (tmp_path / "gt.txt", ["eval", "--pred", str(rates), "--gt", "{bad}"]),
-        "pyramid": (data / "clip_001.pyramid", ["eval", "--ckpt", str(ckpt), "--data", manifest]),
-        "ckpt": (tmp_path / "bad.ckpt", ["eval", "--ckpt", "{bad}", "--data", manifest]),
+        "pyramid": (data / "clip_001.pyramid", _predict(ckpt, manifest, out)),
+        "ckpt": (tmp_path / "bad.ckpt", _predict("{bad}", manifest, out)),
     }[reader]
     damage(bad)
     capsys.readouterr()
@@ -742,7 +783,7 @@ def test_eval_refuses_a_non_finite_checkpoint_value_naming_file_and_parameter(tm
     store = build_pipeline(ModelConfig()).store
     store[name].value[0, 1] = bad
     store.save(ckpt)
-    assert main(["eval", "--ckpt", str(ckpt), "--data", str(data / "manifest.jsonl")]) == 1
+    assert main(_predict(ckpt, data / "manifest.jsonl", tmp_path / "out")) == 1
     assert _one_error_line(capsys) == f"error: {ckpt}: checkpoint has non-finite values for {name!r}\n"
 
 
@@ -770,12 +811,14 @@ def test_a_manifest_of_mixed_clip_lengths_is_one_error_line_before_any_forward(
     for seed, chunk in ((1, "128"), (2, "160")):
         argv = ["synth", "--out", str(tmp_path / f"s{seed}"), "--n-clips", "2", "--seed", str(seed)]
         assert main(argv + ["--chunk", chunk]) == 0
-    mixed = tmp_path / "mixed.jsonl"
-    rows = []
-    for d in ("s1", "s2"):
-        for line in (tmp_path / d / "manifest.jsonl").read_text().splitlines():
-            row = json.loads(line)
-            rows.append(json.dumps({**row, "clip_id": f"{d}/{row['clip_id']}"}))
+    # a clip_id is a bare file stem, so s2's clips move beside s1's under new ids
+    mixed = tmp_path / "s1" / "mixed.jsonl"
+    rows = (tmp_path / "s1" / "manifest.jsonl").read_text().splitlines()
+    for line in (tmp_path / "s2" / "manifest.jsonl").read_text().splitlines():
+        row = json.loads(line)
+        for f in (tmp_path / "s2").glob(f"{row['clip_id']}.*"):
+            f.rename(tmp_path / "s1" / f.name.replace("clip_", "long_"))
+        rows.append(json.dumps({**row, "clip_id": row["clip_id"].replace("clip_", "long_")}))
     mixed.write_text("\n".join(rows) + "\n")
     ckpt = tmp_path / "checkpoint.txt"
     build_pipeline(ModelConfig()).store.save(ckpt)
@@ -783,7 +826,7 @@ def test_a_manifest_of_mixed_clip_lengths_is_one_error_line_before_any_forward(
     out = tmp_path / "out"
     argv = {
         "train": ["train", "--data", str(mixed), "--out", str(out)],
-        "eval": ["eval", "--ckpt", str(ckpt), "--data", str(mixed)],
+        "eval": _predict(ckpt, mixed, out),
     }[command]
     monkeypatch.setattr(Pipeline, "forward", lambda *a: pytest.fail("forward ran"))
     monkeypatch.setattr(nc, "adam_step", lambda *a, **k: pytest.fail("adam_step ran"))
@@ -801,8 +844,10 @@ def test_eval_refuses_clips_under_4_s_before_predicting(tmp_path, capsys, monkey
     build_pipeline(ModelConfig()).store.save(ckpt)
     capsys.readouterr()
     monkeypatch.setattr(pipeline, "predict", lambda *a, **k: pytest.fail("predict ran"))
-    assert main(["eval", "--ckpt", str(ckpt), "--data", str(data / "manifest.jsonl")]) == 1
-    assert _one_error_line(capsys) == "error: need at least 4 s of samples (240), got 128\n"
+    out = tmp_path / "out"
+    assert main(_predict(ckpt, data / "manifest.jsonl", out)) == 1
+    assert _one_error_line(capsys) == f"error: {ckpt}: need at least 4 s of samples (240), got 128\n"
+    assert not out.exists()
 
 
 def test_eval_reads_a_manifest_whose_first_line_is_blank(tmp_path, capsys):
@@ -819,7 +864,7 @@ def test_samples_written_over_a_clip_file_reach_the_loaded_clip(tmp_path):
     data = tmp_path / "data"
     assert main(["synth", "--out", str(data), "--n-clips", "2"]) == 0
     save_waveform(data / "clip_000.xenc.csv", np.zeros(128), fs=30.0)
-    clips = _load_clips(data / "manifest.jsonl")
+    _, clips = _load_clips(data / "manifest.jsonl")
     assert not clips[0].x_enc.any() and clips[1].x_enc.any()
 
 
@@ -834,13 +879,15 @@ def test_clips_that_gen_clip_cannot_make_train_and_evaluate_from_their_files(tmp
         records.append(save_clip(data, f"drift_{i}", clip))
     manifest = str(data / "manifest.jsonl")
     write_manifest(manifest, records)
-    assert np.array_equal(_load_clips(manifest)[0].x_enc, gen_clip(60.0, seed=40).x_enc + drift)
-    run = tmp_path / "run"
+    _, clips = _load_clips(manifest)
+    assert np.array_equal(clips[0].x_enc, gen_clip(60.0, seed=40).x_enc + drift)
+    run, pred = tmp_path / "run", tmp_path / "pred"
     assert main(["train", "--data", manifest, "--out", str(run), "--steps", "1"]) == 0
+    assert main(_predict(run / "checkpoint.txt", manifest, pred)) == 0
     capsys.readouterr()
-    assert main(["eval", "--ckpt", str(run / "checkpoint.txt"), "--data", manifest]) == 0
-    model, _ = train(_load_clips(manifest), TrainConfig(steps=1))
-    assert capsys.readouterr().out.splitlines() == pipeline.evaluate(model, _load_clips(manifest)).lines()
+    assert main(["eval", "--pred", str(pred / "hr.txt"), "--gt", manifest]) == 0
+    model, _ = train(clips, TrainConfig(steps=1))
+    assert capsys.readouterr().out.splitlines() == pipeline.evaluate(model, clips).lines()
 
 
 def _write_levels(path, levels) -> None:
@@ -918,7 +965,7 @@ def test_a_bad_clip_file_is_one_error_line_naming_it_before_any_forward(
     manifest = str(data / "manifest.jsonl")
     argv = {
         "train": ["train", "--data", manifest, "--out", str(out)],
-        "eval": ["eval", "--ckpt", str(ckpt), "--data", manifest],
+        "eval": _predict(ckpt, manifest, out),
     }[command]
     monkeypatch.setattr(Pipeline, "forward", lambda *a: pytest.fail("forward ran"))
     monkeypatch.setattr(nc, "adam_step", lambda *a, **k: pytest.fail("adam_step ran"))

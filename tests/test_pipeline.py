@@ -621,12 +621,13 @@ def test_the_float64_audit_passes_without_loading_scipy():
 
 
 def test_every_command_and_demo_runs_with_scipy_imports_blocked(tmp_path):
-    data, run = tmp_path / "data", tmp_path / "run"
+    data, run, pred = tmp_path / "data", tmp_path / "run", tmp_path / "pred"
     manifest, wave = str(data / "manifest.jsonl"), str(data / "clip_000.xenc.csv")
     commands = [
         ["synth", "--out", str(data), "--n-clips", "4"],
         ["train", "--data", manifest, "--out", str(run), "--steps", "2"],
-        ["eval", "--ckpt", str(run / "checkpoint.txt"), "--data", manifest],
+        ["predict", "--ckpt", str(run / "checkpoint.txt"), "--data", manifest, "--out", str(pred)],
+        ["eval", "--pred", str(pred / "hr.txt"), "--gt", manifest],
         ["eval", "--pred", manifest, "--gt", manifest],
         ["dds", "--in", wave],
         ["hr", wave],

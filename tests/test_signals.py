@@ -313,6 +313,27 @@ def test_manifest_refuses_a_line_that_is_not_an_object(tmp_path, line):
         read_manifest(path)
 
 
+@pytest.mark.parametrize("clip_id", ["", ".", "..", "../x", "a/b", "/abs"])
+def test_manifest_refuses_a_clip_id_that_is_not_a_bare_file_stem(tmp_path, clip_id):
+    # a clip's files, and predict's output for it, are named <clip_id>.<kind> in one directory
+    path = tmp_path / "manifest.jsonl"
+    path.write_text(_record(clip_id="c") + _record(clip_id=clip_id))
+    with pytest.raises(ParseError) as err:
+        read_manifest(path)
+    refusal = f"clip_id must be a bare file stem, got {clip_id!r}"
+    assert str(err.value) == f"{path}: line 2: bad manifest record: {refusal}"
+
+
+def test_manifest_refuses_a_clip_id_on_two_lines_naming_both(tmp_path):
+    path = tmp_path / "manifest.jsonl"
+    # the blank line 3 is skipped but still counted
+    rows = [_record(clip_id="clip_000"), _record(clip_id="clip_001"), "\n", _record(clip_id="clip_000")]
+    path.write_text("".join(rows))
+    with pytest.raises(ParseError) as err:
+        read_manifest(path)
+    assert str(err.value) == f"{path}: clip_id 'clip_000' is on lines 1 and 4"
+
+
 def test_manifest_reads_whole_numbers_as_rates(tmp_path):
     (rec,) = read_manifest(_one_record_manifest(tmp_path, hr_bpm=72))
     assert rec.hr_bpm == 72
