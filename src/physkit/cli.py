@@ -308,7 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="input waveform CSV")
     p.add_argument("--out", help="output waveform CSV")
     _add_smoother_flags(p)
-    p.add_argument("--beta", type=float, help="pin the time/frequency blend weight in [0, 1]")
+    p.add_argument(
+        "--beta", type=float, help="pin the time/frequency blend weight in [0, 1]; 0 and 1 each run one domain"
+    )
     p.add_argument("--max-lag", type=int, default=8, help="lags to report")
 
     p = _command(sub, "train", cmd_train, "train the toy pipeline on a dataset and save it")

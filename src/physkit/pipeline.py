@@ -354,7 +354,11 @@ def predict_rates(model: Pipeline, clips: list[SyntheticClip]) -> tuple[list[np.
     """Each clip's predicted waveform and the rate ``estimate_hr`` reads from it."""
     _require_scorable(clips, model.cfg.chunk_len)
     preds = predict(model, clips)
-    return preds, [estimate_hr(p, c.fs).bpm for p, c in zip(preds, clips)]
+    rates = []
+    for i, (pred, c) in enumerate(zip(preds, clips)):
+        with within(f"clip {i} (seed {c.seed}): "):
+            rates.append(estimate_hr(pred, c.fs).bpm)
+    return preds, rates
 
 
 def evaluate(model: Pipeline, clips: list[SyntheticClip]) -> MetricsReport:

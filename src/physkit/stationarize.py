@@ -4,7 +4,9 @@ A raw quasi-periodic sequence is standardized and exponentially smoothed in
 the time domain; in parallel its wavelet bands are each standardized and
 smoothed the same way before inverse transformation. The two paths are
 blended by a learnable weight kept in (0, 1) through a sigmoid, so the
-constraint survives unconstrained gradient updates.
+constraint survives unconstrained gradient updates. A blend pinned to 0 or 1
+computes only the path it keeps: the other trace field is then None, and the
+returned tensor shares memory with the computed field.
 
 The smoother, the standardization and the wavelet transform act on the last
 axis of an array of shape (..., time), so a batch of rows is smoothed in
@@ -49,10 +51,12 @@ def standardize(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x = _series(x, "standardize")
     with np.errstate(over="ignore", invalid="ignore"):
         mu = x.mean(axis=-1, keepdims=True)
-        sigma = np.sqrt(np.mean((x - mu) ** 2, axis=-1, keepdims=True))
+        centered = x - mu
+        sigma = np.sqrt(np.mean(centered**2, axis=-1, keepdims=True))
     if not np.isfinite(sigma).all():
         raise NumericError("standardize received non-finite values, or values whose variance overflows")
-    return (x - mu) / (sigma + DEFAULT_EPS), mu, sigma
+    centered /= sigma + DEFAULT_EPS
+    return centered, mu, sigma
 
 
 def ema_smooth(x, alpha: float) -> np.ndarray:
@@ -73,9 +77,10 @@ def ema_smooth(x, alpha: float) -> np.ndarray:
     x = _series(x, "ema_smooth")
     z = alpha * x
     z[..., 0] = x[..., 0]
+    scratch = np.empty_like(z)  # each pass's decayed partial sums
     shift, c = 1, 1.0 - alpha
     while shift < x.shape[-1] and c > 2.0**-60:
-        z[..., shift:] += c * z[..., :-shift]
+        z[..., shift:] += np.multiply(c, z[..., :-shift], out=scratch[..., :-shift])
         shift, c = 2 * shift, c * c
     return z
 
@@ -125,12 +130,14 @@ def init_smoother(
 
 @dataclass
 class SmootherTrace:
-    """Every intermediate of one smoothing pass."""
+    """Every intermediate of one smoothing pass. A blend pinned to 0 or 1
+    computes one path: the other field is None, and the returned tensor
+    shares memory with the computed one."""
 
     mu: float
     sigma: float
-    z_time: np.ndarray
-    z_fre: np.ndarray
+    z_time: np.ndarray | None
+    z_fre: np.ndarray | None
     blend: float
 
 
@@ -151,7 +158,7 @@ def _frequency_path(x: np.ndarray, p: SmootherParams) -> np.ndarray:
 
 
 def smooth(x, p: SmootherParams) -> tuple[nc.Tensor, SmootherTrace]:
-    """Run both domains on one sequence and blend them.
+    """Run the domains the blend weighs on one sequence and blend them.
 
     The returned tensor is differentiable with respect to the blend weight
     when a tape is recording and no override is pinned. The result equals
@@ -165,8 +172,8 @@ def smooth(x, p: SmootherParams) -> tuple[nc.Tensor, SmootherTrace]:
     trace = SmootherTrace(
         mu=float(mu[0, 0]),
         sigma=float(sigma[0, 0]),
-        z_time=z_t[0],
-        z_fre=z_f[0],
+        z_time=None if z_t is None else z_t[0],
+        z_fre=None if z_f is None else z_f[0],
         blend=float(b.data),
     )
     return nc.reshape(z, (x.size,)), trace
@@ -182,22 +189,28 @@ def smooth_batch(x_rows, p: SmootherParams) -> nc.Tensor:
 
 
 def _domain_paths(x: np.ndarray, p: SmootherParams):
-    """Time and frequency paths of (batch, time) rows, and the standardization."""
+    """Time and frequency paths of (batch, time) rows, and the standardization;
+    a path that a pinned blend weighs by zero is None."""
     if x.shape[-1] < (1 << p.level):
         raise ContractError(f"need at least 2**{p.level} samples, got {x.shape[-1]}")
     x_std, mu, sigma = standardize(x)
-    return ema_smooth(x_std, p.alpha), _frequency_path(x, p), (mu, sigma)
+    z_time = ema_smooth(x_std, p.alpha) if p.blend_override != 1.0 else None
+    z_fre = _frequency_path(x, p) if p.blend_override != 0.0 else None
+    return z_time, z_fre, (mu, sigma)
 
 
-def _blend(z_time: np.ndarray, z_fre: np.ndarray, p: SmootherParams) -> tuple[nc.Tensor, nc.Tensor]:
-    """The blend of the two float64 paths, and the frequency-path weight it
-    used, both in the blend parameter's dtype."""
+def _blend(z_time, z_fre, p: SmootherParams) -> tuple[nc.Tensor, nc.Tensor]:
+    """The blend of the float64 paths, and the frequency-path weight it used,
+    both in the blend parameter's dtype. When a pinned blend computed one
+    path, that path is the blend."""
     dtype = p.blend_raw.value.dtype
-    z_time, z_fre = z_time.astype(dtype, copy=False), z_fre.astype(dtype, copy=False)
     if p.blend_override is None:
         b = nc.sigmoid(p.blend_raw.use())
     else:
         b = nc.Tensor(np.asarray(p.blend_override, dtype))
+    if z_time is None or z_fre is None:
+        return nc.Tensor((z_fre if z_time is None else z_time).astype(dtype, copy=False)), b
+    z_time, z_fre = z_time.astype(dtype, copy=False), z_fre.astype(dtype, copy=False)
     keep = nc.sub(nc.Tensor(np.ones((), dtype)), b)
     return nc.add(nc.mul(nc.Tensor(z_time), keep), nc.mul(nc.Tensor(z_fre), b)), b
 

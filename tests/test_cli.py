@@ -673,6 +673,19 @@ def test_a_failing_forward_pass_in_predict_names_the_checkpoint(tmp_path, capsys
     assert not pred.exists()
 
 
+def test_a_rate_predict_cannot_read_names_its_clip(tmp_path, capsys):
+    data, pred, ckpt = tmp_path / "data", tmp_path / "pred", tmp_path / "fresh.ckpt"
+    assert main(["synth", "--out", str(data), "--n-clips", "3"]) == 0
+    manifest = str(data / "manifest.jsonl")
+    # an untrained model's heads are zero, so every prediction is flat
+    build_pipeline(ModelConfig()).store.save(ckpt)
+    capsys.readouterr()
+    assert main(_predict(ckpt, manifest, pred)) == 1
+    seed = _load_clips(manifest)[1][0].seed
+    assert _one_error_line(capsys) == f"error: {ckpt}: clip 0 (seed {seed}): no finite in-band spectral peak\n"
+    assert not pred.exists()
+
+
 def test_train_loads_the_waveforms_synth_writes(tmp_path):
     data = tmp_path / "data"
     argv = ["synth", "--out", str(data), "--n-clips", "4", "--seed", "5", "--snr", "3", "--chunk", "160"]

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from physkit import numcore as nc
+from physkit import stationarize
 from physkit.cues import signal_stats
 from physkit.errors import ContractError, NumericError
 from physkit.stationarize import (
+    DEFAULT_EPS,
     ema_smooth,
     init_smoother,
     normalized_autocorr,
@@ -27,6 +29,17 @@ def test_standardize_constant_input_is_rescued_by_eps():
     out, mu, sigma = standardize([5.0, 5.0, 5.0, 5.0])
     assert sigma == 0.0 and mu == 5.0
     assert np.array_equal(out, np.zeros(4))
+
+
+@pytest.mark.parametrize("shape", [(257,), (4, 100)])
+def test_standardize_leaves_its_input_and_is_the_formula_bit_for_bit(shape):
+    x = np.random.default_rng(21).standard_normal(shape) * 3.0 + 2.0
+    before = x.copy()
+    out, mu, sigma = standardize(x)
+    assert np.array_equal(x, before)
+    assert np.array_equal(mu, x.mean(axis=-1, keepdims=True))
+    assert np.array_equal(sigma, np.sqrt(np.mean((x - mu) ** 2, axis=-1, keepdims=True)))
+    assert np.array_equal(out, (x - mu) / (sigma + DEFAULT_EPS))
 
 
 def test_standardize_two_point():
@@ -146,6 +159,64 @@ def test_blend_identities_are_exact():
     p1 = _smoother(blend_override=1.0)
     z1, tr1 = smooth(x, p1)
     assert np.array_equal(z1.data, tr1.z_fre)
+
+
+def _count_path_calls(monkeypatch) -> dict[str, int]:
+    """Count calls of ``_frequency_path`` and ``ema_smooth`` through the module."""
+    calls = {"_frequency_path": 0, "ema_smooth": 0}
+    for name in calls:
+        real = getattr(stationarize, name)
+
+        def spy(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(stationarize, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["smooth", "smooth_batch"])
+@pytest.mark.parametrize(
+    "beta, frequency_path, ema",
+    [(0.0, 0, 1), (1.0, 1, 3 + 1), (0.3, 1, 1 + 3 + 1), (None, 1, 1 + 3 + 1)],
+    ids=["blend-0", "blend-1", "blend-0.3", "learnable"],
+)
+def test_a_pinned_blend_computes_only_the_path_it_keeps(monkeypatch, batch, beta, frequency_path, ema):
+    x = np.random.default_rng(20).standard_normal((3, 100))
+    p = _smoother(level=3, blend_override=beta)
+    calls = _count_path_calls(monkeypatch)
+    if batch:
+        smooth_batch(x, p)
+    else:
+        z, tr = smooth(x[0], p)
+        assert (tr.z_time is None) == (beta == 1.0) and (tr.z_fre is None) == (beta == 0.0)
+        if beta in (0.0, 1.0):
+            assert np.shares_memory(z.data, tr.z_fre if beta else tr.z_time)
+    assert calls == {"_frequency_path": frequency_path, "ema_smooth": ema}
+
+
+@pytest.mark.parametrize("basis", [HAAR, DB4], ids=["haar", "db4"])
+@pytest.mark.parametrize("n", [64, 100, 1000])
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_a_pinned_blend_equals_the_weighted_sum_of_both_paths(basis, n, beta):
+    rows = np.random.default_rng(n).standard_normal((3, n)) * np.array([[0.5], [2.0], [7.0]])
+    p = _smoother(basis=basis, blend_override=beta)
+    # both paths, blended as a learnable weight blends them
+    time = ema_smooth(standardize(rows)[0], p.alpha)
+    fre = stationarize._frequency_path(rows, p)
+    expected = time * (1.0 - beta) + fre * beta
+    assert np.array_equal(smooth_batch(rows, p).data, expected)
+    assert np.array_equal(smooth(rows[1], p)[0].data, expected[1])
+
+
+def test_a_band_only_the_skipped_path_reads_is_not_refused():
+    # edge padding repeats the spike, so the coarsest haar band's variance overflows
+    x = np.zeros(100)
+    x[-1] = 1e154
+    z, tr = smooth(x, _smoother(blend_override=0.0))
+    assert np.isfinite(z.data).all() and tr.z_fre is None
+    with pytest.raises(NumericError, match="^standardize received"):
+        smooth(x, _smoother(blend_override=1.0))
 
 
 def test_trace_blend_identity_holds_for_learned_weight():
