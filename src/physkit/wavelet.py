@@ -1,8 +1,8 @@
 """Multi-level 1-D discrete wavelet transform with periodic extension.
 
-The transform acts on the last axis of an array of shape (..., time), so a
-batch of rows is decomposed in one pass; every leading index is an
-independent sequence.
+The transform acts on the last axis of (..., time), so a batch of
+independent rows is decomposed in one pass, each step splitting its input
+into even and odd phases once, as in Mallat's fast wavelet transform.
 
 Only orthonormal filter banks ship (Haar and the 4-tap Daubechies pair),
 so the analysis operator is orthogonal and the synthesis pass is literally
@@ -76,30 +76,40 @@ class Decomposition:
 
 
 def _analyze_step(x: np.ndarray, basis: WaveletBasis) -> tuple[np.ndarray, np.ndarray]:
-    # band[..., h] = sum_k tap[k] * x[..., (2h + k) mod n], read as strided
-    # slices of x extended periodically by taps - 2 samples (none for Haar)
+    # band[..., h] = sum_k tap[k] x[..., (2h + k) mod n]; tap k reads phase k % 2
+    # from sample k // 2 on, each phase extended periodically. A sum onto zeros is never
+    # -0.0; with -0.0 samples made +0.0, each filter's tap above 1/2 keeps these off -0.0 too
     taps, half = basis.lo.size, x.shape[-1] // 2
-    ext = x if taps == 2 else np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, taps - 2)], mode="wrap")
-    approx = np.zeros(x.shape[:-1] + (half,))
-    detail = np.zeros_like(approx)
-    for k in range(taps):
-        seg = ext[..., k : k + 2 * half : 2]
-        approx += basis.lo[k] * seg
-        detail += basis.hi[k] * seg
+    ph = np.empty((2,) + x.shape[:-1] + (half + taps // 2 - 1,))
+    for p in (0, 1):
+        np.add(x[..., p::2], 0.0, out=ph[p, ..., :half])
+    for i in range(half, ph.shape[-1]):
+        ph[..., i] = ph[..., i - half]
+    approx, detail = basis.lo[0] * ph[0, ..., :half], basis.hi[0] * ph[0, ..., :half]
+    product = np.empty_like(approx)
+    for k in range(1, taps):
+        seg = ph[k % 2, ..., k // 2 : k // 2 + half]
+        approx += np.multiply(basis.lo[k], seg, out=product)
+        detail += np.multiply(basis.hi[k], seg, out=product)
     return approx, detail
 
 
 def _synthesize_step(approx: np.ndarray, detail: np.ndarray, basis: WaveletBasis) -> np.ndarray:
-    # transpose of the analysis step: strided writes into n + taps - 2
-    # samples, then the periodic tail folded back onto the head
-    taps, n = basis.lo.size, 2 * approx.shape[-1]
-    buf = np.zeros(approx.shape[:-1] + (n + taps - 2,))
-    for k in range(taps):
-        buf[..., k : k + n : 2] += basis.lo[k] * approx + basis.hi[k] * detail
-    x = buf[..., :n]
-    for start in range(n, buf.shape[-1], n):
-        tail = buf[..., start : start + n]
-        x[..., : tail.shape[-1]] += tail
+    # transpose of the analysis step: tap k adds lo[k] a + hi[k] d into phase k % 2,
+    # k // 2 samples on, wrapped; + 0.0 makes a -0.0 sum the +0.0 a sum onto zeros gives
+    taps, half = basis.lo.size, approx.shape[-1]
+    x = np.empty(approx.shape[:-1] + (2 * half,))
+    phase, term, product = (np.empty_like(approx) for _ in range(3))
+    for p in (0, 1):
+        np.multiply(basis.lo[p], approx, out=phase)
+        phase += np.multiply(basis.hi[p], detail, out=product)
+        for k in range(p + 2, taps, 2):
+            np.multiply(basis.lo[k], approx, out=term)
+            term += np.multiply(basis.hi[k], detail, out=product)
+            j = k // 2 % half
+            phase[..., j:] += term[..., : half - j]
+            phase[..., :j] += term[..., half - j :]
+        np.add(phase, 0.0, out=x[..., p::2])
     return x
 
 

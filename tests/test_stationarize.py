@@ -137,11 +137,12 @@ def test_ema_and_standardize_refuse_an_input_without_a_sample(x):
     [
         ("stationarity_report", lambda: stationarity_report(np.r_[np.nan, np.ones(99)], 4, 0.8)),
         ("stationarity_report", lambda: stationarity_report(np.r_[np.inf, np.ones(99)], 4, 0.8)),
+        ("stationarity_report", lambda: stationarity_report(np.array([1e200, -1e200] * 50), 4, 0.8)),
         ("normalized_autocorr", lambda: normalized_autocorr(np.r_[np.inf, np.ones(15)], 3)),
         ("signal_stats", lambda: signal_stats(np.array([1e308, -1e308] * 8))),
         ("standardize", lambda: standardize(np.array([1e308, -1e308]))),
     ],
-    ids=["report-nan", "report-inf", "autocorr-inf", "stats-overflow", "standardize-overflow"],
+    ids=["report-nan", "report-inf", "report-overflow", "autocorr-inf", "stats-overflow", "standardize-overflow"],
 )
 def test_statistics_refuse_non_finite_or_overflowing_input_before_any_warning(op, call):
     with warnings.catch_warnings():
@@ -261,6 +262,59 @@ def test_stationarity_report_on_smoothed_noise():
 def test_stationarity_report_flags_constant_input():
     rep = stationarity_report(np.full(256, 2.0), max_lag=4, alpha=0.8)
     assert rep.degenerate and rep.variance == 0.0
+
+
+def _oracle_report(z, max_lag, alpha):
+    half = z.size // 2
+    full, first, second = (normalized_autocorr(part, max_lag) for part in (z, z[:half], z[half:]))
+    variance = float(np.var(z))
+    return stationarize.StationarityReport(
+        mean=float(z.mean()),
+        variance=variance,
+        theoretical_variance=alpha / (2.0 - alpha),
+        autocorr=full,
+        autocorr_first_half=first,
+        autocorr_second_half=second,
+        half_window_disagreement=0.0 if variance == 0.0 else float(np.max(np.abs(first - second))),
+        degenerate=variance == 0.0,
+    )
+
+
+def _assert_report_matches_oracle(z, max_lag):
+    got, want = stationarity_report(z, max_lag, 0.8), _oracle_report(z, max_lag, 0.8)
+    for field in ("autocorr", "autocorr_first_half", "autocorr_second_half"):
+        assert np.max(np.abs(getattr(got, field) - getattr(want, field))) < 1e-12, field
+    assert abs(got.variance - want.variance) <= 1e-12 * want.variance
+    assert got.mean == want.mean and got.degenerate == want.degenerate
+    assert got.lines() == want.lines()
+    return got
+
+
+@pytest.mark.parametrize(
+    "n, max_lag", [(n, lag) for n in (64, 65, 1001, 8192, 65537) for lag in (1, 8, 12) if n >= 8 * lag]
+)
+@pytest.mark.parametrize("offset, scale", [(0.0, 1.0), (1e3, 1e-2)])
+def test_stationarity_report_matches_per_part_autocorrelation(n, max_lag, offset, scale):
+    rng = np.random.default_rng(n + max_lag)
+    # smoothed noise plus a drift, so the halves' means differ from the full mean
+    z = offset + scale * (ema_smooth(rng.standard_normal(n), 0.3) + np.linspace(0.0, 1.0, n))
+    assert not _assert_report_matches_oracle(z, max_lag).degenerate
+
+
+@pytest.mark.parametrize("value", [0.1, 2.0, 1e3 + 0.1])
+@pytest.mark.parametrize("flat_first", [True, False])
+def test_stationarity_report_with_one_constant_half_matches_per_part_autocorrelation(value, flat_first):
+    # a half's own-mean sums must not come from cancelling large full-mean sums
+    flat, noise = np.full(4096, value), np.random.default_rng(4).standard_normal(4097)
+    _assert_report_matches_oracle(np.r_[flat, noise] if flat_first else np.r_[noise[:-2], flat], 8)
+
+
+@pytest.mark.parametrize("n, value", [(64, 2.0), (1001, -7.25), (65537, 1e3)])
+def test_stationarity_report_of_a_constant_series_is_degenerate(n, value):
+    got = _assert_report_matches_oracle(np.full(n, value), 8)
+    assert got.degenerate and got.variance == 0.0
+    for acf in (got.autocorr, got.autocorr_first_half, got.autocorr_second_half):
+        assert np.array_equal(acf, np.zeros(8))
 
 
 def test_stationarity_report_rejects_short_series():
