@@ -9,6 +9,11 @@ weak, so a float32 graph stays float32 forward and backward. A
 ``ParamStore`` names the dtype its parameters are built in, float64 unless
 told otherwise.
 
+``backward`` sweeps a tape once. As it runs each node it drops the node's
+backward closure, so the arrays that op saved are freed during the sweep
+rather than when the tape goes; the tape keeps its node list, so
+``len(tape)`` still counts the recorded ops.
+
 Multi-head attention is one op, ``attention``, and one tape node: its
 projections are 2-D GEMMs on (batch * tokens, width) rows, and it forms the
 scores transposed, K Q^T, so that the softmax reduces over axis -2. numpy
@@ -24,7 +29,8 @@ as is that of ``token_map``, the one-node linear map of a token axis.
 GELU's normal CDF is (1 + tanh(x R(x^2))) / 2, R a degree-6 polynomial in
 x^2, evaluated in float32 for float32 data, and the standard library's
 ``math.erf`` per element for float64 data, so physkit needs only numpy and
-the standard library.
+the standard library. Under a recording tape GELU saves one array, its
+derivative Phi(x) + x phi(x) formed in the forward, and not its input.
 """
 
 from __future__ import annotations
@@ -173,7 +179,8 @@ def rng(seed: int, *keys: int | str) -> np.random.Generator:
 
 class TapeNode:
     """One recorded operation, or a parameter's leaf (no parents, no grad_fn,
-    never on a tape); backward state lives in the grad_fn closure."""
+    never on a tape). An op's backward state lives in its grad_fn closure
+    until ``backward`` runs it; the sweep then sets grad_fn to None."""
 
     __slots__ = ("op", "parents", "grad_fn")
 
@@ -566,35 +573,37 @@ def gelu(t) -> Tensor:
     """GELU, x * Phi(x) with Phi the standard normal CDF. float32 computes
     Phi in a tanh form within 9.6e-8 of the exact Phi (not GELU's cubic tanh
     approximation, which is off by up to 1.8e-4); float64 with ``math.erf``.
-    The backward is Phi(x) + x phi(x) with the exact Gaussian density phi.
+    The derivative is Phi(x) + x phi(x) with the exact Gaussian density phi.
 
-    Forward and backward run over _GELU_BLOCK-element slices of the flat
-    input: only Phi, the output and the input gradient are full-size arrays.
-    Every result is elementwise, so it does not depend on the blocking.
-    GELU is 0 at -inf and inf at inf, with gradients 0 and 1 there."""
+    When a tape records and the input has a node, the forward also forms
+    that derivative, over Phi's buffer once the output has read it, and the
+    backward saves only it: the input is not kept. Otherwise nothing extra
+    is computed or saved. The forward runs over _GELU_BLOCK-element slices
+    of the flat input, so only Phi (or the derivative) and the output are
+    full-size arrays; the backward is one product with the derivative. Every
+    result is elementwise, so it does not depend on the blocking. GELU is 0
+    at -inf and inf at inf, with gradients 0 and 1 there."""
     t = as_tensor(t)
     shape, x = t.shape, t.data.reshape(-1)
-    cdf, out = np.empty_like(x), np.empty_like(x)
+    records = t.node is not None and _active_tape() is not None
+    d, out = np.empty_like(x), np.empty_like(x)
     blocks = [slice(lo, lo + _GELU_BLOCK) for lo in range(0, x.size, _GELU_BLOCK)]
     for s in blocks:
         np.maximum(x[s], _GELU_FLOOR, out=out[s])
-        out[s] *= _normal_cdf(x[s], out=cdf[s])
+        out[s] *= _normal_cdf(x[s], out=d[s])
+        if records:
+            xs = np.clip(x[s], -_PHI_TAIL, _PHI_TAIL)
+            pdf = np.multiply(xs, -0.5)
+            pdf *= xs
+            np.exp(pdf, out=pdf)
+            pdf *= _INV_SQRT2PI  # phi(x)
+            pdf *= xs
+            d[s] += pdf
 
     def grad_fn(g):
-        g = g.reshape(-1)
-        gx = np.empty(x.shape, np.result_type(g, x))
-        for s in blocks:
-            xs = np.clip(x[s], -_PHI_TAIL, _PHI_TAIL)
-            d = np.multiply(xs, -0.5)
-            d *= xs
-            np.exp(d, out=d)
-            d *= _INV_SQRT2PI  # phi(x)
-            d *= xs
-            d += cdf[s]
-            np.multiply(g[s], d, out=gx[s])
-        return (gx.reshape(shape),)
+        return (g * d.reshape(shape),)
 
-    return _emit(out.reshape(shape), "gelu", (t,), grad_fn)
+    return _emit(out.reshape(shape), "gelu", (t,), grad_fn if records else None)
 
 
 def sum_all(t) -> Tensor:
@@ -880,10 +889,13 @@ def backward(loss: Tensor, store: ParamStore) -> ParamStore:
 
     The sweep walks the op nodes of the active tape, so backward runs inside
     the same ``with Tape()`` that recorded the loss; a parameter used directly
-    as the loss gets gradient 1. Only the store's parameters are written: a
-    trainable parameter outside it keeps its grad buffer, even if the loss
-    reaches it. Two buffers may share memory, so replace a buffer rather
-    than write into it.
+    as the loss gets gradient 1. A tape is swept once: each node's grad_fn is
+    set to None as it runs, so the arrays its closure saved are freed then,
+    while the caller may still hold the loss, and the tape keeps its nodes.
+    A second backward on a swept tape is refused. Only the store's
+    parameters are written: a trainable parameter outside it keeps its grad
+    buffer, even if the loss reaches it. Two buffers may share memory, so
+    replace a buffer rather than write into it.
     """
     if loss.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -891,7 +903,7 @@ def backward(loss: Tensor, store: ParamStore) -> ParamStore:
     if tape is None:
         raise ContractError("backward must run inside the `with Tape()` that recorded the loss")
     node = loss.node
-    if node is not None and node.grad_fn is not None and node not in tape._nodes:
+    if node is not None and node.parents and node not in tape._nodes:
         raise ContractError("the loss was not recorded on the active tape")
 
     adjoint: dict[TapeNode, Array] = {} if node is None else {node: np.ones_like(loss.data)}
@@ -899,7 +911,14 @@ def backward(loss: Tensor, store: ParamStore) -> ParamStore:
         g = adjoint.pop(n, None)
         if g is None:
             continue
-        for parent, pg in zip(n.parents, n.grad_fn(g)):
+        grad_fn, n.grad_fn = n.grad_fn, None
+        if grad_fn is None:
+            raise ContractError(
+                "this tape was already swept by backward; record the loss again under a new Tape"
+            )
+        grads = grad_fn(g)
+        del grad_fn  # its saved arrays go now, not at the next node
+        for parent, pg in zip(n.parents, grads):
             if parent is None or pg is None:
                 continue
             acc = adjoint.get(parent)

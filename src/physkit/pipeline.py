@@ -369,8 +369,9 @@ def evaluate(model: Pipeline, clips: list[SyntheticClip]) -> MetricsReport:
 def _backward_step(model: Pipeline, clips: list[SyntheticClip]) -> float:
     """The loss on one batch, with every trainable grad set to its gradient.
 
-    The step's graph, its tape nodes and the activations their backward
-    closures hold, lives only in this frame, so it is freed on return."""
+    The activations the backward closures saved are freed during the sweep,
+    node by node, so before the Adam update; the tape's emptied nodes live
+    only in this frame and go on return."""
     pyr, x_enc, scenes = batch_from_clips(clips)
     target = np.stack([c.bvp for c in clips])
     with nc.Tape():

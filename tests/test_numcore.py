@@ -1,5 +1,6 @@
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -107,9 +108,70 @@ def test_a_parameter_is_one_leaf_that_no_tape_holds():
     pyr, x_enc, scenes = batch_from_clips(clips)
     with nc.Tape() as tape:
         loss = mse_loss(model.forward(pyr, x_enc, scenes), nc.Tensor(np.stack([c.bvp for c in clips])))
+        recorded = len(tape)
+        assert not [n.op for n in tape._nodes if n.op.startswith("param:") or n.grad_fn is None]
         nc.backward(loss, model.store)
-    assert len(tape) > 0
-    assert not [n.op for n in tape._nodes if n.op.startswith("param:") or n.grad_fn is None]
+    assert recorded > 0 and len(tape) == recorded
+    assert all(n.grad_fn is None for n in tape._nodes)
+
+
+def test_a_swept_tape_refuses_a_second_backward():
+    store = nc.ParamStore()
+    p = store.add("p", [1.0, 2.0])
+    with nc.Tape():
+        loss = nc.sum_all(nc.mul(p.use(), p.use()))
+        nc.backward(loss, store)
+        first = p.grad
+        with pytest.raises(ContractError, match="already swept by backward"):
+            nc.backward(loss, store)
+    assert p.grad is first and np.array_equal(first, [2.0, 4.0])
+
+
+def test_a_swept_loss_is_not_taken_on_another_tape():
+    store = nc.ParamStore()
+    p = store.add("p", [1.0, 2.0])
+    with nc.Tape():
+        loss = nc.sum_all(p.use())
+        nc.backward(loss, store)
+    with nc.Tape():
+        with pytest.raises(ContractError, match="not recorded on the active tape"):
+            nc.backward(loss, store)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_keeps_no_reference_to_its_input(dtype):
+    rng = np.random.default_rng(11)
+    store = nc.ParamStore(dtype=dtype)
+    a = store.add("a", rng.standard_normal((3, 4)))
+    b = rng.standard_normal((4, 5)).astype(dtype)
+    with nc.Tape():
+        h = nc.matmul(a.use(), b)
+        y = nc.gelu(h)
+        freed = weakref.ref(h.data)
+        del h
+        assert freed() is None
+        nc.backward(nc.sum_all(y), store)
+    x = rng.standard_normal((3, 4)).astype(dtype)
+    freed = weakref.ref(x)
+    y = nc.gelu(x)
+    del x
+    assert freed() is None and y.node is None
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_frees_what_a_node_saved_while_the_loss_lives(dtype):
+    store = nc.ParamStore(dtype=dtype)
+    p = store.add("p", np.array([1.0, -2.0, 3.0], dtype=dtype))
+    c = np.array([0.5, 4.0, -1.0], dtype=dtype)
+    freed = weakref.ref(c)
+    with nc.Tape():
+        loss = nc.sum_all(nc.mul(p.use(), c))
+        del c
+        assert freed() is not None  # the mul node's backward needs it
+        nc.backward(loss, store)
+        assert freed() is None
+    assert loss.item() == 1.0 * 0.5 - 2.0 * 4.0 - 3.0
+    assert np.array_equal(p.grad, np.array([0.5, 4.0, -1.0], dtype=dtype))
 
 
 def test_a_parameter_used_twice_gets_both_gradients():
